@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <functional>
+#include <string_view>
+#include <utility>
 
 #include "rng/splitmix64.hpp"
 #include "util/contracts.hpp"
@@ -16,27 +18,87 @@ namespace {
 /// don't pay O(size * table) memory at admission time.
 constexpr std::uint32_t kEagerTableLimit = 20'000;
 
+/// FNV-1a: the key of a node's child-label index.
+std::uint64_t label_hash(std::string_view label) noexcept {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : label) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
 }  // namespace
 
 struct NamedHierarchy::TreeNode {
+  using LabelEntry = std::pair<std::uint64_t, TreeNode*>;  // (label hash, owned child)
+
   naming::Name name;
   ids::Identifier id;
   bool alive = true;
   TreeNode* parent = nullptr;                   // primary parent
   std::vector<TreeNode*> secondary_parents;     // mesh parents (Section 7)
 
-  std::vector<std::unique_ptr<TreeNode>> owned;  // primary children
-  std::vector<TreeNode*> alias_children;         // mesh children (not owned)
-  std::vector<TreeNode*> members;                // owned + alias, id-sorted when !members_dirty
+  std::vector<std::unique_ptr<TreeNode>> owned;  // primary children, admission order
+  /// `owned` keyed by label hash, sorted by hash; labels that share a hash
+  /// sit adjacent and are told apart by comparing the labels themselves.
+  std::vector<LabelEntry> by_label;
+  /// Owned plus mesh alias children, always sorted by identifier: a
+  /// member's position is its ring index (Section 3.2).
+  std::vector<TreeNode*> members;
   std::unique_ptr<overlay::Overlay> child_overlay;
-  // Membership changes invalidate both; the member view (cheap: sort) and
-  // the overlay (expensive: routing tables) regenerate independently, so a
-  // topology walk never forces a table build.
-  bool members_dirty = true;
+  // Membership changes invalidate the overlay (expensive: routing tables);
+  // it regenerates on the next routed visit, so a topology walk never
+  // forces a table build.
   bool overlay_dirty = true;
 
+  [[nodiscard]] const std::string& label() const { return name.labels().back(); }
   [[nodiscard]] std::uint32_t member_count() const noexcept {
-    return static_cast<std::uint32_t>(owned.size() + alias_children.size());
+    return static_cast<std::uint32_t>(members.size());
+  }
+
+  /// The owned child labelled `label`, or null: O(log fanout).
+  [[nodiscard]] TreeNode* child(std::string_view label) const {
+    const std::uint64_t h = label_hash(label);
+    for (auto it = std::ranges::lower_bound(by_label, h, {}, &LabelEntry::first);
+         it != by_label.end() && it->first == h; ++it) {
+      if (it->second->label() == label) return it->second;
+    }
+    return nullptr;
+  }
+
+  /// Ring index of `member` (owned or alias): a binary search on identifier.
+  [[nodiscard]] std::uint32_t index_of(const TreeNode* member) const {
+    const auto it = std::ranges::lower_bound(members, member->id, {}, &TreeNode::id);
+    HOURS_ASSERT(it != members.end() && *it == member);
+    return static_cast<std::uint32_t>(it - members.begin());
+  }
+
+  void insert_member(TreeNode* member) {
+    members.insert(std::ranges::upper_bound(members, member->id, {}, &TreeNode::id), member);
+    overlay_dirty = true;
+  }
+
+  void erase_member(const TreeNode* member) {
+    members.erase(members.begin() + index_of(member));
+    overlay_dirty = true;
+  }
+
+  void adopt(std::unique_ptr<TreeNode> node) {
+    const std::uint64_t h = label_hash(node->label());
+    by_label.emplace(std::ranges::upper_bound(by_label, h, {}, &LabelEntry::first), h,
+                     node.get());
+    insert_member(node.get());
+    owned.push_back(std::move(node));
+  }
+
+  /// Unlinks and destroys the owned child `node` with its subtree.
+  void disown(const TreeNode* node) {
+    std::erase_if(by_label, [node](const LabelEntry& e) { return e.second == node; });
+    erase_member(node);
+    const auto it = std::ranges::find_if(owned, [node](const auto& c) { return c.get() == node; });
+    HOURS_ASSERT(it != owned.end());
+    owned.erase(it);
   }
 };
 
@@ -52,17 +114,8 @@ NamedHierarchy::~NamedHierarchy() = default;
 NamedHierarchy::TreeNode* NamedHierarchy::find_by_name(const naming::Name& name) {
   // Primary names identify nodes; the walk follows owned children only.
   TreeNode* node = root_.get();
-  for (std::size_t lvl = 1; lvl <= name.depth(); ++lvl) {
-    const std::string& label = name.label(lvl);
-    TreeNode* next = nullptr;
-    for (const auto& c : node->owned) {
-      if (c->name.labels().back() == label) {
-        next = c.get();
-        break;
-      }
-    }
-    if (next == nullptr) return nullptr;
-    node = next;
+  for (std::size_t lvl = 1; lvl <= name.depth() && node != nullptr; ++lvl) {
+    node = node->child(name.label(lvl));
   }
   return node;
 }
@@ -70,26 +123,13 @@ NamedHierarchy::TreeNode* NamedHierarchy::find_by_name(const naming::Name& name)
 NamedHierarchy::TreeNode* NamedHierarchy::find_by_path(const NodePath& path) {
   TreeNode* node = root_.get();
   for (const auto index : path) {
-    refresh_members(*node);
     if (index >= node->members.size()) return nullptr;
     node = node->members[index];
   }
   return node;
 }
 
-void NamedHierarchy::refresh_members(TreeNode& node) {
-  if (!node.members_dirty) return;
-  node.members.clear();
-  node.members.reserve(node.member_count());
-  for (const auto& c : node.owned) node.members.push_back(c.get());
-  for (TreeNode* a : node.alias_children) node.members.push_back(a);
-  std::sort(node.members.begin(), node.members.end(),
-            [](const TreeNode* a, const TreeNode* b) { return a->id < b->id; });
-  node.members_dirty = false;
-}
-
 void NamedHierarchy::refresh(TreeNode& node) {
-  refresh_members(node);
   if (!node.overlay_dirty) return;
 
   const auto size = static_cast<std::uint32_t>(node.members.size());
@@ -117,13 +157,6 @@ void NamedHierarchy::refresh(TreeNode& node) {
   node.overlay_dirty = false;
 }
 
-std::uint32_t NamedHierarchy::index_of(TreeNode& parent, const TreeNode* child) {
-  refresh_members(parent);
-  const auto it = std::find(parent.members.begin(), parent.members.end(), child);
-  HOURS_ASSERT(it != parent.members.end());
-  return static_cast<std::uint32_t>(std::distance(parent.members.begin(), it));
-}
-
 util::Result<naming::Name> NamedHierarchy::admit(const naming::Name& name) {
   if (name.is_root()) {
     return util::Error{util::Error::Code::kInvalidArgument, "the root exists implicitly"};
@@ -133,7 +166,7 @@ util::Result<naming::Name> NamedHierarchy::admit(const naming::Name& name) {
     return util::Error{util::Error::Code::kNotFound,
                        "parent not admitted: " + name.parent().to_string()};
   }
-  if (find_by_name(name) != nullptr) {
+  if (parent_node->child(name.labels().back()) != nullptr) {
     return util::Error{util::Error::Code::kInvalidArgument,
                        "already admitted: " + name.to_string()};
   }
@@ -142,9 +175,7 @@ util::Result<naming::Name> NamedHierarchy::admit(const naming::Name& name) {
   node->name = name;
   node->id = ids::Identifier::from_name(name.to_string());
   node->parent = parent_node;
-  parent_node->owned.push_back(std::move(node));
-  parent_node->members_dirty = true;
-  parent_node->overlay_dirty = true;
+  parent_node->adopt(std::move(node));
   ++node_count_;
   return name;
 }
@@ -173,26 +204,19 @@ util::Result<naming::Name> NamedHierarchy::admit_secondary(const naming::Name& n
   }
 
   node->secondary_parents.push_back(parent_node);
-  parent_node->alias_children.push_back(node);
-  parent_node->members_dirty = true;
-  parent_node->overlay_dirty = true;
+  parent_node->insert_member(node);
   return name;
 }
 
 void NamedHierarchy::unlink_aliases_in_subtree(TreeNode& node) {
   // The node may be an alias child elsewhere: detach those memberships.
-  for (TreeNode* sp : node.secondary_parents) {
-    std::erase(sp->alias_children, &node);
-    sp->members_dirty = true;
-    sp->overlay_dirty = true;
-  }
+  for (TreeNode* sp : node.secondary_parents) sp->erase_member(&node);
   node.secondary_parents.clear();
   // The node may have alias children from elsewhere: they survive, minus
   // this parent.
-  for (TreeNode* ac : node.alias_children) {
-    std::erase(ac->secondary_parents, &node);
+  for (TreeNode* member : node.members) {
+    if (member->parent != &node) std::erase(member->secondary_parents, &node);
   }
-  node.alias_children.clear();
   for (const auto& c : node.owned) unlink_aliases_in_subtree(*c);
 }
 
@@ -204,8 +228,6 @@ util::Result<naming::Name> NamedHierarchy::remove(const naming::Name& name) {
   if (node == nullptr) {
     return util::Error{util::Error::Code::kNotFound, "not admitted: " + name.to_string()};
   }
-  TreeNode* parent_node = node->parent;
-
   unlink_aliases_in_subtree(*node);
 
   std::size_t removed = 0;
@@ -216,12 +238,7 @@ util::Result<naming::Name> NamedHierarchy::remove(const naming::Name& name) {
   count_subtree(*node);
   node_count_ -= removed;
 
-  const auto it = std::find_if(parent_node->owned.begin(), parent_node->owned.end(),
-                               [&](const auto& c) { return c.get() == node; });
-  HOURS_ASSERT(it != parent_node->owned.end());
-  parent_node->owned.erase(it);
-  parent_node->members_dirty = true;
-  parent_node->overlay_dirty = true;
+  node->parent->disown(node);
   return name;
 }
 
@@ -233,7 +250,7 @@ util::Result<NodePath> NamedHierarchy::resolve(const naming::Name& name) {
   NodePath path(name.depth());
   TreeNode* walk = node;
   for (std::size_t i = name.depth(); i-- > 0;) {
-    path[i] = index_of(*walk->parent, walk);
+    path[i] = walk->parent->index_of(walk);
     walk = walk->parent;
   }
   return path;
@@ -262,7 +279,7 @@ std::vector<NodePath> NamedHierarchy::resolve_paths(const naming::Name& name,
                    at->secondary_parents.end());
     for (TreeNode* p : parents) {
       if (out.size() >= max_paths) return;
-      suffix.push_back(index_of(*p, at));
+      suffix.push_back(p->index_of(at));
       walk_up(p);
       suffix.pop_back();
     }
@@ -294,7 +311,7 @@ util::Result<naming::Name> NamedHierarchy::set_alive(const naming::Name& name, b
                  node->secondary_parents.end());
   for (TreeNode* p : parents) {
     if (p->overlay_dirty || !p->child_overlay) continue;
-    const auto j = index_of(*p, node);
+    const auto j = p->index_of(node);
     if (alive) {
       p->child_overlay->revive(j);
     } else {
@@ -353,7 +370,6 @@ NamedHierarchy::TopologySnapshot NamedHierarchy::topology_snapshot() {
   snap.child_counts.reserve(node_count_ + 1);
   for (std::size_t i = 0; i < order.size(); ++i) {
     TreeNode* node = order[i];
-    refresh_members(*node);
     snap.child_counts.push_back(node->member_count());
     if (!node->alive) snap.dead.push_back(static_cast<std::uint32_t>(i));
     for (TreeNode* member : node->members) order.push_back(member);

@@ -15,11 +15,13 @@
 // top-down paths — resolve_paths() enumerates them, and HoursSystem retries
 // queries across them.
 //
-// Membership changes mark the affected overlays dirty; they are
-// re-generated on next access, mirroring the paper's periodic routing-table
-// regeneration (Section 7, "Overlay Maintenance"). Ring indices may shift
-// when membership changes, so NodePaths should be re-resolved from names
-// afterwards.
+// Every sibling set keeps a label index and its identifier-sorted member
+// view current through membership changes, so resolving a name costs
+// O(depth * log fanout) and never re-sorts. Membership changes mark the
+// affected overlays dirty; they are re-generated on next access, mirroring
+// the paper's periodic routing-table regeneration (Section 7, "Overlay
+// Maintenance"). Ring indices may shift when membership changes, so
+// NodePaths should be re-resolved from names afterwards.
 #pragma once
 
 #include <memory>
@@ -113,16 +115,9 @@ class NamedHierarchy final : public HierarchyModel {
   [[nodiscard]] TreeNode* find_by_name(const naming::Name& name);
   [[nodiscard]] TreeNode* find_by_path(const NodePath& path);
 
-  /// Sorts the member view (owned + alias children) by identifier if stale.
-  /// Never builds routing tables, so topology walks stay cheap at scale.
-  void refresh_members(TreeNode& node);
-
-  /// refresh_members plus (re)building the child overlay if stale — the
-  /// expensive step, deferred until graph routing actually visits the node.
+  /// (Re)builds the child overlay if stale — the expensive step, deferred
+  /// until graph routing actually visits the node.
   void refresh(TreeNode& node);
-
-  /// Ring index of `child` within `parent`'s refreshed member view.
-  [[nodiscard]] std::uint32_t index_of(TreeNode& parent, const TreeNode* child);
 
   void unlink_aliases_in_subtree(TreeNode& node);
 

@@ -58,8 +58,6 @@ void EventBackend::ensure_built() {
   sim_config.assume_ring_repaired = config_.assume_ring_repaired;
   sim_ = std::make_unique<sim::HierarchySimulation>(sim_config, topology);
 
-  id_cache_.clear();
-
   // Mirror the facade's oracle liveness as the simulation's initial state;
   // from here on, downtime inside the simulation is learned from silence.
   for (const std::uint32_t id : snapshot.dead) sim_->kill_id(id);
@@ -119,17 +117,11 @@ QueryResult EventBackend::run_client_query(std::uint32_t start_id, std::uint32_t
 
 std::int64_t EventBackend::resolve_id(const naming::Name& name) {
   ensure_built();
-  std::string key = name.to_string();
-  if (const auto it = id_cache_.find(key); it != id_cache_.end()) return it->second;
-  std::int64_t id = -1;
   // The primary path's id; a mesh alias node also exists under secondary
   // parents with other ids, but liveness mirroring and query addressing use
   // the primary membership (docs/PROTOCOL.md §7).
-  if (auto path = system_.hierarchy().resolve(name); path.ok()) {
-    id = sim_->find_id(path.value());
-  }
-  id_cache_.emplace(std::move(key), id);
-  return id;
+  const auto path = system_.hierarchy().resolve(name);
+  return path.ok() ? sim_->find_id(path.value()) : -1;
 }
 
 QueryResult EventBackend::execute(const naming::Name& dest, bool /*record_path*/) {
@@ -194,7 +186,6 @@ void EventBackend::on_membership_change() {
   client_.reset();
   injectors_.clear();
   sim_.reset();
-  id_cache_.clear();
 }
 
 util::Result<std::size_t> EventBackend::schedule_faults(sim::FaultPlan plan) {

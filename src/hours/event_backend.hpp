@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -103,7 +102,7 @@ class EventBackend final : public QueryBackend {
   void ensure_built();
 
   /// The simulator node id `name` maps to (its primary path), or -1 when
-  /// the name is not admitted. Memoized until the topology rebuilds.
+  /// the name is not admitted.
   [[nodiscard]] std::int64_t resolve_id(const naming::Name& name);
 
   /// Runs the simulator one event at a time until `qid` settles, so events
@@ -124,9 +123,6 @@ class EventBackend final : public QueryBackend {
   std::unique_ptr<sim::QueryClient> client_;
   std::vector<std::unique_ptr<sim::FaultInjector>> injectors_;
   std::vector<sim::FaultPlan> plans_;  ///< everything scheduled, for re-arming
-  /// Lazy name -> simulator-id memo (-1 = unresolvable); cleared whenever
-  /// the topology snapshot rebuilds.
-  std::map<std::string, std::int64_t, std::less<>> id_cache_;
 };
 
 }  // namespace hours

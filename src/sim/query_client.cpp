@@ -130,6 +130,8 @@ void QueryClient::complete(std::uint64_t qid, QueryStatus status) {
   HOURS_EXPECTS(q.out.status == QueryStatus::kPending);
   q.out.status = status;
   q.out.completed_at = network_.sim->now();
+  // Only a pending query reads its try-list; a settled one keeps its outcome.
+  std::vector<std::uint32_t>().swap(q.candidates);
   if (q.deadline_event != 0) {
     network_.sim->cancel(q.deadline_event);
     q.deadline_event = 0;

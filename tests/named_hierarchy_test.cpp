@@ -1,9 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cstdint>
+#include <cstdlib>
+#include <functional>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "hierarchy/named.hpp"
 #include "ids/identifier.hpp"
+#include "rng/xoshiro256.hpp"
 
 namespace hours::hierarchy {
 namespace {
@@ -136,6 +144,317 @@ TEST(NamedHierarchy, RootLiveness) {
   EXPECT_TRUE(h.root_alive());
   h.set_root_alive(false);
   EXPECT_FALSE(h.root_alive());
+}
+
+// ---------------------------------------------------------------------------
+// Differential check of the label and identifier indexes: seeded random
+// admit / admit_secondary / remove / set_alive sequences, re-admission after
+// removal included, must leave every view NamedHierarchy offers equal to a
+// brute-force model that scans labels linearly and fully sorts each sibling
+// set by identifier on every lookup.
+//
+// Seed control, as in the fuzz harnesses:
+//   HOURS_FUZZ_SEEDS=N   sweep seeds 1..N   (default 25)
+//   HOURS_FUZZ_SEED=S    run exactly seed S
+
+std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
+  const char* raw = std::getenv(name);
+  if (raw == nullptr || *raw == '\0') return fallback;
+  return std::strtoull(raw, nullptr, 10);
+}
+
+/// Flat node list in admission order (so parents precede children); the
+/// root is node 0. Nothing is indexed or cached.
+class ReferenceHierarchy {
+ public:
+  ReferenceHierarchy() : nodes_(1) {}
+
+  bool admit(const naming::Name& n) {
+    if (n.is_root() || find(n)) return false;
+    const auto parent = find(n.parent());
+    if (!parent) return false;
+    nodes_.push_back({n, ids::Identifier::from_name(n.to_string()), *parent, {}, true, true});
+    return true;
+  }
+
+  bool admit_secondary(const naming::Name& n, const naming::Name& parent) {
+    const auto node = find(n);
+    const auto p = find(parent);
+    if (!node || !p || parent.depth() + 1 != n.depth()) return false;
+    Node& child = nodes_[*node];
+    if (child.parent == *p || std::ranges::find(child.secondary, *p) != child.secondary.end()) {
+      return false;
+    }
+    child.secondary.push_back(*p);
+    return true;
+  }
+
+  bool remove(const naming::Name& n) {
+    const auto target = find(n);
+    if (n.is_root() || !target) return false;
+    std::vector<bool> gone(nodes_.size(), false);
+    for (std::size_t i = *target; i < nodes_.size(); ++i) {
+      if (nodes_[i].present && (i == *target || gone[nodes_[i].parent])) {
+        gone[i] = true;
+        nodes_[i].present = false;
+      }
+    }
+    for (Node& node : nodes_) std::erase_if(node.secondary, [&](std::size_t p) { return gone[p]; });
+    return true;
+  }
+
+  bool set_alive(const naming::Name& n, bool alive) {
+    const auto node = find(n);
+    if (!node) return false;
+    nodes_[*node].alive = alive;
+    return true;
+  }
+  void set_root_alive(bool alive) { nodes_[0].alive = alive; }
+  [[nodiscard]] bool alive(std::size_t node) const { return nodes_[node].alive; }
+
+  /// Linear label scan from the root over owned (primary) children.
+  [[nodiscard]] std::optional<std::size_t> find(const naming::Name& n) const {
+    std::size_t at = 0;
+    for (std::size_t lvl = 1; lvl <= n.depth(); ++lvl) {
+      const auto it = std::find_if(nodes_.begin() + 1, nodes_.end(), [&](const Node& c) {
+        return c.present && c.parent == at && c.name.labels().back() == n.label(lvl);
+      });
+      if (it == nodes_.end()) return std::nullopt;
+      at = static_cast<std::size_t>(it - nodes_.begin());
+    }
+    return at;
+  }
+
+  /// Owned plus alias children of `at`, fully sorted by identifier.
+  [[nodiscard]] std::vector<std::size_t> members(std::size_t at) const {
+    std::vector<std::size_t> out;
+    for (std::size_t i = 1; i < nodes_.size(); ++i) {
+      const Node& c = nodes_[i];
+      if (c.present &&
+          (c.parent == at || std::ranges::find(c.secondary, at) != c.secondary.end())) {
+        out.push_back(i);
+      }
+    }
+    std::ranges::sort(out, {}, [this](std::size_t i) { return nodes_[i].id; });
+    return out;
+  }
+
+  [[nodiscard]] std::uint32_t index_of(std::size_t parent, std::size_t child) const {
+    const auto m = members(parent);
+    return static_cast<std::uint32_t>(std::ranges::find(m, child) - m.begin());
+  }
+
+  /// Ancestor chains depth-first, primary parent before mesh parents.
+  [[nodiscard]] std::vector<NodePath> paths(const naming::Name& n, std::size_t max_paths) const {
+    std::vector<NodePath> out;
+    const auto node = find(n);
+    if (!node) return out;
+    NodePath suffix;
+    const std::function<void(std::size_t)> up = [&](std::size_t at) {
+      if (at == 0) {
+        out.emplace_back(suffix.rbegin(), suffix.rend());
+        return;
+      }
+      std::vector<std::size_t> parents{nodes_[at].parent};
+      parents.insert(parents.end(), nodes_[at].secondary.begin(), nodes_[at].secondary.end());
+      for (const std::size_t p : parents) {
+        if (out.size() >= max_paths) return;
+        suffix.push_back(index_of(p, at));
+        up(p);
+        suffix.pop_back();
+      }
+    };
+    up(*node);
+    return out;
+  }
+
+  [[nodiscard]] NamedHierarchy::TopologySnapshot topology() const {
+    NamedHierarchy::TopologySnapshot snap;
+    std::vector<std::size_t> order{0};
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      const auto m = members(order[i]);
+      snap.child_counts.push_back(static_cast<std::uint32_t>(m.size()));
+      if (!nodes_[order[i]].alive) snap.dead.push_back(static_cast<std::uint32_t>(i));
+      order.insert(order.end(), m.begin(), m.end());
+    }
+    return snap;
+  }
+
+  /// Pre-order over owned children in admission order.
+  [[nodiscard]] std::vector<NamedHierarchy::MemberInfo> member_infos() const {
+    std::vector<NamedHierarchy::MemberInfo> out;
+    const std::function<void(std::size_t)> walk = [&](std::size_t at) {
+      for (std::size_t i = 1; i < nodes_.size(); ++i) {
+        const Node& c = nodes_[i];
+        if (!c.present || c.parent != at) continue;
+        NamedHierarchy::MemberInfo info{c.name, c.alive, {}};
+        for (const std::size_t p : c.secondary) info.secondary_parents.push_back(nodes_[p].name);
+        out.push_back(std::move(info));
+        walk(i);
+      }
+    };
+    walk(0);
+    return out;
+  }
+
+  /// Admitted nodes, root excluded, in admission order.
+  [[nodiscard]] std::vector<std::size_t> present() const {
+    std::vector<std::size_t> out;
+    for (std::size_t i = 1; i < nodes_.size(); ++i) {
+      if (nodes_[i].present) out.push_back(i);
+    }
+    return out;
+  }
+  [[nodiscard]] const naming::Name& name_of(std::size_t node) const { return nodes_[node].name; }
+
+ private:
+  struct Node {
+    naming::Name name;
+    ids::Identifier id;
+    std::size_t parent = 0;              // primary parent
+    std::vector<std::size_t> secondary;  // mesh parents, registration order
+    bool alive = true;
+    bool present = true;
+  };
+  std::vector<Node> nodes_;
+};
+
+/// Every view of `h` against the model: lookups by each name ever used,
+/// inverse and shape lookups by each path, the BFS image and the pre-order
+/// member list.
+void expect_same_views(NamedHierarchy& h, const ReferenceHierarchy& ref,
+                       const std::vector<naming::Name>& universe) {
+  for (const auto& n : universe) {
+    const auto want = ref.paths(n, 8);
+    EXPECT_EQ(h.resolve_paths(n), want) << n.to_string();
+    const auto resolved = h.resolve(n);
+    ASSERT_EQ(resolved.ok(), !want.empty()) << n.to_string();
+    if (resolved.ok()) {
+      EXPECT_EQ(resolved.value(), want.front()) << n.to_string();
+    }
+    const auto alive = h.is_alive(n);
+    ASSERT_EQ(alive.ok(), !want.empty()) << n.to_string();
+    if (alive.ok()) {
+      EXPECT_EQ(alive.value(), ref.alive(*ref.find(n))) << n.to_string();
+    }
+  }
+
+  std::size_t admitted = 0;
+  for (const std::size_t node : ref.present()) {
+    ++admitted;
+    const auto& n = ref.name_of(node);
+    for (const auto& path : ref.paths(n, 8)) {
+      const auto back = h.name_of(path);
+      ASSERT_TRUE(back.ok()) << to_string(path);
+      EXPECT_EQ(back.value(), n) << to_string(path);
+      EXPECT_EQ(h.child_count(path), ref.members(node).size()) << n.to_string();
+      // Builds the parent overlay: later set_alive calls mirror into it.
+      EXPECT_EQ(h.node_alive(path), ref.alive(node)) << n.to_string();
+    }
+  }
+  EXPECT_EQ(h.node_count(), admitted);
+  const NodePath past_end{static_cast<std::uint32_t>(ref.members(0).size())};
+  EXPECT_FALSE(h.name_of(past_end).ok());
+  EXPECT_EQ(h.child_count(past_end), 0U);
+  EXPECT_EQ(h.root_alive(), ref.alive(0));
+
+  const auto snap = h.topology_snapshot();
+  const auto want_snap = ref.topology();
+  EXPECT_EQ(snap.child_counts, want_snap.child_counts);
+  EXPECT_EQ(snap.dead, want_snap.dead);
+
+  const auto infos = h.members();
+  const auto want_infos = ref.member_infos();
+  ASSERT_EQ(infos.size(), want_infos.size());
+  for (std::size_t i = 0; i < infos.size(); ++i) {
+    EXPECT_EQ(infos[i].name, want_infos[i].name) << i;
+    EXPECT_EQ(infos[i].alive, want_infos[i].alive) << i;
+    EXPECT_EQ(infos[i].secondary_parents, want_infos[i].secondary_parents) << i;
+  }
+}
+
+void run_differential_seed(std::uint64_t seed) {
+  SCOPED_TRACE("reproduce with HOURS_FUZZ_SEED=" + std::to_string(seed));
+  // Few labels, so siblings under different parents share labels and
+  // re-admissions and duplicates are common.
+  static constexpr std::array<const char*, 20> kLabels{
+      "www", "mail", "ns", "db",  "ftp", "vpn", "a",  "b",  "cs", "ee",
+      "lab", "git",  "me", "api", "cdn", "mx",  "ns2", "c", "d",  "web"};
+  constexpr int kSteps = 240;
+  constexpr int kCheckEvery = 16;
+
+  rng::Xoshiro256 rng{seed};
+  NamedHierarchy h{params()};
+  ReferenceHierarchy ref;
+  std::vector<naming::Name> universe{naming::Name{}};
+  std::vector<naming::Name> removed;
+  const auto pick = [&rng](const auto& v) { return v[rng.below(v.size())]; };
+  const auto remember = [&universe](const naming::Name& n) {
+    if (std::ranges::find(universe, n) == universe.end()) universe.push_back(n);
+  };
+
+  for (int step = 0; step < kSteps; ++step) {
+    const auto present = ref.present();
+    const std::uint64_t op = rng.below(100);
+    if (op < 45 || present.empty()) {
+      // Admit under the root or an admitted node above the leaf level;
+      // sometimes a duplicate, sometimes under a missing parent.
+      std::vector<naming::Name> parents{naming::Name{}};
+      for (const std::size_t node : present) {
+        if (ref.name_of(node).depth() < 3) parents.push_back(ref.name_of(node));
+      }
+      naming::Name parent = pick(parents);
+      if (rng.below(20) == 0) parent = parent.child("ghost");
+      const naming::Name n = parent.child(pick(kLabels));
+      remember(n);
+      ASSERT_EQ(h.admit(n).ok(), ref.admit(n)) << "admit " << n.to_string();
+    } else if (op < 60) {
+      // Mesh parent: mostly one level up (valid unless already a parent),
+      // sometimes any admitted node (wrong level).
+      const naming::Name& n = ref.name_of(pick(present));
+      std::vector<naming::Name> candidates;
+      for (const std::size_t node : present) {
+        const auto& p = ref.name_of(node);
+        if (rng.below(5) == 0 || p.depth() + 1 == n.depth()) candidates.push_back(p);
+      }
+      if (candidates.empty()) continue;
+      const naming::Name p = pick(candidates);
+      ASSERT_EQ(h.admit_secondary(n, p).ok(), ref.admit_secondary(n, p))
+          << "admit_secondary " << n.to_string() << " under " << p.to_string();
+    } else if (op < 66) {
+      const naming::Name n = rng.below(10) == 0 ? pick(universe) : ref.name_of(pick(present));
+      const bool ok = ref.remove(n);
+      ASSERT_EQ(h.remove(n).ok(), ok) << "remove " << n.to_string();
+      if (ok) removed.push_back(n);
+    } else if (op < 74) {
+      if (removed.empty()) continue;
+      const naming::Name n = pick(removed);
+      ASSERT_EQ(h.admit(n).ok(), ref.admit(n)) << "re-admit " << n.to_string();
+    } else if (op < 96) {
+      const naming::Name n = rng.below(10) == 0 ? pick(universe) : ref.name_of(pick(present));
+      const bool alive = rng.below(2) == 0;
+      ASSERT_EQ(h.set_alive(n, alive).ok(), ref.set_alive(n, alive)) << "set_alive " << n.to_string();
+    } else {
+      const bool alive = !h.root_alive();
+      h.set_root_alive(alive);
+      ref.set_root_alive(alive);
+    }
+    if (step % kCheckEvery == kCheckEvery - 1 || step == kSteps - 1) {
+      SCOPED_TRACE("after step " + std::to_string(step));
+      expect_same_views(h, ref, universe);
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+}
+
+TEST(NamedHierarchyDifferential, IndexedLookupsMatchBruteForce) {
+  const std::uint64_t pinned = env_u64("HOURS_FUZZ_SEED", 0);
+  const std::uint64_t count = pinned != 0 ? 1 : env_u64("HOURS_FUZZ_SEEDS", 25);
+  ASSERT_GT(count, 0U) << "HOURS_FUZZ_SEEDS must be >= 1";
+  for (std::uint64_t i = 0; i < count; ++i) {
+    run_differential_seed(pinned != 0 ? pinned : i + 1);
+    if (HasFailure()) return;
+  }
 }
 
 }  // namespace

@@ -10,8 +10,12 @@
 // oracle, not silently absorbed.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <fstream>
+#include <iterator>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "hours/hours.hpp"
@@ -441,6 +445,55 @@ TEST(SnapshotReplay, FacadeSaveRestoreRoundTrip) {
   ASSERT_EQ(lookup.records.size(), 1U);
   EXPECT_EQ(lookup.records[0].value, "10.0.0.7");
   EXPECT_TRUE(restored.lift_attack("mit").ok());
+}
+
+/// FNV-1a over a document's bytes: a fingerprint stable across platforms.
+std::uint64_t fnv1a(std::string_view bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(SnapshotReplay, FacadeSnapshotBytesArePinned) {
+  // save() lists members in admission pre-order, and a strike plans its
+  // victims in ring (identifier) order. Siblings admitted out of identifier
+  // order, a mesh parent, a removal, records, a strike and a query pin both
+  // orders: the hash is of the document an unindexed linear-scan hierarchy
+  // wrote, so no lookup index may leak into either order.
+  HoursSystem system;
+  const std::vector<std::string> zones{"ucla", "mit", "cmu", "stanford", "berkeley"};
+  for (const auto& zone : zones) ASSERT_TRUE(system.admit(zone).ok());
+  for (const char* host : {"www", "mail", "ns1", "ns2", "ftp", "db", "vpn", "git"}) {
+    ASSERT_TRUE(system.admit(std::string{host} + ".ucla").ok());
+    ASSERT_TRUE(system.admit(std::string{host} + ".mit").ok());
+  }
+  ASSERT_TRUE(system.admit("lab.www.ucla").ok());
+  std::vector<std::uint32_t> zone_indices;
+  for (const auto& zone : zones) {
+    const auto path = system.hierarchy().resolve(naming::Name::parse(zone).value());
+    ASSERT_TRUE(path.ok());
+    zone_indices.push_back(path.value().back());
+  }
+  ASSERT_FALSE(std::is_sorted(zone_indices.begin(), zone_indices.end()));
+
+  ASSERT_TRUE(system.hierarchy()
+                  .admit_secondary(naming::Name::parse("www.ucla").value(),
+                                   naming::Name::parse("mit").value())
+                  .ok());
+  ASSERT_TRUE(system.remove("ns2.ucla").ok());
+  ASSERT_TRUE(system.add_record("www.ucla", {"A", "10.0.0.1", 300}).ok());
+  ASSERT_TRUE(system.add_record("mail.mit", {"MX", "10.0.0.2", 60}).ok());
+  ASSERT_TRUE(system.strike("ftp.mit", attack::Strategy::kNeighbor, 3).ok());
+  (void)system.query("lab.www.ucla");
+
+  const std::string path = ::testing::TempDir() + "pinned_system_snapshot.json";
+  ASSERT_EQ(system.save(path), "");
+  std::ifstream in(path, std::ios::binary);
+  const std::string bytes{std::istreambuf_iterator<char>(in), {}};
+  EXPECT_EQ(fnv1a(bytes), 0x06714e31fd95c3e3ULL) << bytes;
 }
 
 TEST(SnapshotReplay, FacadeRestoreRequiresFreshSystem) {
