@@ -7,6 +7,7 @@
 
 #include "rng/splitmix64.hpp"
 #include "util/contracts.hpp"
+#include "util/hash.hpp"
 
 namespace hours::hierarchy {
 
@@ -17,16 +18,6 @@ namespace {
 /// SyntheticSpec::eager_table_limit exposes, so million-child deployments
 /// don't pay O(size * table) memory at admission time.
 constexpr std::uint32_t kEagerTableLimit = 20'000;
-
-/// FNV-1a: the key of a node's child-label index.
-std::uint64_t label_hash(std::string_view label) noexcept {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : label) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
 
 }  // namespace
 
@@ -59,7 +50,7 @@ struct NamedHierarchy::TreeNode {
 
   /// The owned child labelled `label`, or null: O(log fanout).
   [[nodiscard]] TreeNode* child(std::string_view label) const {
-    const std::uint64_t h = label_hash(label);
+    const std::uint64_t h = util::fnv1a(label);
     for (auto it = std::ranges::lower_bound(by_label, h, {}, &LabelEntry::first);
          it != by_label.end() && it->first == h; ++it) {
       if (it->second->label() == label) return it->second;
@@ -85,7 +76,7 @@ struct NamedHierarchy::TreeNode {
   }
 
   void adopt(std::unique_ptr<TreeNode> node) {
-    const std::uint64_t h = label_hash(node->label());
+    const std::uint64_t h = util::fnv1a(node->label());
     by_label.emplace(std::ranges::upper_bound(by_label, h, {}, &LabelEntry::first), h,
                      node.get());
     insert_member(node.get());

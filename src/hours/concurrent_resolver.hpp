@@ -4,31 +4,43 @@
 // concern with resolver caches under high-rate query mixes).
 //
 // Design:
-//   * The name space is split across `shard_count` shards by FNV-1a hash.
-//   * Each shard publishes an immutable std::map snapshot through an
-//     atomic pointer. The read path (cache hit) takes NO lock: a
-//     jobs::RcuDomain read guard (two atomic stores) pins the snapshot,
-//     the probe copies the records out, and the guard drops. Writers
-//     copy-on-write the shard map under a per-shard mutex, swap the
-//     pointer, and retire the old snapshot to the RCU domain.
+//   * The name's FNV-1a hash is computed once per call. `hash % shard_count`
+//     picks the shard, the hash's upper 32 bits the bucket inside it.
+//   * Each shard is a chained hash table whose bucket array is sized once
+//     from the shard capacity (a power of two, at most kMaxBuckets). A
+//     cached answer is one immutable Node {name, expires_at, records, next};
+//     only `next` ever changes after the node is linked.
+//   * The read path (cache hit) takes NO lock: a jobs::RcuDomain read guard
+//     (two atomic stores) pins every node, the probe walks one bucket chain
+//     and copies the records out, and the guard drops.
+//   * Writers serialize on a per-shard mutex and change one link per node:
+//     a fresh name's fully built node is linked at its bucket head, an
+//     overwrite stores the new node in the old one's place (it inherits the
+//     old `next`), an eviction stores the victim's `next` over the link that
+//     pointed at it. Unlinked nodes are retired to the RCU domain; until
+//     they are reclaimed their `next` stays valid, so a reader parked on
+//     one walks on into the live chain.
 //   * The miss path funnels into the single-threaded HoursSystem under one
 //     authority mutex — concurrency lives in front of the hierarchy, never
 //     inside one query. resolve_batch() amortizes that mutex: probe all
 //     names lock-free first, then forward the misses in one batched
 //     HoursSystem::lookup_batch call.
 //
-// Semantics match Resolver exactly (same answer_min_ttl aging, same
-// evict-expired-else-earliest-expiry policy applied per shard), so a
-// single-threaded trace driven through both produces identical hit/miss/
-// failure counts whenever capacity never binds — the oracle property in
-// tests/concurrent_resolver_test.cpp. Under eviction pressure the shard-
-// local (vs. global) victim choice may differ; the bound
-// cached_names() <= shard_count * ceil(capacity / shard_count) always holds.
+// Semantics match Resolver (same answer_min_ttl aging, same eviction policy
+// applied per shard: an overwrite never evicts; a fresh name over capacity
+// drops everything expired, else the entry with the smallest
+// (expires_at, name)). With one shard a single-threaded trace through both
+// produces identical answers, counters and cache contents, eviction
+// pressure included, for names that, once cached, never fail a lookup —
+// the oracle properties in tests/concurrent_resolver_test.cpp. (Resolver
+// erases an expired entry when it is asked for it; here the entry stays
+// until the re-lookup overwrites it or an eviction sweeps it.) With several
+// shards the shard-local victim choice may differ from Resolver's global
+// one; cached_names() <= shard_count * ceil(capacity / shard_count) holds.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -66,8 +78,8 @@ class ConcurrentResolver {
   [[nodiscard]] std::vector<ResolveResult> resolve_batch(const std::vector<std::string>& names,
                                                          std::uint64_t now);
 
-  /// Lock-free cache-only probe; copies the records into `*out` (the
-  /// snapshot cannot be referenced after return). Does not update stats.
+  /// Lock-free cache-only probe; copies the records into `*out` (the node
+  /// cannot be referenced after return). Does not update stats.
   [[nodiscard]] bool peek(std::string_view name, std::uint64_t now,
                           std::vector<store::Record>* out) const;
 
@@ -99,16 +111,26 @@ class ConcurrentResolver {
   }
 
  private:
-  struct Entry {
-    std::uint64_t expires_at = 0;
-    std::vector<store::Record> records;
+  /// One cached answer. Immutable once linked, except `next`.
+  struct Node {
+    Node(std::uint64_t name_hash, std::string_view node_name, std::uint64_t expiry,
+         std::vector<store::Record> answer)
+        : hash(name_hash), expires_at(expiry), name(node_name), records(std::move(answer)) {}
+
+    const std::uint64_t hash;
+    const std::uint64_t expires_at;
+    const std::string name;
+    const std::vector<store::Record> records;
+    std::atomic<Node*> next{nullptr};
   };
-  /// Immutable once published; replaced wholesale on every write.
-  using Table = std::map<std::string, Entry, std::less<>>;
 
   struct Shard {
-    std::mutex writer;               ///< serializes copy-on-write updates
-    std::atomic<const Table*> live;  ///< readers load under an RCU guard
+    explicit Shard(std::size_t bucket_count)
+        : buckets(std::make_unique<std::atomic<Node*>[]>(bucket_count)) {}
+
+    std::mutex writer;  ///< serializes link/unlink
+    std::unique_ptr<std::atomic<Node*>[]> buckets;  ///< readers walk under an RCU guard
+    std::atomic<std::size_t> size{0};
     std::atomic<std::uint64_t> hits{0};
     std::atomic<std::uint64_t> misses{0};
     std::atomic<std::uint64_t> failures{0};
@@ -116,16 +138,33 @@ class ConcurrentResolver {
     std::atomic<std::uint64_t> refusals{0};
   };
 
-  [[nodiscard]] Shard& shard_of(std::string_view name) const;
-  [[nodiscard]] bool probe(const Shard& shard, std::string_view name, std::uint64_t now,
-                           std::vector<store::Record>* out) const;
-  /// Copy-on-write insert mirroring Resolver's eviction policy, then an
-  /// RCU publish + reclaim pass.
-  void publish(Shard& shard, std::string_view name, Entry entry, std::uint64_t now);
+  /// Bucket arrays never exceed this, however large `capacity` is: chains
+  /// lengthen instead of the constructor allocating O(capacity).
+  static constexpr std::size_t kMaxBuckets = std::size_t{1} << 16;
+
+  [[nodiscard]] Shard& shard_of(std::uint64_t hash) const {
+    return *shards_[hash % shards_.size()];
+  }
+  [[nodiscard]] std::size_t bucket_of(std::uint64_t hash) const noexcept {
+    return static_cast<std::size_t>(hash >> 32) & bucket_mask_;
+  }
+  [[nodiscard]] bool probe(const Shard& shard, std::uint64_t hash, std::string_view name,
+                           std::uint64_t now, std::vector<store::Record>* out) const;
+  /// Links a node for `name` (replacing the name's node, if any), evicting
+  /// first when a fresh name finds the shard full.
+  void publish(Shard& shard, std::uint64_t hash, std::string_view name, std::uint64_t expires_at,
+               std::vector<store::Record> records, std::uint64_t now);
+  /// Resolver's policy on one shard: drop every expired node, else the one
+  /// with the smallest (expires_at, name). Caller holds `shard.writer`.
+  void evict(Shard& shard, std::uint64_t now);
+  /// Stores `node`'s successor over `link` and retires `node`. Caller holds
+  /// the shard's writer mutex and `rcu_writer_mutex_`.
+  void unlink(std::atomic<Node*>& link, Node* node);
 
   HoursSystem& system_;
   std::mutex system_mutex_;  ///< the single-consumer authority path
   std::size_t shard_capacity_;
+  std::size_t bucket_mask_;  ///< bucket count - 1, the same for every shard
   mutable jobs::RcuDomain rcu_;
   std::mutex rcu_writer_mutex_;  ///< serializes retire/advance across shards
   std::vector<std::unique_ptr<Shard>> shards_;

@@ -110,8 +110,14 @@ const std::vector<store::Record>* Resolver::peek(std::string_view name,
 void Resolver::insert(std::string_view name, std::uint64_t now,
                       std::vector<store::Record> records) {
   const std::uint64_t ttl = answer_min_ttl(records);
+  std::string key{name};
+  // An overwrite never evicts: only a fresh name can push the cache over.
+  if (const auto it = cache_.find(key); it != cache_.end()) {
+    it->second = Entry{now + ttl, std::move(records)};
+    return;
+  }
   if (cache_.size() >= capacity_) evict_expired_or_oldest(now);
-  cache_[std::string{name}] = Entry{now + ttl, std::move(records)};
+  cache_.emplace(std::move(key), Entry{now + ttl, std::move(records)});
 }
 
 void Resolver::evict_expired_or_oldest(std::uint64_t now) {

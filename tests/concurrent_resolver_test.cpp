@@ -1,13 +1,16 @@
 // ConcurrentResolver: the sharded RCU-published answer cache in front of
 // HoursSystem. Two kinds of coverage: (a) oracle equality — a
 // single-threaded trace through ConcurrentResolver produces exactly the
-// hit/miss/failure counts Resolver produces, whenever capacity never binds;
-// (b) TSan-exercised concurrency — lock-free readers racing inserts,
-// evictions and TTL expiry (the `unit` label runs under the TSan CI job).
+// hit/miss/failure counts Resolver produces whenever capacity never binds,
+// and with one shard exactly Resolver's answers and cache contents under
+// eviction pressure too; (b) TSan-exercised concurrency — lock-free readers
+// racing inserts, evictions and TTL expiry, on private and on shared bucket
+// chains (the `unit` label runs under the TSan CI job).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -166,6 +169,141 @@ TEST(ConcurrentResolver, EvictionPrefersExpiredThenEarliestExpiryPerShard) {
   EXPECT_FALSE(resolver.peek("mid", 20, &out));
   EXPECT_TRUE(resolver.peek("long", 20, &out));
   EXPECT_TRUE(resolver.peek("newest", 20, &out));
+
+  // "long" goes next; then "fresh", "last" and "newest" all expire at 120
+  // and the smallest name is the victim, as in Resolver's name-ordered scan.
+  resolver.insert("last", 20, {store::Record{"A", "6", 100}});
+  EXPECT_FALSE(resolver.peek("long", 20, &out));
+  resolver.insert("later", 20, {store::Record{"A", "7", 100}});
+  EXPECT_EQ(resolver.stats().evictions, 4U);
+  EXPECT_FALSE(resolver.peek("fresh", 20, &out));
+  EXPECT_TRUE(resolver.peek("last", 20, &out));
+  EXPECT_TRUE(resolver.peek("newest", 20, &out));
+
+  // Overwriting a cached name in the full shard evicts nothing.
+  resolver.insert("newest", 20, {store::Record{"A", "8", 100}});
+  EXPECT_EQ(resolver.stats().evictions, 4U);
+  EXPECT_EQ(resolver.cached_names(), 3U);
+  ASSERT_TRUE(resolver.peek("newest", 20, &out));
+  EXPECT_EQ(out[0].value, "8");
+}
+
+// Differential check under eviction pressure: seeded traces of resolve and
+// insert over more names than the capacity, driven through Resolver and a
+// one-shard ConcurrentResolver, must agree on every call and on the final
+// cache. Seed control, as in the fuzz harnesses:
+//   HOURS_FUZZ_SEEDS=N   sweep seeds 1..N   (default 25)
+//   HOURS_FUZZ_SEED=S    run exactly seed S
+//
+// Resolver erases an expired entry when it is asked for it, ConcurrentResolver
+// leaves it for the re-lookup to overwrite or the next eviction to sweep; the
+// two differ only when that re-lookup fails. So failures come from dead
+// names that are never cached, and cached names never fail a lookup.
+
+std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
+  const char* raw = std::getenv(name);
+  if (raw == nullptr || *raw == '\0') return fallback;
+  return std::strtoull(raw, nullptr, 10);
+}
+
+/// Resolver and ConcurrentResolver of one capacity, each over its own
+/// identically built system (lookups advance per-system state).
+struct DifferentialPair {
+  explicit DifferentialPair(std::size_t capacity)
+      : oracle{oracle_side.sys, capacity}, subject{subject_side.sys, capacity, 1} {
+    for (auto* side : {&oracle_side, &subject_side}) {
+      side->sys.admit("dead.red");
+      side->sys.add_record("dead.red", store::Record{"A", "dead", 100});
+      side->sys.set_alive("dead.red", false);
+    }
+  }
+  Fixture oracle_side;
+  Fixture subject_side;
+  Resolver oracle;
+  ConcurrentResolver subject;
+};
+
+void expect_same_state(const DifferentialPair& pair) {
+  const auto want = pair.oracle.stats();
+  const auto got = pair.subject.stats();
+  EXPECT_EQ(got.cache_hits, want.cache_hits);
+  EXPECT_EQ(got.cache_misses, want.cache_misses);
+  EXPECT_EQ(got.failures, want.failures);
+  EXPECT_EQ(got.evictions, want.evictions);
+  EXPECT_EQ(pair.subject.cached_names(), pair.oracle.cached_names());
+}
+
+void run_eviction_seed(std::uint64_t seed) {
+  SCOPED_TRACE("reproduce with HOURS_FUZZ_SEED=" + std::to_string(seed));
+  rng::Xoshiro256 g{rng::mix64(0xE71C7, seed)};
+  // 2..7 slots for 12 resolvable hosts plus 6 insert-only names. The
+  // unbounded pair pins the capped bucket array and never evicts.
+  DifferentialPair tight{2 + g.below(6)};
+  DifferentialPair roomy{std::size_t{1} << 40};
+
+  std::vector<std::string> resolvable = tight.oracle_side.names;
+  resolvable.push_back("dead.red");     // admitted, then killed
+  resolvable.push_back("ghost.green");  // never admitted
+  std::vector<std::string> insertable = tight.oracle_side.names;
+  for (int i = 0; i < 6; ++i) insertable.push_back("out-of-band-" + std::to_string(i));
+  // Few distinct TTLs on a slow clock: expiries tie often, so the name
+  // tie-break decides many victims.
+  constexpr std::uint64_t kTtls[] = {5, 40, 100};
+
+  std::uint64_t now = 0;
+  for (std::uint64_t step = 0; step < 300; ++step) {
+    now += g.below(20) == 0 ? 100 + g.below(100) : g.below(3);  // now and then, past every TTL
+    if (g.below(3) == 0) {
+      const auto& name = insertable[g.below(insertable.size())];
+      const std::vector<store::Record> records{
+          store::Record{"A", name + "#" + std::to_string(step), kTtls[g.below(3)]}};
+      for (auto* pair : {&tight, &roomy}) {
+        pair->oracle.insert(name, now, records);
+        pair->subject.insert(name, now, records);
+      }
+    } else {
+      const auto& name = resolvable[g.below(resolvable.size())];
+      for (auto* pair : {&tight, &roomy}) {
+        const auto want = pair->oracle.resolve(name, now);
+        const auto got = pair->subject.resolve(name, now);
+        ASSERT_EQ(got.answered, want.answered) << "step " << step << " " << name;
+        ASSERT_EQ(got.from_cache, want.from_cache) << "step " << step << " " << name;
+        ASSERT_EQ(got.hops, want.hops) << "step " << step << " " << name;
+        ASSERT_EQ(got.records, want.records) << "step " << step << " " << name;
+      }
+    }
+    for (const auto* pair : {&tight, &roomy}) {
+      SCOPED_TRACE("after step " + std::to_string(step));
+      expect_same_state(*pair);
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+
+  EXPECT_GT(tight.oracle.stats().evictions, 0U);
+  EXPECT_GT(tight.oracle.stats().failures, 0U);
+  EXPECT_EQ(roomy.subject.stats().evictions, 0U);
+  std::vector<std::string> every = resolvable;
+  every.insert(every.end(), insertable.end() - 6, insertable.end());
+  for (const auto* pair : {&tight, &roomy}) {
+    for (const auto& name : every) {
+      std::vector<store::Record> got;
+      const auto* want = pair->oracle.peek(name, now);
+      ASSERT_EQ(pair->subject.peek(name, now, &got), want != nullptr) << name;
+      if (want != nullptr) {
+        EXPECT_EQ(got, *want) << name;
+      }
+    }
+  }
+}
+
+TEST(ConcurrentResolver, MatchesResolverUnderEvictionPressure) {
+  const std::uint64_t pinned = env_u64("HOURS_FUZZ_SEED", 0);
+  const std::uint64_t count = pinned != 0 ? 1 : env_u64("HOURS_FUZZ_SEEDS", 25);
+  ASSERT_GT(count, 0U) << "HOURS_FUZZ_SEEDS must be >= 1";
+  for (std::uint64_t i = 0; i < count; ++i) {
+    run_eviction_seed(pinned != 0 ? pinned : i + 1);
+    if (HasFailure()) return;
+  }
 }
 
 TEST(ConcurrentResolver, ConcurrentReadersDuringInsertsAndEvictions) {
@@ -221,6 +359,61 @@ TEST(ConcurrentResolver, ConcurrentReadersDuringInsertsAndEvictions) {
 
   EXPECT_GT(answered.load(), 0U);
   EXPECT_LE(resolver.cached_names(), 16U);
+  EXPECT_GT(resolver.stats().evictions, 0U);
+}
+
+TEST(ConcurrentResolver, ConcurrentReadersOnSharedBucketChains) {
+  // One shard of capacity 4 has four buckets, so the 64 churned names share
+  // chains and writers unlink nodes other readers are walking past. Every
+  // record's value names the key it was published under: a reader that
+  // followed a stale or freed link into another name's node would see it.
+  Fixture f;
+  ConcurrentResolver resolver{f.sys, /*capacity=*/4, /*shard_count=*/1};
+  std::vector<std::string> churned;
+  for (int i = 0; i < 64; ++i) churned.push_back("synthetic-" + std::to_string(i));
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> clock{0};
+  std::atomic<std::uint64_t> answered{0};
+
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; ++t) {
+    readers.emplace_back([&, t] {
+      rng::Xoshiro256 g{rng::mix64(0xC4A1, static_cast<std::uint64_t>(t))};
+      std::vector<store::Record> out;
+      while (!stop.load(std::memory_order_acquire)) {
+        const std::uint64_t now = clock.load(std::memory_order_relaxed);
+        const auto& name = churned[g.below(churned.size())];
+        if (resolver.peek(name, now, &out)) {
+          ASSERT_EQ(out.size(), 1U) << name;
+          ASSERT_EQ(out[0].value.substr(0, name.size() + 1), name + "#") << out[0].value;
+          answered.fetch_add(1, std::memory_order_relaxed);
+        }
+        const auto& host = f.names[g.below(f.names.size())];
+        const auto result = resolver.resolve(host, now);
+        ASSERT_TRUE(result.answered) << host;
+        ASSERT_EQ(result.records.size(), 1U) << host;
+        ASSERT_EQ(result.records[0].value, "10.0.0." + host.substr(0, 1)) << host;
+      }
+    });
+  }
+  std::vector<std::thread> writers;
+  for (int t = 0; t < 2; ++t) {
+    writers.emplace_back([&, t] {
+      rng::Xoshiro256 g{rng::mix64(0xD1CE, static_cast<std::uint64_t>(t))};
+      for (int i = 0; i < 2'000; ++i) {
+        const std::uint64_t now = clock.fetch_add(1, std::memory_order_relaxed);
+        const auto& name = churned[g.below(churned.size())];
+        resolver.insert(name, now,
+                        {store::Record{"A", name + "#" + std::to_string(i), 1 + g.below(8)}});
+      }
+    });
+  }
+  for (auto& writer : writers) writer.join();
+  stop.store(true, std::memory_order_release);
+  for (auto& reader : readers) reader.join();
+
+  EXPECT_GT(answered.load(), 0U);
+  EXPECT_LE(resolver.cached_names(), 4U);
   EXPECT_GT(resolver.stats().evictions, 0U);
 }
 

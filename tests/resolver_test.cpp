@@ -154,6 +154,34 @@ TEST(Resolver, EvictionPrefersExpiredThenEarliestExpiry) {
   EXPECT_EQ(resolver.peek("mid", 20), nullptr);
   EXPECT_NE(resolver.peek("long", 20), nullptr);
   EXPECT_NE(resolver.peek("newest", 20), nullptr);
+
+  // "long" goes next; then "fresh", "last" and "newest" all expire at 120
+  // and the smallest name is the victim.
+  resolver.insert("last", 20, {store::Record{"A", "6", 100}});
+  EXPECT_EQ(resolver.peek("long", 20), nullptr);
+  resolver.insert("later", 20, {store::Record{"A", "7", 100}});
+  EXPECT_EQ(resolver.stats().evictions, 4U);
+  EXPECT_EQ(resolver.peek("fresh", 20), nullptr);
+  EXPECT_NE(resolver.peek("last", 20), nullptr);
+  EXPECT_NE(resolver.peek("newest", 20), nullptr);
+}
+
+TEST(Resolver, OverwriteOfACachedNameNeverEvicts) {
+  // A full cache re-inserting a name it holds replaces that entry in place;
+  // no other live entry is dropped to make room.
+  Fixture f;
+  Resolver resolver{f.sys, /*capacity=*/3};
+  resolver.insert("x", 0, {store::Record{"A", "1", 100}});
+  resolver.insert("y", 0, {store::Record{"A", "2", 100}});
+  resolver.insert("z", 0, {store::Record{"A", "3", 100}});
+
+  resolver.insert("y", 10, {store::Record{"A", "4", 100}});
+  EXPECT_EQ(resolver.stats().evictions, 0U);
+  EXPECT_EQ(resolver.cached_names(), 3U);
+  EXPECT_NE(resolver.peek("x", 10), nullptr);
+  ASSERT_NE(resolver.peek("y", 10), nullptr);
+  EXPECT_EQ(resolver.peek("y", 10)->at(0).value, "4");
+  EXPECT_NE(resolver.peek("z", 10), nullptr);
 }
 
 TEST(Resolver, MultiRecordAnswerCachedUnderMinimumTtl) {

@@ -31,6 +31,7 @@
 #include "trace/event.hpp"
 #include "trace/ring_buffer_sink.hpp"
 #include "trace/sink.hpp"
+#include "util/hash.hpp"
 
 namespace hours::sim {
 namespace {
@@ -447,16 +448,6 @@ TEST(SnapshotReplay, FacadeSaveRestoreRoundTrip) {
   EXPECT_TRUE(restored.lift_attack("mit").ok());
 }
 
-/// FNV-1a over a document's bytes: a fingerprint stable across platforms.
-std::uint64_t fnv1a(std::string_view bytes) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 TEST(SnapshotReplay, FacadeSnapshotBytesArePinned) {
   // save() lists members in admission pre-order, and a strike plans its
   // victims in ring (identifier) order. Siblings admitted out of identifier
@@ -493,7 +484,7 @@ TEST(SnapshotReplay, FacadeSnapshotBytesArePinned) {
   ASSERT_EQ(system.save(path), "");
   std::ifstream in(path, std::ios::binary);
   const std::string bytes{std::istreambuf_iterator<char>(in), {}};
-  EXPECT_EQ(fnv1a(bytes), 0x06714e31fd95c3e3ULL) << bytes;
+  EXPECT_EQ(util::fnv1a(bytes), 0x06714e31fd95c3e3ULL) << bytes;
 }
 
 TEST(SnapshotReplay, FacadeRestoreRequiresFreshSystem) {

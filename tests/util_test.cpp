@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "util/hash.hpp"
 #include "util/status.hpp"
 #include "util/strings.hpp"
 
@@ -45,6 +46,14 @@ TEST(Strings, ToLower) { EXPECT_EQ(to_lower("MiXeD.Case"), "mixed.case"); }
 TEST(Strings, HexEncode) {
   const unsigned char bytes[] = {0x00, 0xde, 0xad, 0xbe, 0xef, 0xff};
   EXPECT_EQ(hex_encode(bytes, sizeof(bytes)), "00deadbeefff");
+}
+
+TEST(Hash, Fnv1aMatchesPublishedVectors) {
+  // The 64-bit FNV-1a reference values: shard assignment and snapshot
+  // fingerprints depend on these never changing.
+  static_assert(fnv1a("") == 0xcbf29ce484222325ULL);
+  EXPECT_EQ(fnv1a("a"), 0xaf63dc4c8601ec8cULL);
+  EXPECT_EQ(fnv1a("foobar"), 0x85944171f73967e8ULL);
 }
 
 TEST(Result, HoldsValue) {
