@@ -6,6 +6,9 @@
 // delivery under no attack.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <type_traits>
+
 #include "overlay/overlay.hpp"
 
 namespace hours::overlay {
@@ -357,16 +360,21 @@ TEST(Liveness, NearestAliveScans) {
 
 // ---- parameterized sweep: delivery without attack, across designs/sizes -----------
 
+// gtest names each case after the raw bytes of its parameter, so the struct
+// spells its padding out as zeroed bytes: implicit padding is indeterminate and
+// put different bytes into the test name in every process.
 struct DeliveryCase {
   std::uint32_t n;
   Design design;
+  std::array<std::uint8_t, 3> zero_padding{};
   std::uint32_t k;
 };
+static_assert(std::has_unique_object_representations_v<DeliveryCase>);
 
 class DeliverySweep : public ::testing::TestWithParam<DeliveryCase> {};
 
 TEST_P(DeliverySweep, AlwaysDeliversWithNoFailures) {
-  const auto [n, design, k] = GetParam();
+  const auto& [n, design, zero_padding, k] = GetParam();
   OverlayParams params;
   params.design = design;
   params.k = k;
@@ -381,13 +389,14 @@ TEST_P(DeliverySweep, AlwaysDeliversWithNoFailures) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, DeliverySweep,
-    ::testing::Values(DeliveryCase{8, Design::kBase, 1}, DeliveryCase{100, Design::kBase, 1},
-                      DeliveryCase{1000, Design::kBase, 1},
-                      DeliveryCase{8, Design::kEnhanced, 5},
-                      DeliveryCase{100, Design::kEnhanced, 5},
-                      DeliveryCase{1000, Design::kEnhanced, 5},
-                      DeliveryCase{1000, Design::kEnhanced, 1},
-                      DeliveryCase{257, Design::kEnhanced, 10}));
+    ::testing::Values(DeliveryCase{.n = 8, .design = Design::kBase, .k = 1},
+                      DeliveryCase{.n = 100, .design = Design::kBase, .k = 1},
+                      DeliveryCase{.n = 1000, .design = Design::kBase, .k = 1},
+                      DeliveryCase{.n = 8, .design = Design::kEnhanced, .k = 5},
+                      DeliveryCase{.n = 100, .design = Design::kEnhanced, .k = 5},
+                      DeliveryCase{.n = 1000, .design = Design::kEnhanced, .k = 5},
+                      DeliveryCase{.n = 1000, .design = Design::kEnhanced, .k = 1},
+                      DeliveryCase{.n = 257, .design = Design::kEnhanced, .k = 10}));
 
 }  // namespace
 }  // namespace hours::overlay

@@ -3,7 +3,9 @@
 // (N, k) with parameterized property tests.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <type_traits>
 
 #include "analysis/resilience.hpp"
 #include "ids/ring.hpp"
@@ -157,16 +159,21 @@ TEST(TableBuilder, SingletonAndPairRings) {
 
 // ---- parameterized property sweep ------------------------------------------------
 
+// gtest names each case after the raw bytes of its parameter, so the struct
+// spells its padding out as zeroed bytes: implicit padding is indeterminate and
+// put different bytes into the test name in every process.
 struct SweepCase {
   std::uint32_t n;
   std::uint32_t k;
   Design design;
+  std::array<std::uint8_t, 3> zero_padding{};
 };
+static_assert(std::has_unique_object_representations_v<SweepCase>);
 
 class TableSweep : public ::testing::TestWithParam<SweepCase> {};
 
 TEST_P(TableSweep, SizeTracksTheoremOne) {
-  const auto [n, k, design] = GetParam();
+  const auto& [n, k, design, zero_padding] = GetParam();
   OverlayParams params;
   params.design = design;
   params.k = k;
