@@ -86,7 +86,8 @@ QueryResult EventBackend::run_client_query(std::uint32_t start_id, std::uint32_t
                                            const naming::Name& dest, bool from_cache) {
   const std::uint64_t qid = client_->submit(start_id, dest_id);
   settle(qid);
-  const sim::ClientQueryOutcome& out = client_->outcome(qid);
+  const sim::ClientQueryOutcome out = client_->outcome(qid);
+  if (out.status != sim::QueryStatus::kPending) client_->release(qid);
 
   QueryResult result;
   result.hops = out.hops;

@@ -110,6 +110,9 @@ class EventBackend final : public QueryBackend {
   /// stay pending for advance() instead of being executed early.
   void settle(std::uint64_t qid);
 
+  /// Submits one client query, settles it and releases it from the client
+  /// (QueryClient::release), so the client holds no per-query state
+  /// between facade queries.
   [[nodiscard]] QueryResult run_client_query(std::uint32_t start_id, std::uint32_t dest_id,
                                              const naming::Name& dest, bool from_cache);
 

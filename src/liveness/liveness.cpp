@@ -4,11 +4,23 @@
 
 namespace hours::liveness {
 
+std::vector<NodeId> LivenessView::active_in(NodeId observer, NodeId lo, NodeId hi,
+                                            Ticks now) const {
+  std::vector<NodeId> peers;
+  const auto last = key(observer, hi);
+  for (auto it = rows_.lower_bound(key(observer, lo)); it != rows_.end() && it->first <= last;
+       ++it) {
+    if (active(it->second, now)) {
+      peers.push_back(static_cast<NodeId>(it->first & 0xFFFFFFFFULL));
+    }
+  }
+  return peers;
+}
+
 std::vector<DigestEntry> LivenessView::build_digest(NodeId observer, Ticks now) const {
   std::vector<DigestEntry> digest;
   for_each_observer(observer, [&](NodeId peer, const Entry& entry) {
-    const bool active = entry.expiry == kNeverExpires || entry.expiry > now;
-    if (!active || !within_horizon(entry.since, now)) return;
+    if (!active(entry, now) || !within_horizon(entry.since, now)) return;
     digest.push_back(DigestEntry{peer, entry.since});
   });
   // Freshest evidence first; peer ascending breaks ties so the selection is

@@ -117,9 +117,15 @@ class LivenessView {
   /// remain in the map (and in snapshots) until overwritten or cleared.
   [[nodiscard]] bool is_suspected(NodeId observer, NodeId peer, Ticks now) const {
     const auto it = rows_.find(key(observer, peer));
-    if (it == rows_.end()) return false;
-    return it->second.expiry == kNeverExpires || it->second.expiry > now;
+    return it != rows_.end() && active(it->second, now);
   }
+
+  /// The peers in [lo, hi] (both inclusive) that `observer` suspects at
+  /// `now`, ascending: one lower_bound, then a walk over that observer's
+  /// rows in the range. Activeness is exactly is_suspected's, so filtering
+  /// a candidate list against this set equals one is_suspected per entry.
+  [[nodiscard]] std::vector<NodeId> active_in(NodeId observer, NodeId lo, NodeId hi,
+                                              Ticks now) const;
 
   /// Erases one row (proof of life); returns whether it existed.
   bool clear(NodeId observer, NodeId peer) {
@@ -212,6 +218,9 @@ class LivenessView {
   }
   [[nodiscard]] Ticks expiry_at(Ticks now) const noexcept {
     return ttl_ == 0 ? kNeverExpires : now + ttl_;
+  }
+  [[nodiscard]] static bool active(const Entry& entry, Ticks now) noexcept {
+    return entry.expiry == kNeverExpires || entry.expiry > now;
   }
 
   Config config_;

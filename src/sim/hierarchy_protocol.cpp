@@ -306,10 +306,6 @@ void HierarchySimulation::finish(std::uint64_t qid, bool delivered, std::uint32_
                             .value = hops});
 }
 
-bool HierarchySimulation::is_suspected(std::uint32_t at, std::uint32_t id) const {
-  return liveness_.is_suspected(at, id, sim_.now());
-}
-
 void HierarchySimulation::suspect(std::uint32_t at, std::uint32_t peer) {
   liveness_.suspect(at, peer, sim_.now());
   HOURS_TRACE_EMIT(trace_, {.at = sim_.now(),
@@ -373,30 +369,32 @@ void HierarchySimulation::apply_digest_words(std::uint32_t at, std::uint32_t fro
                             .value = adopted});
 }
 
-std::vector<std::uint32_t> HierarchySimulation::candidates_at(std::uint32_t at,
-                                                              Message& msg) const {
+std::vector<std::uint32_t> HierarchySimulation::route_candidates(
+    std::uint32_t at, const hierarchy::NodePath& dest, bool& backward) const {
+  HOURS_EXPECTS(at < node_count());
   std::vector<std::uint32_t> out;
-  const auto& dest = msg.dest;
   const std::size_t level = level_[at];
+  // One read of `at`'s suspicion rows per plan.
+  const auto suspects = liveness_.active_in(at, 0, ~std::uint32_t{0}, sim_.now());
   auto push = [&](std::uint32_t id) {
-    if (!is_suspected(at, id) &&
-        std::find(out.begin(), out.end(), id) == out.end()) {
-      out.push_back(id);
-      return true;
+    if (!suspects.empty() && std::binary_search(suspects.begin(), suspects.end(), id)) {
+      return false;
     }
-    return false;
+    out.push_back(id);
+    return true;
   };
 
   if (level < dest.size() && upward_prefix(at, 0, dest)) {
     // Algorithm 2 at an ancestor: the on-path child first; on its silence,
     // alive children nearest counter-clockwise of it serve as overlay
-    // entrances (footnote 4 / line 6).
-    const ids::RingIndex next_index = dest[level];
-    HOURS_EXPECTS(next_index < child_count_[at]);
-    push(first_child_[at] + next_index);
-    for (std::uint32_t step = 1; step < child_count_[at]; ++step) {
-      push(first_child_[at] +
-           ids::counter_clockwise_step(next_index, step, child_count_[at]));
+    // entrances (footnote 4 / line 6). The walk visits each child once.
+    const std::uint32_t count = child_count_[at];
+    ids::RingIndex index = dest[level];
+    HOURS_EXPECTS(index < count);
+    out.reserve(count);
+    for (std::uint32_t step = 0; step < count; ++step) {
+      push(first_child_[at] + index);
+      index = index == 0 ? count - 1 : index - 1;
     }
     return out;
   }
@@ -414,12 +412,21 @@ std::vector<std::uint32_t> HierarchySimulation::candidates_at(std::uint32_t at,
   const ids::RingIndex od = dest[level - 1];
   const std::uint32_t d_od = ids::clockwise_distance(self_index, od, ring);
   const overlay::RoutingTable& table = table_of(at);
+  // Siblings offered so far, by ring index: the backward steps can revisit
+  // the OD. Nephews are children of the OD, drawn distinct, so they never
+  // collide with a sibling or with each other.
+  std::vector<bool> offered(ring);
+  auto push_sibling = [&](ids::RingIndex index) {
+    if (offered[index] || !push(sibling_id(at, index))) return false;
+    offered[index] = true;
+    return true;
+  };
 
   // Rule 1: OD in the routing table — try it, then its nephews (children of
   // the OD, i.e. the next-level overlay), closest to the next-level OD
   // first.
   if (const overlay::TableEntry* entry = table.find(od)) {
-    push(sibling_id(at, od));
+    push_sibling(od);
     if (level < dest.size() && !entry->nephews.empty()) {
       const auto od_id = sibling_id(at, od);
       std::vector<ids::RingIndex> ordered = entry->nephews;
@@ -432,30 +439,32 @@ std::vector<std::uint32_t> HierarchySimulation::candidates_at(std::uint32_t at,
     }
   }
 
-  if (!msg.backward) {
+  if (!backward) {
     // Rule 2: greedy — alive-looking entries strictly closer to the OD,
     // closest first.
     const std::size_t start_pos = table.last_before_distance(d_od);
     bool any_greedy = false;
     for (std::size_t pos = start_pos; pos < table.entries().size(); --pos) {
       const auto sibling = table.entries()[pos].sibling;
-      if (sibling != od && push(sibling_id(at, sibling))) {
+      if (sibling != od && push_sibling(sibling)) {
         any_greedy = true;  // an un-suspected candidate actually exists
       }
       if (pos == 0) break;
     }
     if (!any_greedy && out.empty()) {
-      msg.backward = true;  // Algorithm 3 line 14
+      backward = true;  // Algorithm 3 line 14
     }
   }
 
-  if (msg.backward && config_.params.design == overlay::Design::kEnhanced) {
+  if (backward && config_.params.design == overlay::Design::kEnhanced) {
     // Rule 3: counter-clockwise steps. With a repaired ring the node's CCW
     // pointer reaches the nearest alive sibling (tried here in order);
     // without repair only the immediate neighbor is known.
     const std::uint32_t reach = config_.assume_ring_repaired ? ring - 1 : 1;
+    ids::RingIndex index = self_index;
     for (std::uint32_t step = 1; step <= reach; ++step) {
-      push(sibling_id(at, ids::counter_clockwise_step(self_index, step, ring)));
+      index = index == 0 ? ring - 1 : index - 1;
+      push_sibling(index);
     }
   }
   return out;
@@ -479,17 +488,6 @@ trace::EventType HierarchySimulation::hop_kind(std::uint32_t at, std::uint32_t n
     return msg.backward ? trace::EventType::kBackwardHop : trace::EventType::kRingHop;
   }
   return trace::EventType::kNephewExit;
-}
-
-std::vector<std::uint32_t> HierarchySimulation::route_candidates(
-    std::uint32_t at, const hierarchy::NodePath& dest, bool& backward) const {
-  HOURS_EXPECTS(at < node_count());
-  Message probe;
-  probe.dest = dest;
-  probe.backward = backward;
-  auto out = candidates_at(at, probe);
-  backward = probe.backward;
-  return out;
 }
 
 void HierarchySimulation::client_attempt(std::uint32_t at, std::uint32_t to,
@@ -541,7 +539,7 @@ void HierarchySimulation::handle(std::uint32_t at, const Message& msg) {
     finish(m.qid, false, m.hops);
     return;
   }
-  auto candidates = candidates_at(at, m);
+  auto candidates = route_candidates(at, m.dest, m.backward);
   if (candidates.empty()) {
     finish(m.qid, false, m.hops);
     return;

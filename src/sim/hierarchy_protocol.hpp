@@ -179,6 +179,14 @@ class HierarchySimulation : public snapshot::Participant {
   /// The ordered next-hop candidate ids node `at` would offer a query toward
   /// `dest`, from its local table and suspicion state only. Flips `backward`
   /// when greedy progress is exhausted (Algorithm 3 line 14).
+  ///
+  /// Cost: one read of `at`'s suspicion rows, then time linear in the
+  /// entries considered (an ancestor's children, or the table's siblings
+  /// and nephews plus the backward steps); no entry is tested against the
+  /// list built so far. The list holds no duplicate id, and its order is
+  /// part of the determinism contract: every client-driven query walks it,
+  /// so tests/hierarchy_protocol_test.cpp's RouteCandidatesPinned hashes
+  /// it over every branch.
   [[nodiscard]] std::vector<std::uint32_t> route_candidates(std::uint32_t at,
                                                             const hierarchy::NodePath& dest,
                                                             bool& backward) const;
@@ -227,7 +235,6 @@ class HierarchySimulation : public snapshot::Participant {
   [[nodiscard]] bool upward_prefix(std::uint32_t id, std::size_t drop,
                                    const hierarchy::NodePath& dest) const;
 
-  [[nodiscard]] bool is_suspected(std::uint32_t at, std::uint32_t id) const;
   void suspect(std::uint32_t at, std::uint32_t peer);
 
   // Gossip evidence source: digest construction/adoption hooks installed on
@@ -263,10 +270,6 @@ class HierarchySimulation : public snapshot::Participant {
   /// peer and walk on to the remaining candidates.
   void attempt_timeout(std::uint32_t at, std::uint32_t next, Message msg,
                        std::vector<std::uint32_t> remaining);
-
-  /// Algorithm 2+3 decision at node `at`: ordered candidate ids for the
-  /// next hop, or empty when the query must fail here.
-  [[nodiscard]] std::vector<std::uint32_t> candidates_at(std::uint32_t at, Message& msg) const;
 
   /// Classifies the hop `at` -> `next` for the trace taxonomy (Algorithm 2
   /// descent, overlay detour entrance, ring/backward step, or nephew exit).

@@ -108,9 +108,9 @@ std::uint64_t QueryClient::submit(std::uint32_t start, std::uint32_t dest) {
                             .causal = qid});
   if (config_.deadline != 0) {
     state.deadline_event = network_.sim->schedule(config_.deadline, [this, qid] {
-      const auto it = queries_.find(qid);
-      if (it == queries_.end() || it->second.out.status != QueryStatus::kPending) return;
-      it->second.deadline_event = 0;  // this event is running; nothing to cancel
+      QueryState* const q = pending(qid);
+      if (q == nullptr) return;
+      q->deadline_event = 0;  // this event is running; nothing to cancel
       complete(qid, QueryStatus::kDeadlineExceeded);
     });
   }
@@ -123,6 +123,12 @@ const ClientQueryOutcome& QueryClient::outcome(std::uint64_t qid) const {
   const auto it = queries_.find(qid);
   HOURS_EXPECTS(it != queries_.end());
   return it->second.out;
+}
+
+void QueryClient::release(std::uint64_t qid) {
+  const auto it = queries_.find(qid);
+  HOURS_EXPECTS(it != queries_.end() && it->second.out.status != QueryStatus::kPending);
+  queries_.erase(it);
 }
 
 void QueryClient::complete(std::uint64_t qid, QueryStatus status) {
@@ -154,9 +160,16 @@ void QueryClient::complete(std::uint64_t qid, QueryStatus status) {
                             .value = q.out.hops});
 }
 
+QueryClient::QueryState* QueryClient::pending(std::uint64_t qid) {
+  const auto it = queries_.find(qid);
+  if (it == queries_.end() || it->second.out.status != QueryStatus::kPending) return nullptr;
+  return &it->second;
+}
+
 void QueryClient::advance(std::uint64_t qid) {
-  QueryState& q = queries_.at(qid);
-  if (q.out.status != QueryStatus::kPending) return;
+  QueryState* const found = pending(qid);
+  if (found == nullptr) return;
+  QueryState& q = *found;
 
   if (network_.is_destination(q.at, q.dest)) {
     complete(qid, QueryStatus::kDelivered);
@@ -179,9 +192,19 @@ void QueryClient::advance(std::uint64_t qid) {
     bool backward = q.backward;
     auto candidates = network_.candidates(q.at, q.dest, backward);
     q.backward = backward;
-    candidates.erase(std::remove_if(candidates.begin(), candidates.end(),
-                                    [this](std::uint32_t c) { return suspected(c); }),
-                     candidates.end());
+    if (!candidates.empty()) {
+      // One read of the client's view over the list's id span.
+      const auto [lo, hi] = std::minmax_element(candidates.begin(), candidates.end());
+      const auto suspects = liveness_.active_in(0, *lo, *hi, network_.sim->now());
+      if (!suspects.empty()) {
+        candidates.erase(std::remove_if(candidates.begin(), candidates.end(),
+                                        [&suspects](std::uint32_t c) {
+                                          return std::binary_search(suspects.begin(),
+                                                                    suspects.end(), c);
+                                        }),
+                         candidates.end());
+      }
+    }
     if (candidates.empty()) {
       if (!q.backward) {
         q.backward = true;  // client-side suspicion emptied the greedy list
@@ -200,8 +223,9 @@ void QueryClient::advance(std::uint64_t qid) {
 }
 
 void QueryClient::attempt_current(std::uint64_t qid) {
-  QueryState& q = queries_.at(qid);
-  if (q.out.status != QueryStatus::kPending) return;
+  QueryState* const found = pending(qid);
+  if (found == nullptr) return;
+  QueryState& q = *found;
   ++q.attempts;
   const std::uint32_t to = q.current;
   network_.attempt(
@@ -210,8 +234,9 @@ void QueryClient::attempt_current(std::uint64_t qid) {
 }
 
 void QueryClient::on_ack(std::uint64_t qid, std::uint32_t hopped_to) {
-  QueryState& q = queries_.at(qid);
-  if (q.out.status != QueryStatus::kPending) return;
+  QueryState* const found = pending(qid);
+  if (found == nullptr) return;
+  QueryState& q = *found;
   liveness_.clear(0, hopped_to);  // proof of life
   q.at = hopped_to;
   ++q.out.hops;
@@ -221,8 +246,9 @@ void QueryClient::on_ack(std::uint64_t qid, std::uint32_t hopped_to) {
 }
 
 void QueryClient::on_timeout(std::uint64_t qid, std::uint32_t tried) {
-  QueryState& q = queries_.at(qid);
-  if (q.out.status != QueryStatus::kPending) return;
+  QueryState* const found = pending(qid);
+  if (found == nullptr) return;
+  QueryState& q = *found;
 
   if (q.attempts <= config_.max_retries_per_hop) {
     // Retransmit after capped exponential backoff with deterministic jitter:

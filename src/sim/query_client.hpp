@@ -106,7 +106,15 @@ class QueryClient {
   /// simulation must then be run for the outcome to settle.
   std::uint64_t submit(std::uint32_t start, std::uint32_t dest);
 
+  /// The query's outcome; kPending until it settles. `qid` must be a
+  /// submitted query that has not been released. One map lookup over the
+  /// queries not yet released.
   [[nodiscard]] const ClientQueryOutcome& outcome(std::uint64_t qid) const;
+  /// Forgets a settled query, so a long-running client holds only the
+  /// queries its caller still reads. Afterwards outcome(qid) is invalid,
+  /// and a transport callback or retransmission still queued for the query
+  /// finds nothing and returns, just as it returns for a settled one.
+  void release(std::uint64_t qid);
   /// Snapshot assembled from the registry counters.
   [[nodiscard]] QueryClientStats stats() const noexcept;
   [[nodiscard]] const QueryClientConfig& config() const noexcept { return config_; }
@@ -140,6 +148,9 @@ class QueryClient {
     ClientQueryOutcome out;
   };
 
+  /// The query's state while it is pending; null once it settled or was
+  /// released, which makes every late callback a no-op.
+  [[nodiscard]] QueryState* pending(std::uint64_t qid);
   void advance(std::uint64_t qid);
   void attempt_current(std::uint64_t qid);
   void on_ack(std::uint64_t qid, std::uint32_t hopped_to);

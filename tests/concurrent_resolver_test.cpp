@@ -400,7 +400,10 @@ TEST(ConcurrentResolver, ConcurrentReadersOnSharedBucketChains) {
   for (int t = 0; t < 2; ++t) {
     writers.emplace_back([&, t] {
       rng::Xoshiro256 g{rng::mix64(0xD1CE, static_cast<std::uint64_t>(t))};
-      for (int i = 0; i < 2'000; ++i) {
+      // At least 2'000 publishes each, then more until a reader has seen a
+      // hit: under load the readers can start after a fixed burst is over.
+      const auto no_hit_yet = [&] { return answered.load(std::memory_order_relaxed) == 0; };
+      for (int i = 0; i < 2'000 || (no_hit_yet() && i < 1'000'000); ++i) {
         const std::uint64_t now = clock.fetch_add(1, std::memory_order_relaxed);
         const auto& name = churned[g.below(churned.size())];
         resolver.insert(name, now,

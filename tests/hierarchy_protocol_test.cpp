@@ -3,6 +3,10 @@
 // multiple overlay levels, with message loss injection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <initializer_list>
+
+#include "rng/xoshiro256.hpp"
 #include "sim/hierarchy_protocol.hpp"
 
 namespace hours::sim {
@@ -207,6 +211,121 @@ TEST(HierarchyProtocol, MisrouterDelaysButHonestNodesRecover) {
   }
   // Mis-routing wastes hops; honest downstream nodes resume the algorithm.
   EXPECT_GE(delivered, 6);
+}
+
+// The try-list order is part of the determinism contract: every
+// client-driven query walks route_candidates' list front to back. This pins
+// every list and the returned backward flag over seeded (at, dest, backward)
+// triples, for both designs with and without ring repair, on a suspicion
+// state left behind by in-network queries under loss around a struck
+// sibling block. The expected hashes were recorded with the earlier planner,
+// which deduplicated by searching the list built so far; they show the
+// linear planner returns the same lists.
+TEST(HierarchyProtocol, RouteCandidatesPinned) {
+  struct Pin {
+    overlay::Design design;
+    bool repaired;
+    std::uint64_t hash;
+  };
+  const std::vector<std::uint32_t> fanout{12, 12, 6};
+  for (const auto& [design, repaired, expected] : {
+           Pin{overlay::Design::kBase, false, 0xaceaba063658e388ULL},
+           Pin{overlay::Design::kBase, true, 0xaceaba063658e388ULL},
+           Pin{overlay::Design::kEnhanced, false, 0x9a9d08d8a29c706dULL},
+           Pin{overlay::Design::kEnhanced, true, 0x1294a9fa143b7392ULL},
+       }) {
+    SCOPED_TRACE(testing::Message() << "design " << static_cast<int>(design) << " repaired "
+                                    << repaired);
+    HierarchySimConfig cfg = make_config(fanout, /*k=*/3);
+    cfg.params.design = design;
+    cfg.assume_ring_repaired = repaired;
+    cfg.transport.loss_probability = 0.1;
+    HierarchySimulation sim{cfg};
+    for (std::uint32_t s = 0; s < 4; ++s) {
+      sim.kill({ids::counter_clockwise_step(5, s, 12)});
+      sim.kill({2, ids::counter_clockwise_step(7, s, 12)});
+    }
+
+    rng::Xoshiro256 rng{0x9E11ULL};
+    const auto random_id = [&] {
+      return static_cast<std::uint32_t>(rng.below(sim.node_count()));
+    };
+    // Extends `path` by up to `extra` random child indices.
+    const auto descend = [&](hierarchy::NodePath path, std::uint64_t extra) {
+      for (; extra > 0 && path.size() < fanout.size(); --extra) {
+        path.push_back(static_cast<ids::RingIndex>(rng.below(fanout[path.size()])));
+      }
+      return path;
+    };
+    for (int i = 0; i < 120; ++i) {
+      std::uint32_t start = random_id();
+      while (!sim.alive_id(start)) start = random_id();
+      (void)sim.run_query(sim.path_of(random_id()), sim.path_of(start));
+    }
+    ASSERT_GT(sim.liveness().size(), 0U);
+
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    const auto mix = [&hash](std::uint64_t v) { hash = (hash ^ v) * 0x100000001b3ULL; };
+    std::size_t ancestor = 0, filtered = 0, climb = 0, nephew = 0, greedy = 0, flip = 0,
+                backward_walk = 0;
+    for (int i = 0; i < 3000; ++i) {
+      std::uint32_t at = random_id();
+      hierarchy::NodePath dest;
+      switch (i % 3) {
+        case 0:  // anywhere
+          dest = sim.path_of(random_id());
+          break;
+        case 1:  // below `at`
+          while (sim.path_of(at).size() == fanout.size()) at = random_id();
+          dest = descend(sim.path_of(at), 1 + rng.below(fanout.size()));
+          break;
+        default: {  // in `at`'s sibling subtree
+          while (at == 0) at = random_id();
+          auto parent = sim.path_of(at);
+          parent.pop_back();
+          dest = descend(std::move(parent), 1 + rng.below(fanout.size()));
+        }
+      }
+      const bool backward_in = rng.below(4) == 0;
+      bool backward = backward_in;
+      const auto list = sim.route_candidates(at, dest, backward);
+
+      mix(list.size());
+      for (const auto id : list) mix(id);
+      mix(backward ? 1 : 0);
+      auto sorted = list;
+      std::sort(sorted.begin(), sorted.end());
+      EXPECT_TRUE(std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end())
+          << "a list planned at node " << at << " holds a duplicate id";
+
+      const auto at_path = sim.path_of(at);
+      const bool below = at_path.size() < dest.size() &&
+                         std::equal(at_path.begin(), at_path.end(), dest.begin());
+      const bool sibling_subtree = !at_path.empty() && at_path.size() <= dest.size() &&
+                                   std::equal(at_path.begin(), at_path.end() - 1, dest.begin());
+      if (below) {
+        ++ancestor;
+        if (list.size() < fanout[at_path.size()]) ++filtered;  // suspected children dropped
+      } else if (!sibling_subtree) {
+        if (!at_path.empty()) ++climb;
+      } else {
+        for (const auto id : list) {
+          if (sim.path_of(id).size() == at_path.size() + 1) ++nephew;
+        }
+        if (!backward_in && !backward && !list.empty()) ++greedy;
+        if (!backward_in && backward) ++flip;
+        if (backward_in && !list.empty()) ++backward_walk;
+      }
+    }
+    EXPECT_GT(ancestor, 0U);
+    EXPECT_GT(filtered, 0U);
+    EXPECT_GT(climb, 0U);
+    EXPECT_GT(nephew, 0U);
+    EXPECT_GT(greedy, 0U);
+    EXPECT_GT(flip, 0U);
+    EXPECT_GT(backward_walk, 0U);
+    EXPECT_EQ(hash, expected) << std::hex << "0x" << hash;
+  }
 }
 
 // Property sweep: event engine delivery matches the oracle-based graph

@@ -140,6 +140,48 @@ TEST(LivenessView, BuildDigestIsBoundedFreshestFirstAndHorizonFiltered) {
   EXPECT_FALSE(view.within_horizon(500, now));  // since + horizon > now, exclusive
 }
 
+using Peers = std::vector<liveness::NodeId>;
+
+TEST(LivenessView, ActiveInBoundsAreInclusive) {
+  LivenessView view{{}, 100};
+  for (const liveness::NodeId peer : {9u, 10u, 15u, 20u, 21u}) view.suspect(3, peer, 0);
+  EXPECT_EQ(view.active_in(3, 10, 20, 50), (Peers{10, 15, 20}));
+  EXPECT_EQ(view.active_in(3, 15, 15, 50), (Peers{15}));
+  EXPECT_EQ(view.active_in(3, 11, 14, 50), Peers{});
+  EXPECT_EQ(view.active_in(3, 20, 10, 50), Peers{});  // empty range
+  EXPECT_EQ(view.active_in(3, 0, ~liveness::NodeId{0}, 50), (Peers{9, 10, 15, 20, 21}));
+}
+
+TEST(LivenessView, ActiveInNeverReadsANeighbouringObserver) {
+  LivenessView view{{}, 0};
+  const liveness::NodeId top = ~liveness::NodeId{0};
+  view.suspect(4, top, 0);  // observer - 1's last possible peer
+  view.suspect(5, 7, 0);
+  view.suspect(6, 0, 0);  // observer + 1's first possible peer
+  EXPECT_EQ(view.active_in(5, 0, top, 0), (Peers{7}));
+  EXPECT_EQ(view.active_in(4, 0, top, 0), (Peers{top}));
+  EXPECT_EQ(view.active_in(6, 0, top, 0), (Peers{0}));
+  EXPECT_EQ(view.active_in(7, 0, top, 0), Peers{});
+
+  view.suspect(top, top, 0);  // the last key of the whole map
+  view.suspect(top, 0, 0);
+  EXPECT_EQ(view.active_in(top, 0, top, 0), (Peers{0, top}));
+}
+
+TEST(LivenessView, ActiveInMatchesIsSuspectedAtTheExpiryBoundary) {
+  LivenessView view{{}, 1'000};
+  view.suspect(1, 2, 0);                                                    // expiry 1'000
+  view.restore_row(1, 3, Entry{liveness::kNeverExpires, 0, Source::kProbe});  // ttl 0 style
+  view.suspect(1, 4, 500);                                                  // expiry 1'500
+  EXPECT_EQ(view.active_in(1, 0, 10, 999), (Peers{2, 3, 4}));
+  // expiry == now is inactive, exactly as is_suspected reads it.
+  EXPECT_FALSE(view.is_suspected(1, 2, 1'000));
+  EXPECT_EQ(view.active_in(1, 0, 10, 1'000), (Peers{3, 4}));
+  EXPECT_EQ(view.active_in(1, 0, 10, 1'500), (Peers{3}));
+  EXPECT_EQ(view.active_in(1, 0, 10, ~liveness::Ticks{0} - 1), (Peers{3}));
+  EXPECT_EQ(view.size(), 3u);  // reading never drops an expired row
+}
+
 TEST(LivenessView, RestoreRowInstallsSavedStateVerbatim) {
   LivenessView view{{}, 4'000};
   view.restore_row(1, 2, Entry{/*expiry=*/123, /*since=*/45, Source::kGossip});

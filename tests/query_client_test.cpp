@@ -5,6 +5,7 @@
 
 #include <vector>
 
+#include "rng/xoshiro256.hpp"
 #include "sim/fault_injector.hpp"
 #include "sim/hierarchy_protocol.hpp"
 #include "sim/query_client.hpp"
@@ -264,6 +265,98 @@ TEST(QueryClient, HierarchyHealthyPathDelivers) {
   EXPECT_EQ(client.outcome(qid).status, QueryStatus::kDelivered);
   EXPECT_EQ(client.outcome(qid).hops, 2U);
   EXPECT_EQ(client.outcome(qid).retransmissions, 0U);
+}
+
+// Pins client-driven outcomes over the hierarchy engine: loss, a killed
+// zone, a deadline and a short suspicion TTL, which leaves expired rows
+// inside candidate id spans and active rows outside them. Queries run one
+// at a time, as EventBackend runs them, so late callbacks of an expired
+// query interleave with the next. The expected hash was recorded with the
+// earlier client, which tested each candidate's suspicion separately.
+TEST(QueryClient, HierarchyOutcomesPinned) {
+  HierarchySimConfig cfg;
+  cfg.fanout = {12, 12, 6};
+  cfg.transport.loss_probability = 0.05;
+  HierarchySimulation sim{cfg};
+  for (std::uint32_t s = 0; s < 3; ++s) sim.kill({ids::counter_clockwise_step(4, s, 12)});
+  sim.kill({7, 3});
+
+  QueryClientConfig ccfg;
+  ccfg.max_retries_per_hop = 1;
+  ccfg.deadline = 2'500;
+  ccfg.suspicion_ttl = 600;
+  QueryClient client{make_query_network(sim), ccfg};
+
+  rng::Xoshiro256 rng{0x0C11E7ULL};
+  const auto random_id = [&] {
+    return static_cast<std::uint32_t>(rng.below(sim.node_count()));
+  };
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  const auto mix = [&hash](std::uint64_t v) { hash = (hash ^ v) * 0x100000001b3ULL; };
+  std::uint64_t delivered = 0;
+  for (int i = 0; i < 2'000; ++i) {
+    std::uint32_t start = random_id();
+    while (!sim.alive_id(start)) start = random_id();
+    const auto qid = client.submit(start, random_id());
+    while (client.outcome(qid).status == QueryStatus::kPending) {
+      ASSERT_EQ(sim.simulator().run(/*limit=*/0, /*max_events=*/1), 1U);
+    }
+    const auto& out = client.outcome(qid);
+    mix(static_cast<std::uint64_t>(out.status));
+    mix(out.hops);
+    mix(out.retransmissions);
+    mix(out.failovers);
+    mix(out.latency());
+    if (out.status == QueryStatus::kDelivered) ++delivered;
+  }
+  const auto stats = client.stats();
+  EXPECT_GT(delivered, 1'000U);
+  EXPECT_GT(stats.deadline_exceeded, 0U);
+  EXPECT_GT(stats.failovers, 0U);
+  EXPECT_EQ(hash, 0xaa5759f25c6d6529ULL) << std::hex << "0x" << hash;
+}
+
+TEST(QueryClient, ReleasedQueryIgnoresLateCallbacks) {
+  // The first query's on-path entrance is dead, so its first attempt times
+  // out at 250 and a retransmission follows 150-250 ticks later. A deadline
+  // of 100 expires while that attempt is outstanding; one of 300 expires
+  // while the retransmission is queued. Either way a callback for the
+  // settled query is still queued when it is released, must find nothing
+  // and return, and must leave the next query exactly as it finds it
+  // without the release.
+  for (const Ticks deadline : {Ticks{100}, Ticks{300}}) {
+    SCOPED_TRACE(testing::Message() << "deadline " << deadline);
+    const auto run = [deadline](bool release) {
+      HierarchySimConfig cfg;
+      cfg.fanout = {8, 4};
+      HierarchySimulation sim{cfg};
+      sim.kill({3});
+      QueryClientConfig ccfg;
+      ccfg.deadline = deadline;
+      QueryClient client{make_query_network(sim), ccfg};
+
+      const auto first = client.submit(sim.id_of({}), sim.id_of({3, 1}));
+      while (client.outcome(first).status == QueryStatus::kPending &&
+             sim.simulator().run(/*limit=*/0, /*max_events=*/1) == 1) {
+      }
+      EXPECT_EQ(client.outcome(first).status, QueryStatus::kDeadlineExceeded);
+      EXPECT_GT(sim.simulator().pending(), 0U);  // the late callback
+      if (release) client.release(first);
+      EXPECT_NO_THROW(sim.simulator().run());
+
+      const auto second = client.submit(sim.id_of({}), sim.id_of({5, 2}));
+      sim.simulator().run();
+      return client.outcome(second);
+    };
+    const auto kept = run(false);
+    const auto released = run(true);
+    EXPECT_EQ(released.status, kept.status);
+    EXPECT_EQ(released.hops, kept.hops);
+    EXPECT_EQ(released.retransmissions, kept.retransmissions);
+    EXPECT_EQ(released.failovers, kept.failovers);
+    EXPECT_EQ(released.issued_at, kept.issued_at);
+    EXPECT_EQ(released.completed_at, kept.completed_at);
+  }
 }
 
 }  // namespace
