@@ -8,14 +8,22 @@
 // scenario seeded by its own document — per-scenario reports and the merged
 // matrix are byte-identical at any --threads value.
 //
+// Every document runs twice: the first run carries the --trace-dir trace,
+// the second runs untraced, and the two reports must be byte-identical. A
+// document whose reports differ fails with "reproducible" in its matrix
+// row's failed list — so the repeat also re-checks, on every traced
+// document, that tracing never changes a decision.
+//
 // Output: <out-dir>/<scenario-name>.json per scenario plus
 // <out-dir>/scenario_matrix.json (also printed to stdout). Exit status: 0
-// when every document validated and every declared expectation held.
+// when every document validated, reproduced, and met every declared
+// expectation.
 //
 // Flags:
 //   --validate-only      schema-check every document, run nothing
 //   --threads=T          executor width (default 0 = hardware)
 //   --out-dir=D          report directory (default ".")
+//   --trace-dir=D        write each first run's JSONL trace to D/<name>.jsonl
 //   --quick              CI smoke size: ring intervals x2, hierarchy rates /2
 #include <algorithm>
 #include <cstdio>
@@ -61,6 +69,7 @@ int main(int argc, char** argv) {
   bool validate_only = false;
   unsigned threads = 0;  // 0 = hardware concurrency (Executor's convention)
   std::string out_dir = ".";
+  std::string trace_dir;
   std::vector<std::string> args;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--validate-only") == 0) {
@@ -69,6 +78,8 @@ int main(int argc, char** argv) {
       threads = static_cast<unsigned>(std::strtoul(argv[i] + 10, nullptr, 10));
     } else if (std::strncmp(argv[i], "--out-dir=", 10) == 0) {
       out_dir = argv[i] + 10;
+    } else if (std::strncmp(argv[i], "--trace-dir=", 12) == 0) {
+      trace_dir = argv[i] + 12;
     } else if (std::strcmp(argv[i], "--quick") == 0) {
       // handled by quick_mode
     } else if (std::strncmp(argv[i], "--", 2) == 0) {
@@ -81,7 +92,7 @@ int main(int argc, char** argv) {
   if (args.empty()) {
     std::fprintf(stderr,
                  "usage: scenario_runner [--validate-only] [--threads=T] [--out-dir=D] "
-                 "[--quick] <scenario.json | dir>...\n");
+                 "[--trace-dir=D] [--quick] <scenario.json | dir>...\n");
     return 2;
   }
 
@@ -121,15 +132,17 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  scenario::RunOptions options;
-  if (quick) {
-    options.interval_scale = 2;
-    options.rate_divisor = 2;
-  }
-  jobs::Executor executor{threads};
-  const auto outcomes = scenario::run_matrix(scenarios, executor, options);
-
   std::error_code ec;
+  if (!trace_dir.empty()) fs::create_directories(trace_dir, ec);
+  jobs::Executor executor{threads};
+  auto outcomes = scenario::run_matrix(scenarios, executor, {quick, trace_dir});
+  const auto repeats = scenario::run_matrix(scenarios, executor, {quick, ""});
+  for (std::size_t i = 0; i < outcomes.size(); ++i) {
+    if (outcomes[i].json == repeats[i].json) continue;
+    outcomes[i].expectations_met = false;
+    outcomes[i].failed.emplace_back("reproducible");
+  }
+
   fs::create_directories(out_dir, ec);
   std::uint64_t failed_total = 0;
   metrics::JsonWriter matrix;

@@ -13,6 +13,7 @@
 #include "metrics/timeline.hpp"
 #include "rng/splitmix64.hpp"
 #include "rng/xoshiro256.hpp"
+#include "scenario/detection.hpp"
 #include "sim/adaptive_attacker.hpp"
 #include "sim/fault_injector.hpp"
 #include "sim/query_client.hpp"
@@ -59,6 +60,13 @@ std::vector<std::unique_ptr<workload::Sampler>> make_samplers(const Scenario& sc
     }
   }
   return samplers;
+}
+
+/// The JSONL sink RunOptions::trace_dir asks for, or nullptr when untraced.
+std::unique_ptr<trace::JsonLinesSink> trace_file(const Scenario& sc,
+                                                 const RunOptions& options) {
+  if (options.trace_dir.empty()) return nullptr;
+  return std::make_unique<trace::JsonLinesSink>(options.trace_dir + "/" + sc.name + ".jsonl");
 }
 
 void render_client(JsonWriter& json, const sim::QueryClientStats& stats) {
@@ -121,7 +129,10 @@ struct TrafficSample {
   bool connected = true;
 };
 
-RunOutcome run_ring(const Scenario& sc, const RunOptions& options) {
+/// `detection`, when set, observes the run's events like a trace sink; a
+/// document with $.metrics.detection observes itself with its own sink.
+RunOutcome run_ring(const Scenario& sc, const RunOptions& options,
+                    DetectionSink* detection = nullptr) {
   using namespace hours::sim;
 
   RingSimConfig cfg;
@@ -142,16 +153,32 @@ RunOutcome run_ring(const Scenario& sc, const RunOptions& options) {
     HOURS_ASSERT(!control->simulator().truncated());
   }
 
+  // Control run for the detection study: the same document with probe-only
+  // liveness — this function again, untraced and with no controls of its
+  // own — observed by its own sink.
+  DetectionSummary probe_only;
+  DetectionSink own_detection{cfg.size};
+  if (sc.metrics.detection) {
+    Scenario twin = sc;
+    twin.liveness.mode = liveness::Mode::kProbeOnly;
+    twin.metrics = MetricsSpec{};
+    DetectionSink twin_detection{cfg.size};
+    (void)run_ring(twin, RunOptions{options.quick, {}}, &twin_detection);
+    probe_only = twin_detection.summarize(sc.horizon);
+    detection = &own_detection;
+  }
+
   RingSimulation ring{cfg};
   ring.start();
 
+  // The JSONL trace and the detection sink see the ring, the injector and
+  // the client; the adaptive attacker needs only the ring's events.
   trace::Tracer tracer;
-  std::unique_ptr<trace::JsonLinesSink> jsonl;
-  if (!options.trace_path.empty()) {
-    jsonl = std::make_unique<trace::JsonLinesSink>(options.trace_path);
-    tracer.add_sink(jsonl.get());
-    ring.set_tracer(&tracer);
-  }
+  const auto jsonl = trace_file(sc, options);
+  tracer.add_sink(jsonl.get());
+  tracer.add_sink(detection);
+  const bool observed = tracer.enabled();
+  if (observed) ring.set_tracer(&tracer);
   std::unique_ptr<AdaptiveAttacker> attacker;
   if (sc.attacker.kind == AttackerKind::kAdaptive) {
     AdaptiveAttackerConfig acfg;
@@ -168,14 +195,14 @@ RunOutcome run_ring(const Scenario& sc, const RunOptions& options) {
   std::unique_ptr<FaultInjector> injector;
   if (!sc.fault_lines.empty()) {
     injector = std::make_unique<FaultInjector>(make_fault_target(ring), sc.faults);
-    if (jsonl != nullptr) injector->set_tracer(&tracer);
+    if (observed) injector->set_tracer(&tracer);
     injector->arm();
   }
 
   QueryClientConfig ccfg;
   ccfg.deadline = sc.ring.client_deadline;
   QueryClient client{make_query_network(ring), ccfg};
-  if (jsonl != nullptr) client.set_tracer(&tracer);
+  if (observed) client.set_tracer(&tracer);
 
   auto& sim = ring.simulator();
 
@@ -194,7 +221,7 @@ RunOutcome run_ring(const Scenario& sc, const RunOptions& options) {
   };
   sim.schedule(0, sample);
 
-  const std::uint64_t scale = std::max<std::uint64_t>(1, options.interval_scale);
+  const std::uint64_t scale = options.quick ? 2 : 1;
   auto dest_samplers = make_samplers(sc, cfg.size);
   auto workload_rng = std::make_shared<rng::Xoshiro256>(sc.seed);
   auto qids = std::make_shared<std::vector<std::uint64_t>>();
@@ -245,6 +272,19 @@ RunOutcome run_ring(const Scenario& sc, const RunOptions& options) {
       never << i << "->" << control->cw_successor(i) << "/" << control->ccw_neighbor(i) << ";";
     }
     fixpoint_matches = healed.str() == never.str();
+  }
+  DetectionSummary gossip;
+  bool detection_improved = false;
+  bool digest_budget_respected = false;
+  if (sc.metrics.detection) {
+    gossip = detection->summarize(sc.horizon);
+    // Gossip must detect sooner: a lower median t_half, or, when both
+    // medians are censored to the same episode length, a lower fraction of
+    // pairs that never learned.
+    detection_improved = gossip.median_t_half < probe_only.median_t_half ||
+                         (gossip.median_t_half == probe_only.median_t_half &&
+                          gossip.never_fraction < probe_only.never_fraction);
+    digest_budget_respected = gossip.max_digest_entries <= sc.liveness.digest_budget;
   }
 
   RunOutcome outcome;
@@ -306,6 +346,14 @@ RunOutcome run_ring(const Scenario& sc, const RunOptions& options) {
     json.field("fixpoint_matches", fixpoint_matches);
     json.end_object();
   }
+  if (sc.metrics.detection) {
+    json.key("detection").begin_object();
+    json.key("probe_only");
+    probe_only.render(json);
+    json.key("gossip");
+    gossip.render(json);
+    json.end_object();
+  }
   json.field("unsettled", unsettled);
 
   std::map<std::string, MetricPhase> phase_by_name;
@@ -325,6 +373,8 @@ RunOutcome run_ring(const Scenario& sc, const RunOptions& options) {
           case Expectation::Kind::kFlag:
             if (ex.flag == "split_observed") return split_observed;
             if (ex.flag == "remerged") return remerged;
+            if (ex.flag == "detection_improved") return detection_improved;
+            if (ex.flag == "digest_budget_respected") return digest_budget_respected;
             return fixpoint_matches;
           case Expectation::Kind::kHitRateLt:
           case Expectation::Kind::kHitRateGe:
@@ -428,12 +478,9 @@ RunOutcome run_hierarchy(const Scenario& sc, const RunOptions& options) {
   }
 
   trace::Tracer tracer;
-  std::unique_ptr<trace::JsonLinesSink> jsonl;
-  if (!options.trace_path.empty()) {
-    jsonl = std::make_unique<trace::JsonLinesSink>(options.trace_path);
-    tracer.add_sink(jsonl.get());
-    sys.set_tracer(&tracer);
-  }
+  const auto jsonl = trace_file(sc, options);
+  tracer.add_sink(jsonl.get());
+  if (tracer.enabled()) sys.set_tracer(&tracer);
 
   // liveness: gossip arms the resolver edge's cache-busting defense — one
   // NegativeCacheDigest, shared across every shard of the concurrent
@@ -454,7 +501,7 @@ RunOutcome run_hierarchy(const Scenario& sc, const RunOptions& options) {
     resolve_one = [&](const std::string& name) { return serial->resolve(name); };
   }
 
-  const std::uint64_t divisor = std::max<std::uint64_t>(1, options.rate_divisor);
+  const std::uint64_t divisor = options.quick ? 2 : 1;
   auto samplers = make_samplers(sc, leaves.size());
   auto uniform_rng = std::make_shared<rng::Xoshiro256>(sc.seed);
 

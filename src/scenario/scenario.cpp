@@ -602,7 +602,8 @@ std::string parse_metrics(const Json::Object& top, Scenario& sc) {
   const std::string path = "$.metrics";
   const Json::Object* metrics = nullptr;
   if (auto e = need_object(&it->second, path, &metrics); !e.empty()) return e;
-  if (auto e = reject_unknown(*metrics, path, {"emit", "phases", "fixpoint", "expect"});
+  if (auto e = reject_unknown(*metrics, path,
+                              {"emit", "phases", "fixpoint", "detection", "expect"});
       !e.empty()) {
     return e;
   }
@@ -644,6 +645,15 @@ std::string parse_metrics(const Json::Object& top, Scenario& sc) {
   if (auto e = get_bool01(*metrics, path, "fixpoint", &m.fixpoint); !e.empty()) return e;
   if (m.fixpoint && !ring) {
     return err(path + ".fixpoint", "the no-fault fixpoint check is ring-only");
+  }
+  if (auto e = get_bool01(*metrics, path, "detection", &m.detection); !e.empty()) return e;
+  if (m.detection && !ring) {
+    return err(path + ".detection", "the detection control run is ring-only");
+  }
+  if (m.detection && sc.liveness.mode != liveness::Mode::kGossip) {
+    return err(path + ".detection",
+               "requires $.liveness.source = \"gossip\" (the control run is its probe-only "
+               "twin)");
   }
 
   std::set<std::string> phase_names;
@@ -691,16 +701,26 @@ std::string parse_metrics(const Json::Object& top, Scenario& sc) {
         ex.kind = Expectation::Kind::kFlag;
         if (auto e = reject_unknown(*check, epath, {"kind", "name"}); !e.empty()) return e;
         if (auto e = get_string(*check, epath, "name", true, &ex.flag); !e.empty()) return e;
-        if (ex.flag != "split_observed" && ex.flag != "remerged" &&
-            ex.flag != "fixpoint_matches") {
+        const bool fixpoint_flag = ex.flag == "split_observed" || ex.flag == "remerged" ||
+                                   ex.flag == "fixpoint_matches";
+        const bool detection_flag =
+            ex.flag == "detection_improved" || ex.flag == "digest_budget_respected";
+        if (!fixpoint_flag && !detection_flag) {
           return err(epath + ".name", "\"" + ex.flag +
                                           "\" is not one of \"split_observed\", "
-                                          "\"remerged\", \"fixpoint_matches\"");
+                                          "\"remerged\", \"fixpoint_matches\", "
+                                          "\"detection_improved\", "
+                                          "\"digest_budget_respected\"");
         }
-        if (!m.fixpoint) {
+        if (fixpoint_flag && !m.fixpoint) {
           return err(epath + ".name",
                      "flag expectations require $.metrics.fixpoint = 1 (the control run "
                      "computes them)");
+        }
+        if (detection_flag && !m.detection) {
+          return err(epath + ".name",
+                     "detection flags require $.metrics.detection = 1 (the probe-only "
+                     "control run computes them)");
         }
       } else if (kind == "phase_lt" || kind == "phase_ge" || kind == "hit_rate_lt" ||
                  kind == "hit_rate_ge") {

@@ -140,7 +140,9 @@ struct Expectation {
   Kind kind = Kind::kPhaseLt;
   std::string left;
   std::string right;
-  std::string flag;     ///< "split_observed" | "remerged" | "fixpoint_matches"
+  /// "split_observed" | "remerged" | "fixpoint_matches" (need fixpoint), or
+  /// "detection_improved" | "digest_budget_respected" (need detection).
+  std::string flag;
   std::string counter;  ///< resolver stat name (counter_ge / counter_lt)
   std::uint64_t threshold = 0;
 
@@ -163,6 +165,10 @@ struct MetricsSpec {
   /// the horizon and report whether the healed pointer tables match the
   /// no-fault fixpoint byte for byte (plus split/remerge observations).
   bool fixpoint = false;
+  /// Ring + gossip only: also run the identically seeded document with
+  /// probe-only liveness and report both runs' suspicion latency
+  /// (scenario/detection.hpp) side by side.
+  bool detection = false;
   std::vector<MetricPhase> phase_defs;
   std::vector<Expectation> expect;
 };

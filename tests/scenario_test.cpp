@@ -1,18 +1,24 @@
 // Scenario DSL: schema validator golden corpus (accept + reject with exact
-// error paths), runner determinism across worker-thread counts, and the
+// error paths), runner determinism across worker-thread counts, the
+// detection sink's bookkeeping on a hand-built event stream, and the
 // FaultPlan::parse error-position contract the $.faults.plan clause relies
 // on.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <filesystem>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "jobs/executor.hpp"
+#include "metrics/json_writer.hpp"
+#include "scenario/detection.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/scenario.hpp"
 #include "sim/fault_injector.hpp"
 #include "snapshot/json.hpp"
+#include "trace/event.hpp"
 
 #ifndef HOURS_SCENARIO_DIR
 #define HOURS_SCENARIO_DIR "scenarios"
@@ -162,6 +168,14 @@ TEST(ScenarioValidate, RejectCorpusNamesTheOffendingPath) {
        "flag expectations require $.metrics.fixpoint = 1"},
       {kHierarchyBase, "\"workload\"", "\"metrics\": {\"fixpoint\": 1}, \"workload\"",
        "$.metrics.fixpoint: the no-fault fixpoint check is ring-only"},
+      {kHierarchyBase, "\"workload\"", "\"metrics\": {\"detection\": 1}, \"workload\"",
+       "$.metrics.detection: the detection control run is ring-only"},
+      {kRingBase, "\"phases\": [{\"name\": \"early\"",
+       "\"detection\": 1, \"phases\": [{\"name\": \"early\"",
+       "$.metrics.detection: requires $.liveness.source = \"gossip\""},
+      {kRingBase, "{\"kind\": \"phase_ge\", \"left\": \"late\", \"right\": \"early\"}",
+       "{\"kind\": \"flag\", \"name\": \"detection_improved\"}",
+       "detection flags require $.metrics.detection = 1"},
   };
   for (const auto& c : cases) {
     if (c.expect_in_error[0] == '\0') continue;  // placeholder row
@@ -201,6 +215,98 @@ TEST(ScenarioLibrary, EveryShippedScenarioValidates) {
   }
 }
 
+/// The fixed-precision number after `key` in a rendered report (the
+/// snapshot::Json reader has no floats, so reports are read by substring).
+double report_number(const std::string& json, std::string_view key) {
+  const auto at = json.find(key);
+  EXPECT_NE(at, std::string::npos) << key;
+  return at == std::string::npos ? -1.0 : std::strtod(json.c_str() + at + key.size(), nullptr);
+}
+
+scenario::RunOutcome run_shipped(const std::string& file) {
+  scenario::Scenario sc;
+  EXPECT_EQ(scenario::load_file(std::string{HOURS_SCENARIO_DIR} + "/" + file, sc), "");
+  return scenario::run(sc);
+}
+
+TEST(ScenarioLibrary, AdaptiveRestrikeHurtsMoreThanStatic) {
+  // The trace-following attacker re-strikes where active recovery landed,
+  // so delivery during the attack falls below the blind three-strike
+  // schedule's, with both of its strikes spent.
+  const auto fixed = run_shipped("adaptive_static.json");
+  const auto adaptive = run_shipped("adaptive_restrike.json");
+  EXPECT_TRUE(fixed.expectations_met);
+  EXPECT_TRUE(adaptive.expectations_met);
+  constexpr std::string_view kDuring = "\"during\":{\"delivery_ratio\":";
+  EXPECT_LT(report_number(adaptive.json, kDuring), report_number(fixed.json, kDuring));
+  EXPECT_EQ(report_number(adaptive.json, "\"strikes_launched\":"), 2.0);
+}
+
+TEST(DetectionSink, EpisodeBookkeepingOnAHandBuiltStream) {
+  using trace::EventType;
+  scenario::DetectionSink sink{6};
+  const auto feed = [&sink](std::uint64_t at, EventType type, std::uint32_t node,
+                            std::uint32_t peer = trace::kNoNode, std::uint64_t value = 0) {
+    sink.on_event(trace::Event{.at = at, .type = type, .node = node, .peer = peer,
+                               .value = value});
+  };
+  // Episode A: node 2 down over [100, 300) with 5 alive observers; three of
+  // them learn — one through a gossip adoption — so t_half is the third
+  // sighting (ceil(5/2)), 100 ticks after the kill.
+  feed(100, EventType::kFaultKill, 2);
+  feed(150, EventType::kSuspect, 0, 2);
+  feed(160, EventType::kSuspect, 0, 2);  // repeat sighting: the first one counts
+  feed(170, EventType::kLivenessGossipSuspect, 1, 2);
+  feed(180, EventType::kSuspect, 3, 4);  // node 4 is up: a false suspicion
+  feed(200, EventType::kSuspect, 4, 2);
+  feed(250, EventType::kProbeSent, 0, 1);  // ignored
+  feed(300, EventType::kFaultRevive, 2);
+  feed(310, EventType::kSuspect, 0, 2);  // after the revival: false again
+  // Episode B: node 5 down over [400, 650); one observer of five learns, so
+  // t_half is censored at the revival (250).
+  feed(400, EventType::kFaultKill, 5);
+  feed(450, EventType::kSuspect, 0, 5);
+  feed(650, EventType::kFaultRevive, 5);
+  // Episodes C and D never end. C (5 alive observers) is censored at the
+  // horizon (300); D starts with C's victim still down, so only 4 observers
+  // are alive and the second sighting (60) is its t_half.
+  feed(700, EventType::kFaultKill, 1);
+  feed(710, EventType::kFaultKill, 3);
+  feed(720, EventType::kSuspect, 0, 3);
+  feed(770, EventType::kLivenessGossipSuspect, 4, 3);
+  // Digest traffic.
+  feed(800, EventType::kLivenessDigestSent, 0, trace::kNoNode, 3);
+  feed(801, EventType::kLivenessDigestSent, 4, trace::kNoNode, 1);
+  feed(802, EventType::kLivenessDigestSent, 0, trace::kNoNode, 4);
+  feed(803, EventType::kLivenessDigestApplied, 1, 0, 2);
+  feed(804, EventType::kLivenessDigestApplied, 2, 4, 0);
+
+  const scenario::DetectionSummary s = sink.summarize(1000);
+  EXPECT_EQ(s.episodes, 4u);
+  EXPECT_EQ(s.pairs_possible, 5u + 5u + 5u + 4u);
+  EXPECT_EQ(s.pairs_observed, 3u + 1u + 0u + 2u);
+  EXPECT_DOUBLE_EQ(s.never_fraction, 1.0 - 6.0 / 19.0);
+  // Pooled latencies {10, 50, 50, 60, 70, 100}: index p*(n-1)+0.5 rounds
+  // 2.5 up to 3 for p50 and 4.5 up to 5 for p90.
+  EXPECT_EQ(s.latency_p50, 60u);
+  EXPECT_EQ(s.latency_p90, 100u);
+  EXPECT_EQ(s.latency_p99, 100u);
+  // t_half {60, 100, 250, 300}: the median index 1.5+0.5 picks 250.
+  EXPECT_EQ(s.median_t_half, 250u);
+  EXPECT_EQ(s.censored_episodes, 2u);
+  EXPECT_EQ(s.false_suspicions, 2u);
+  EXPECT_EQ(s.digests_sent, 3u);
+  EXPECT_EQ(s.digest_entries, 8u);
+  EXPECT_EQ(s.max_digest_entries, 4u);
+  EXPECT_EQ(s.gossip_adoptions, 2u);
+
+  metrics::JsonWriter json;
+  s.render(json);
+  EXPECT_NE(json.str().find("\"pairs_observed\":6,\"never_fraction\":0.6842,"),
+            std::string::npos)
+      << json.str();
+}
+
 TEST(ScenarioRunner, MatrixBytesAreThreadCountInvariant) {
   std::vector<scenario::Scenario> scenarios;
   for (const auto& path : library_files()) {
@@ -211,8 +317,7 @@ TEST(ScenarioRunner, MatrixBytesAreThreadCountInvariant) {
   ASSERT_GE(scenarios.size(), 8u);
 
   scenario::RunOptions quick;
-  quick.interval_scale = 2;
-  quick.rate_divisor = 2;
+  quick.quick = true;
 
   std::vector<std::vector<scenario::RunOutcome>> runs;
   for (const unsigned threads : {1u, 2u, 4u}) {
