@@ -33,4 +33,14 @@ std::vector<DigestEntry> LivenessView::build_digest(NodeId observer, Ticks now) 
   return digest;
 }
 
+std::size_t LivenessView::append_digest(NodeId observer, Ticks now,
+                                        std::vector<std::uint64_t>& out) const {
+  const auto digest = build_digest(observer, now);
+  for (const auto& entry : digest) {
+    out.push_back(entry.peer);
+    out.push_back(entry.since);
+  }
+  return digest.size();
+}
+
 }  // namespace hours::liveness

@@ -29,6 +29,8 @@
 #include <map>
 #include <vector>
 
+#include "util/contracts.hpp"
+
 namespace hours::liveness {
 
 using Ticks = std::uint64_t;
@@ -204,6 +206,34 @@ class LivenessView {
   /// True when a digest row is still worth spreading/adopting at `now`.
   [[nodiscard]] bool within_horizon(Ticks since, Ticks now) const noexcept {
     return since + config_.digest_horizon > now;
+  }
+
+  // -- the digest wire codec: [peer, since] word pairs on transport frames ----------
+
+  /// Appends build_digest(observer, now) to `out` as [peer, since] word
+  /// pairs; returns the entry count (0 leaves `out` untouched).
+  std::size_t append_digest(NodeId observer, Ticks now, std::vector<std::uint64_t>& out) const;
+
+  /// Adopts a received digest, `count` words of [peer, since] pairs sent by
+  /// `sender`, into `observer`'s rows. Skips the observer itself, the
+  /// sender (its frame proves it alive), peers outside [lo, hi), rumors past
+  /// the horizon, and peers the observer already holds a row for. Calls
+  /// on_adopt(peer, since) once per adopted row; returns the adopted count.
+  template <typename F>
+  std::uint64_t adopt_digest(NodeId observer, NodeId sender, const std::uint64_t* words,
+                             std::size_t count, NodeId lo, NodeId hi, Ticks now,
+                             F&& on_adopt) {
+    HOURS_EXPECTS(count % 2 == 0);
+    std::uint64_t adopted = 0;
+    for (std::size_t k = 0; k + 1 < count; k += 2) {
+      const auto peer = static_cast<NodeId>(words[k]);
+      const Ticks since = words[k + 1];
+      if (peer == observer || peer == sender || peer < lo || peer >= hi) continue;
+      if (!within_horizon(since, now) || !adopt(observer, peer, since, now)) continue;
+      ++adopted;
+      on_adopt(peer, since);
+    }
+    return adopted;
   }
 
   /// Snapshot restore: installs a row verbatim (expiry/since/source as

@@ -319,48 +319,35 @@ void HierarchySimulation::suspect(std::uint32_t at, std::uint32_t peer) {
 
 void HierarchySimulation::build_digest_words(std::uint32_t from,
                                              std::vector<std::uint64_t>& out) {
-  const auto digest = liveness_.build_digest(from, sim_.now());
-  if (digest.empty()) return;
-  for (const auto& entry : digest) {
-    out.push_back(entry.peer);
-    out.push_back(entry.since);
-  }
+  const std::size_t entries = liveness_.append_digest(from, sim_.now(), out);
+  if (entries == 0) return;
   digests_sent_->inc();
-  digest_entries_sent_->inc(digest.size());
+  digest_entries_sent_->inc(entries);
   HOURS_TRACE_EMIT(trace_, {.at = sim_.now(),
                             .type = trace::EventType::kLivenessDigestSent,
                             .node = from,
                             .level = static_cast<std::int32_t>(level_[from]),
-                            .value = digest.size()});
+                            .value = entries});
 }
 
 void HierarchySimulation::apply_digest_words(std::uint32_t at, std::uint32_t from,
                                              const std::uint64_t* words, std::size_t count) {
-  HOURS_EXPECTS(count % 2 == 0);
   const Ticks now = sim_.now();
   // Rumors are only adopted about the receiver's own sibling ring: that is
   // where its routing decisions consult suspicion, and the scoping keeps a
   // million-node tree's gossip state proportional to actual traffic.
   const std::uint32_t base = sibling_base_[at];
-  const std::uint32_t limit = base + ring_size_[at];
-  std::uint64_t adopted = 0;
-  for (std::size_t k = 0; k + 1 < count; k += 2) {
-    const auto peer = static_cast<std::uint32_t>(words[k]);
-    const Ticks since = words[k + 1];
-    // Never adopt suspicion of ourselves or of the sender (this very frame
-    // proves the sender alive); drop rumors past the propagation horizon.
-    if (peer == at || peer == from || peer < base || peer >= limit) continue;
-    if (!liveness_.within_horizon(since, now)) continue;
-    if (!liveness_.adopt(at, peer, since, now)) continue;
-    ++adopted;
-    gossip_adopted_->inc();
-    HOURS_TRACE_EMIT(trace_, {.at = now,
-                              .type = trace::EventType::kLivenessGossipSuspect,
-                              .node = at,
-                              .peer = peer,
-                              .level = static_cast<std::int32_t>(level_[at]),
-                              .value = since});
-  }
+  const std::uint64_t adopted = liveness_.adopt_digest(
+      at, from, words, count, base, base + ring_size_[at], now,
+      [&](std::uint32_t peer, Ticks since) {
+        gossip_adopted_->inc();
+        HOURS_TRACE_EMIT(trace_, {.at = now,
+                                  .type = trace::EventType::kLivenessGossipSuspect,
+                                  .node = at,
+                                  .peer = peer,
+                                  .level = static_cast<std::int32_t>(level_[at]),
+                                  .value = since});
+      });
   HOURS_TRACE_EMIT(trace_, {.at = now,
                             .type = trace::EventType::kLivenessDigestApplied,
                             .node = at,
