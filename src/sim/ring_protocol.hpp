@@ -233,6 +233,9 @@ class RingSimulation : public snapshot::Participant {
   void on_suspect_recovered(ids::RingIndex i, ids::RingIndex peer);
   void advance_cw_successor(ids::RingIndex i, std::vector<ids::RingIndex> candidates);
   void advance_ack(ids::RingIndex i, ids::RingIndex candidate);
+  /// Whether `i` takes `candidate` as its clockwise successor: only when the
+  /// current one is suspected or `candidate` is strictly closer clockwise.
+  [[nodiscard]] bool adopts_successor(ids::RingIndex i, ids::RingIndex candidate) const;
   void ccw_silence_check(ids::RingIndex i);
   void start_active_recovery(ids::RingIndex origin);
   void forward_repair(ids::RingIndex at, ids::RingIndex origin, std::uint64_t rid);

@@ -60,6 +60,28 @@ TEST(RingProtocol, ActiveRecoveryBridgesLargeGap) {
   EXPECT_GE(ring.repairs_sent(), 1U);
 }
 
+TEST(RingProtocol, StaleRecoveryWalkKeepsTheRepairedSuccessor) {
+  // A 200-node gap starts both recoveries. Node 1999 walks its table one
+  // 250-tick probe timeout at a time, starting a fresh walk every silent
+  // period, while node 200's §4.3 Repair travels the ring and attaches 1999
+  // to 200 about 7.1 periods after the kill. A stale walk's probe of an
+  // alive node past 200 is acknowledged after that; it must not overwrite
+  // the closer successor and skip the alive nodes in between, or the ring
+  // reopens and creeps shut one node per period.
+  RingSimConfig cfg;  // enhanced, k = 5, library-default seeds, probe-only
+  cfg.size = 2'000;
+  RingSimulation ring{cfg};
+  ring.start();
+  ring.simulator().run(3 * cfg.probe_period);
+  for (ids::RingIndex i = 0; i < 200; ++i) ring.kill(i);
+  ring.simulator().run(7 * cfg.probe_period);
+  for (int periods = 8; periods <= 12; ++periods) {
+    ring.simulator().run(cfg.probe_period);
+    EXPECT_TRUE(ring.ring_connected()) << periods << " probe periods after the kill";
+    EXPECT_EQ(ring.cw_successor(1999), 200U) << periods << " probe periods after the kill";
+  }
+}
+
 TEST(RingProtocol, FigureThreeScenario) {
   // The paper's example: 10 nodes, k = 2, nodes 8 and 9 fail together.
   // Node 0 must eventually reconnect to node 7.
