@@ -147,7 +147,6 @@ RouteOutcome Router::route(const NodePath& dest, const RouteOptions& opts,
     out.hops += res.hops;
     out.overlay_hops += res.hops;
     out.backward_steps += res.backward_steps;
-    out.failed_probes += res.failed_probes;
     if (opts.record_path) append_overlay_trace(out, pos_parent, res.path, /*skip_first=*/true);
 
     switch (res.kind) {

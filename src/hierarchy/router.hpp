@@ -60,7 +60,6 @@ struct RouteOutcome {
   std::uint32_t overlay_hops = 0;     ///< hops taken inside overlays (detours)
   std::uint32_t inter_overlay_hops = 0;  ///< nephew-pointer hops between levels
   std::uint32_t backward_steps = 0;
-  std::uint32_t failed_probes = 0;
   std::vector<NodePath> path;         ///< visited nodes if opts.record_path
 };
 

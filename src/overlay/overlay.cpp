@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "overlay/forwarding.hpp"
 #include "rng/splitmix64.hpp"
 #include "rng/xoshiro256.hpp"
 #include "util/contracts.hpp"
@@ -91,44 +92,7 @@ std::optional<ids::RingIndex> Overlay::nearest_alive_cw(ids::RingIndex i) const 
   return std::nullopt;
 }
 
-std::optional<ids::RingIndex> Overlay::pick_nephew(const TableEntry& entry,
-                                                   const ForwardOptions& opts) const {
-  auto nephew_alive = [&](ids::RingIndex child) {
-    return opts.child_alive == nullptr || child >= opts.child_alive->size() ||
-           (*opts.child_alive)[child] != 0;
-  };
-
-  if (!opts.next_od.has_value()) {
-    for (const ids::RingIndex n : entry.nephews) {
-      if (nephew_alive(n)) return n;
-    }
-    return std::nullopt;
-  }
-
-  // "the query is forwarded to the nephew that is closest, in the ID space,
-  // to the next level OD-node" (Section 3.3). Child indices follow identifier
-  // order, so clockwise index distance implements ID-space closeness.
-  const std::uint32_t child_ring =
-      opts.child_alive != nullptr && !opts.child_alive->empty()
-          ? static_cast<std::uint32_t>(opts.child_alive->size())
-          : 0;
-  std::optional<ids::RingIndex> best;
-  std::uint64_t best_distance = 0;
-  for (const ids::RingIndex n : entry.nephews) {
-    if (!nephew_alive(n)) continue;
-    const std::uint64_t d =
-        child_ring > 0
-            ? ids::clockwise_distance(n, *opts.next_od, child_ring)
-            : (n >= *opts.next_od ? n - *opts.next_od : *opts.next_od - n);
-    if (!best.has_value() || d < best_distance) {
-      best = n;
-      best_distance = d;
-    }
-  }
-  return best;
-}
-
-Overlay::Step Overlay::decide(ids::RingIndex node, ids::RingIndex od, bool backward,
+Overlay::Step Overlay::decide(ids::RingIndex node, ids::RingIndex od, bool& backward,
                               const ForwardOptions& opts) const {
   Step step;
   const RoutingTable& t = table(node);
@@ -149,66 +113,29 @@ Overlay::Step Overlay::decide(ids::RingIndex node, ids::RingIndex od, bool backw
     return step;
   }
 
-  // Rule 1 (Algorithm 3, lines 1-7): the OD itself is in the routing table.
-  if (const TableEntry* entry = t.find(od)) {
-    if (alive(od)) {
-      step.kind = Step::Kind::kHop;
-      step.target = od;
-      return step;
-    }
-    step.failed_probes += 1;  // probed the dead OD
-    if (auto nephew = pick_nephew(*entry, opts)) {
-      step.kind = Step::Kind::kNephewExit;
-      step.target = *nephew;
-      return step;
-    }
-    // Entry unusable (no nephews kept, or all nephews dead): continue with
-    // the normal forwarding rules below.
-  }
-
-  if (!backward) {
-    // Rule 2 (lines 10-16): greedy clockwise. The best candidate is the alive
-    // entry with the largest clockwise distance strictly below d(node, od) —
-    // overshooting can never be closer on the clockwise metric.
-    const std::uint32_t d_od = ids::clockwise_distance(node, od, size_);
-    std::size_t pos = t.last_before_distance(d_od);
-    for (; pos < t.entries().size(); --pos) {
-      const auto& candidate = t.entries()[pos];
-      if (alive(candidate.sibling)) {
-        step.kind = Step::Kind::kHop;
-        step.target = candidate.sibling;
-        return step;
-      }
-      step.failed_probes += 1;
-      if (pos == 0) break;
-    }
-    // Greedy failed: the node itself is the closest alive point known —
-    // flip to backward mode (line 14). The base design has no backward
-    // pointers, so the query is stuck.
-    if (params_.design == Design::kBase) return step;
-    step.entered_backward = true;
-  }
-
-  // Rule 3 (lines 17-19): backward step to the counter-clockwise neighbor.
-  if (ring_repaired_) {
-    if (auto ccw = nearest_alive_ccw(node)) {
-      step.kind = Step::Kind::kHop;
-      step.target = *ccw;
-      step.backward_move = true;
-      return step;
-    }
-    step.kind = Step::Kind::kStuck;
-    return step;
-  }
-  const auto ccw = t.ccw_neighbor();
-  if (ccw.has_value() && alive(*ccw)) {
-    step.kind = Step::Kind::kHop;
-    step.target = *ccw;
-    step.backward_move = true;
-    return step;
-  }
-  if (ccw.has_value()) step.failed_probes += 1;
-  step.kind = Step::Kind::kStuck;  // un-repaired ring gap dead-ends the query
+  const bool order_nephews = opts.child_alive != nullptr && !opts.child_alive->empty();
+  const Decision decision{
+      .table = t,
+      .od = od,
+      .design = params_.design,
+      .next_od = order_nephews ? opts.next_od : std::nullopt,
+      .child_ring = order_nephews ? static_cast<std::uint32_t>(opts.child_alive->size()) : 0,
+      .backward_from = ids::counter_clockwise_step(node, 1, size_),
+      // Without repair only the stored counter-clockwise pointer is known,
+      // and a dead neighbor there dead-ends the query.
+      .reach = ring_repaired_ ? size_ - 1 : 1,
+  };
+  offer_candidates(decision, backward, [&](Offer kind, ids::RingIndex index) {
+    const bool live = kind == Offer::kNephew
+                          ? opts.child_alive == nullptr || index >= opts.child_alive->size() ||
+                                (*opts.child_alive)[index] != 0
+                          : alive(index);
+    if (!live) return Verdict::kSkip;
+    step.kind = kind == Offer::kNephew ? Step::Kind::kNephewExit : Step::Kind::kHop;
+    step.target = index;
+    step.backward_move = kind == Offer::kBackward;
+    return Verdict::kStop;
+  });
   return step;
 }
 
@@ -239,7 +166,6 @@ ForwardResult Overlay::forward(ids::RingIndex entrance, ids::RingIndex od,
     }
 
     const Step step = decide(node, od, backward, opts);
-    result.failed_probes += step.failed_probes;
 
     switch (step.kind) {
       case Step::Kind::kStuck:
@@ -257,7 +183,6 @@ ForwardResult Overlay::forward(ids::RingIndex entrance, ids::RingIndex od,
           result.last_node = node;
           return result;
         }
-        if (step.entered_backward) backward = true;
         node = step.target;
         result.hops += 1;
         if (step.backward_move) result.backward_steps += 1;

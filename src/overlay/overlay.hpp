@@ -3,18 +3,10 @@
 //
 // The Overlay owns the ring membership (indices 0..N-1), per-node liveness
 // and behavior, and the routing tables (stored eagerly, or regenerated on
-// demand for multi-million-node rings). Forwarding is implemented exactly as
-// Algorithm 3:
-//
-//   at each node, in order:
-//     1. if the overlay-destination (OD) is in the routing table:
-//        hop to it if alive, else exit through an alive nephew pointer of
-//        that entry (inter-overlay exit);
-//     2. forward mode: greedy — hop to the alive sibling pointer closest to
-//        the OD; if the node itself is closest, flip the query to backward
-//        mode;
-//     3. backward mode: hop to the closest alive counter-clockwise neighbor
-//        (maintained by ring repair / active recovery).
+// demand for multi-million-node rings). Each forwarding decision takes the
+// first live candidate that the Algorithm 3 kernel (overlay/forwarding.hpp)
+// offers: the overlay-destination (OD) or an alive nephew of its entry,
+// then greedy clockwise, then backward steps.
 //
 // The base design has no backward mode: a query that cannot make clockwise
 // progress fails, which is precisely the vulnerability Section 4 fixes.
@@ -55,7 +47,8 @@ struct ForwardOptions {
   bool record_path = false;
   /// Ring index of the next-level OD within the OD's child overlay, used to
   /// pick the nephew "closest in the ID space to the next level OD-node"
-  /// (Section 3.3). Unset: the first alive nephew is taken.
+  /// (Section 3.3) when `child_alive` is non-empty. Otherwise the first
+  /// alive nephew in table order is taken.
   std::optional<ids::RingIndex> next_od;
   /// Liveness of the OD's children (indexed by child ring index); unset
   /// means all children alive.
@@ -70,7 +63,6 @@ struct ForwardResult {
   ids::RingIndex nephew = 0;      ///< child ring index (valid for kNephewExit)
   std::uint32_t hops = 0;         ///< node-to-node transfers taken inside this overlay
   std::uint32_t backward_steps = 0;
-  std::uint32_t failed_probes = 0;  ///< dead next-hop candidates skipped
   std::vector<ids::RingIndex> path;  ///< visited nodes (entrance first) if recorded
 
   [[nodiscard]] bool delivered_to_od() const noexcept { return kind == ExitKind::kArrivedAtOd; }
@@ -136,18 +128,13 @@ class Overlay {
   struct Step {
     enum class Kind : std::uint8_t { kHop, kNephewExit, kStuck } kind = Kind::kStuck;
     ids::RingIndex target = 0;       // next node (kHop) or exit nephew (kNephewExit)
-    bool entered_backward = false;   // this step flipped the query to backward mode
     bool backward_move = false;      // this hop travels counter-clockwise
-    std::uint32_t failed_probes = 0;
   };
 
-  /// One Algorithm-3 decision at `node`; `backward` is the query's mode bit.
-  [[nodiscard]] Step decide(ids::RingIndex node, ids::RingIndex od, bool backward,
+  /// One Algorithm-3 decision at `node`; `backward` is the query's mode bit,
+  /// flipped when greedy progress is exhausted.
+  [[nodiscard]] Step decide(ids::RingIndex node, ids::RingIndex od, bool& backward,
                             const ForwardOptions& opts) const;
-
-  /// Picks the best alive nephew of `entry` (closest to opts.next_od).
-  [[nodiscard]] std::optional<ids::RingIndex> pick_nephew(const TableEntry& entry,
-                                                          const ForwardOptions& opts) const;
 
   std::uint32_t size_;
   OverlayParams params_;

@@ -259,12 +259,6 @@ class RingSimulation : public snapshot::Participant {
                             std::vector<ids::RingIndex> candidates);
   void finish_query(std::uint64_t qid, bool delivered, std::uint32_t hops);
 
-  /// Greedy candidates at `at` toward `target`, nearest-to-target first,
-  /// excluding `target` itself and suspected peers.
-  [[nodiscard]] std::vector<ids::RingIndex> progress_candidates(const Node& node,
-                                                                ids::RingIndex at,
-                                                                ids::RingIndex target) const;
-
   RingSimConfig config_;
   Simulator sim_;
   rng::Xoshiro256 rng_;
