@@ -102,6 +102,11 @@ class HierarchySimulation : public snapshot::Participant {
   /// id_of without the existence precondition: -1 when `path` leaves the
   /// tree's bounds.
   [[nodiscard]] std::int64_t find_id(const hierarchy::NodePath& path) const;
+  /// True when `b` is in `a`'s sibling ring, the overlay `a` forwards in.
+  /// Algorithm 3's backward mode ends on any hop that leaves it.
+  [[nodiscard]] bool same_overlay(std::uint32_t a, std::uint32_t b) const noexcept {
+    return b >= sibling_base_[a] && b < sibling_base_[a] + ring_size_[a];
+  }
 
   // -- liveness ------------------------------------------------------------------
   void kill(const hierarchy::NodePath& path);
@@ -217,7 +222,7 @@ class HierarchySimulation : public snapshot::Participant {
   struct Message {
     std::uint64_t qid = 0;
     hierarchy::NodePath dest;
-    bool backward = false;    ///< Algorithm 3 mode bit
+    bool backward = false;    ///< Algorithm 3 mode bit, within one sibling ring
     bool client_hop = false;  ///< custody transfer for an external client
     std::uint32_t hops = 0;
   };

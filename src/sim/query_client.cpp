@@ -20,6 +20,7 @@ QueryNetwork make_query_network(RingSimulation& ring) {
     return ring.route_candidates(at, dest, backward);
   };
   net.is_destination = [](std::uint32_t at, std::uint32_t dest) { return at == dest; };
+  net.same_overlay = [](std::uint32_t, std::uint32_t) { return true; };
   return net;
 }
 
@@ -35,6 +36,9 @@ QueryNetwork make_query_network(HierarchySimulation& hierarchy) {
     return hierarchy.route_candidates(at, hierarchy.path_of(dest), backward);
   };
   net.is_destination = [](std::uint32_t at, std::uint32_t dest) { return at == dest; };
+  net.same_overlay = [&hierarchy](std::uint32_t a, std::uint32_t b) {
+    return hierarchy.same_overlay(a, b);
+  };
   return net;
 }
 
@@ -52,7 +56,7 @@ QueryClient::QueryClient(QueryNetwork network, QueryClientConfig config)
       delivered_latency_(&registry_.histogram("client.delivered_latency")) {
   HOURS_EXPECTS(network_.sim != nullptr && network_.node_count > 0);
   HOURS_EXPECTS(network_.attempt != nullptr && network_.candidates != nullptr &&
-                network_.is_destination != nullptr);
+                network_.is_destination != nullptr && network_.same_overlay != nullptr);
   HOURS_EXPECTS(config_.jitter >= 0.0 && config_.jitter < 1.0);
   HOURS_EXPECTS(config_.backoff_base > 0 && config_.backoff_cap >= config_.backoff_base);
 }
@@ -238,6 +242,7 @@ void QueryClient::on_ack(std::uint64_t qid, std::uint32_t hopped_to) {
   if (found == nullptr) return;
   QueryState& q = *found;
   liveness_.clear(0, hopped_to);  // proof of life
+  q.backward = q.backward && network_.same_overlay(q.at, hopped_to);
   q.at = hopped_to;
   ++q.out.hops;
   q.candidates.clear();

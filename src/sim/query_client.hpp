@@ -32,7 +32,7 @@ namespace hours::sim {
 class RingSimulation;
 class HierarchySimulation;
 
-/// The three hooks a simulation exposes to be queried by a client.
+/// The hooks a simulation exposes to be queried by a client.
 struct QueryNetwork {
   Simulator* sim = nullptr;
   std::uint32_t node_count = 0;
@@ -46,6 +46,9 @@ struct QueryNetwork {
                                            bool& backward)>
       candidates;
   std::function<bool(std::uint32_t at, std::uint32_t dest)> is_destination;
+  /// Whether a hop from `a` to `b` stays in one overlay; a hop that leaves
+  /// it ends backward mode.
+  std::function<bool(std::uint32_t a, std::uint32_t b)> same_overlay;
 };
 
 /// Ring adapter: destinations are ring indices.
