@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "rng/splitmix64.hpp"
 #include "util/contracts.hpp"
 
 namespace hours::hierarchy {
@@ -35,6 +36,12 @@ std::string to_string(const NodePath& path) {
     out += std::to_string(index);
   }
   return out;
+}
+
+std::uint64_t overlay_seed(std::uint64_t base, std::uint64_t salt, const NodePath& parent_path) {
+  std::uint64_t seed = rng::mix64(base, salt);
+  for (const auto index : parent_path) seed = rng::mix64(seed, index);
+  return seed;
 }
 
 }  // namespace hours::hierarchy

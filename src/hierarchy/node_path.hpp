@@ -35,4 +35,14 @@ using NodePath = std::vector<ids::RingIndex>;
 /// "/", "/7", "/7/123", ... for diagnostics.
 [[nodiscard]] std::string to_string(const NodePath& path);
 
+/// Per-engine salts of overlay_seed: the graph engine's synthetic
+/// hierarchy and the event engine draw different tables from one base seed.
+inline constexpr std::uint64_t kGraphOverlaySalt = 0x6F76657261ULL;  // "overa"
+inline constexpr std::uint64_t kEventOverlaySalt = 0x6576656E74ULL;  // "event"
+
+/// Routing-table seed of the overlay formed by the children of
+/// `parent_path`: `base` mixed with `salt`, then with each path index.
+[[nodiscard]] std::uint64_t overlay_seed(std::uint64_t base, std::uint64_t salt,
+                                         const NodePath& parent_path);
+
 }  // namespace hours::hierarchy

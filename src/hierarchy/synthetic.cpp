@@ -1,20 +1,8 @@
 #include "hierarchy/synthetic.hpp"
 
-#include "rng/splitmix64.hpp"
 #include "util/contracts.hpp"
 
 namespace hours::hierarchy {
-
-namespace {
-
-/// Deterministic seed component for the overlay under `path`.
-std::uint64_t path_seed(std::uint64_t base, const NodePath& path) {
-  std::uint64_t seed = rng::mix64(base, 0x6F76657261ULL /* "overa" */);
-  for (const auto index : path) seed = rng::mix64(seed, index);
-  return seed;
-}
-
-}  // namespace
 
 std::uint64_t SyntheticSpec::approx_node_count() const {
   std::uint64_t total = 1;
@@ -47,7 +35,7 @@ overlay::Overlay& SyntheticHierarchy::overlay_of(const NodePath& path) {
   if (const auto it = overlays_.find(path); it != overlays_.end()) return *it->second;
 
   overlay::OverlayParams params = params_;
-  params.seed = path_seed(params_.seed, path);
+  params.seed = overlay_seed(params_.seed, kGraphOverlaySalt, path);
   const auto storage = size > spec_.eager_table_limit ? overlay::TableStorage::kLazy
                                                       : overlay::TableStorage::kEager;
 
