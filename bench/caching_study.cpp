@@ -42,7 +42,9 @@ struct World {
       const std::string zone = "zone" + std::to_string(z);
       sys.admit(zone);
       for (int h = 0; h < 25; ++h) {
-        const std::string host = "h" + std::to_string(h) + "." + zone;
+        std::string host = "h";
+        host += std::to_string(h);
+        host += "." + zone;
         sys.admit(host);
         sys.add_record(host, store::Record{"A", host, 600});
         names.push_back(host);

@@ -48,10 +48,13 @@ std::vector<std::string> build_hierarchy(hours::HoursSystem& sys, std::uint64_t 
   std::vector<std::string> names;
   names.reserve(zones * hosts);
   for (std::uint64_t z = 0; z < zones; ++z) {
-    const std::string zone = "z" + std::to_string(z);
+    std::string zone = "z";
+    zone += std::to_string(z);
     HOURS_ASSERT(sys.admit(zone).ok());
     for (std::uint64_t h = 0; h < hosts; ++h) {
-      const std::string name = "h" + std::to_string(h) + "." + zone;
+      std::string name = "h";
+      name += std::to_string(h);
+      name += "." + zone;
       HOURS_ASSERT(sys.admit(name).ok());
       HOURS_ASSERT(
           sys.add_record(name, hours::store::Record{"A", std::to_string(z * hosts + h), 1'000})

@@ -448,7 +448,9 @@ RunOutcome run_hierarchy(const Scenario& sc, const RunOptions& options) {
   if (sc.attacker.kind == AttackerKind::kCacheBusting) {
     (void)sys.admit("cb");
     for (std::uint64_t j = 0; j < sc.attacker.hosts; ++j) {
-      const std::string host = "n" + std::to_string(j) + ".cb";
+      std::string host = "n";
+      host += std::to_string(j);
+      host += ".cb";
       (void)sys.admit(host);
       (void)sys.add_record(host, store::Record{"A", host, sc.hierarchy.record_ttl});
       cb_names.push_back(host);

@@ -178,7 +178,8 @@ void gen_names(const std::vector<std::uint64_t>& branching, std::size_t level,
                const std::string& suffix, std::vector<std::string>* all,
                std::vector<std::string>* leaves) {
   for (std::uint64_t j = 0; j < branching[level]; ++j) {
-    std::string name = "n" + std::to_string(j);
+    std::string name = "n";
+    name += std::to_string(j);
     if (!suffix.empty()) name += "." + suffix;
     if (all != nullptr) all->push_back(name);
     if (level + 1 == branching.size()) {

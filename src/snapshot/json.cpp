@@ -5,6 +5,9 @@
 
 namespace hours::snapshot {
 
+Json::Json(Json&& other) noexcept = default;
+Json& Json::operator=(Json&& other) noexcept = default;
+
 const Json* Json::find(std::string_view key) const {
   if (!is_object()) return nullptr;
   const auto& obj = fields();

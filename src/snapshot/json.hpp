@@ -36,6 +36,15 @@ class Json {
   Json(Array a) : value_(std::move(a)) {}  // NOLINT
   Json(Object o) : value_(std::move(o)) {}  // NOLINT
 
+  // The moves are defined out of line: inlined into every caller, the
+  // variant's implicit move makes g++ 12's optimizer report libstdc++
+  // internals as maybe-uninitialized.
+  Json(const Json&) = default;
+  Json& operator=(const Json&) = default;
+  Json(Json&& other) noexcept;
+  Json& operator=(Json&& other) noexcept;
+  ~Json() = default;
+
   [[nodiscard]] static Json array() { return Json(Array{}); }
   [[nodiscard]] static Json object() { return Json(Object{}); }
 
