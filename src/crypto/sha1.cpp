@@ -37,30 +37,20 @@ void Sha1::process_block(const std::uint8_t* block) noexcept {
   std::uint32_t c = state_[2];
   std::uint32_t d = state_[3];
   std::uint32_t e = state_[4];
-
-  for (int t = 0; t < 80; ++t) {
-    std::uint32_t f = 0;
-    std::uint32_t k = 0;
-    if (t < 20) {
-      f = (b & c) | ((~b) & d);
-      k = 0x5A827999U;
-    } else if (t < 40) {
-      f = b ^ c ^ d;
-      k = 0x6ED9EBA1U;
-    } else if (t < 60) {
-      f = (b & c) | (b & d) | (c & d);
-      k = 0x8F1BBCDCU;
-    } else {
-      f = b ^ c ^ d;
-      k = 0xCA62C1D6U;
-    }
-    const std::uint32_t temp = rotl(a, 5) + f + e + w[t] + k;
+  // One round: the same update for all 80, with the round function f and
+  // constant k fixed per 20-round stage.
+  const auto round = [&](std::uint32_t f, std::uint32_t k, std::uint32_t word) {
+    const std::uint32_t temp = rotl(a, 5) + f + e + word + k;
     e = d;
     d = c;
     c = rotl(b, 30);
     b = a;
     a = temp;
-  }
+  };
+  for (int t = 0; t < 20; ++t) round((b & c) | (~b & d), 0x5A827999U, w[t]);
+  for (int t = 20; t < 40; ++t) round(b ^ c ^ d, 0x6ED9EBA1U, w[t]);
+  for (int t = 40; t < 60; ++t) round((b & c) | (b & d) | (c & d), 0x8F1BBCDCU, w[t]);
+  for (int t = 60; t < 80; ++t) round(b ^ c ^ d, 0xCA62C1D6U, w[t]);
 
   state_[0] += a;
   state_[1] += b;
@@ -100,21 +90,19 @@ void Sha1::update(const void* data, std::size_t size) noexcept {
 Sha1Digest Sha1::finish() noexcept {
   const std::uint64_t bit_length = total_bytes_ * 8;
 
-  // Append 0x80, then zeros, then the 64-bit big-endian bit length.
-  const std::uint8_t pad_byte = 0x80;
-  update(&pad_byte, 1);
-  const std::uint8_t zero = 0x00;
-  while (buffered_ != 56) {
-    update(&zero, 1);
+  // Pad in place: 0x80, zeros up to 56 bytes mod 64 (through a second
+  // block when fewer than 8 bytes remain), then the 64-bit big-endian bit
+  // length.
+  buffer_[buffered_++] = 0x80;
+  if (buffered_ > 56) {
+    std::memset(buffer_.data() + buffered_, 0, buffer_.size() - buffered_);
+    process_block(buffer_.data());
+    buffered_ = 0;
   }
-
-  std::uint8_t length_bytes[8];
-  for (int i = 0; i < 8; ++i) {
-    length_bytes[i] = static_cast<std::uint8_t>(bit_length >> (56 - 8 * i));
+  std::memset(buffer_.data() + buffered_, 0, 56 - buffered_);
+  for (std::size_t i = 0; i < 8; ++i) {
+    buffer_[56 + i] = static_cast<std::uint8_t>(bit_length >> (56 - 8 * i));
   }
-  // Bypass update() for the trailing length: total_bytes_ is already corrupted
-  // by padding, but only the block contents matter now.
-  std::memcpy(buffer_.data() + buffered_, length_bytes, 8);
   process_block(buffer_.data());
   buffered_ = 0;
 

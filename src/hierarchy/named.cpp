@@ -26,7 +26,9 @@ struct NamedHierarchy::TreeNode {
 
   naming::Name name;
   ids::Identifier id;
-  bool alive = true;
+  /// This node's ring index in its primary parent, cached by index_of and
+  /// valid while `index_stamp` equals that parent's `member_epoch`.
+  mutable std::uint32_t ring_index = 0;
   TreeNode* parent = nullptr;                   // primary parent
   std::vector<TreeNode*> secondary_parents;     // mesh parents (Section 7)
 
@@ -38,6 +40,13 @@ struct NamedHierarchy::TreeNode {
   /// member's position is its ring index (Section 3.2).
   std::vector<TreeNode*> members;
   std::unique_ptr<overlay::Overlay> child_overlay;
+  /// Bumped by every change to `members`, which can shift ring indices; a
+  /// child's cached index counts only while its stamp matches. 0 is never
+  /// an epoch, so a fresh stamp (0) never matches. 16 bits each: with the
+  /// two flags they fill what was padding, so a node's size does not grow.
+  std::uint16_t member_epoch = 1;
+  mutable std::uint16_t index_stamp = 0;
+  bool alive = true;
   // Membership changes invalidate the overlay (expensive: routing tables);
   // it regenerates on the next routed visit, so a topology walk never
   // forces a table build.
@@ -58,21 +67,42 @@ struct NamedHierarchy::TreeNode {
     return nullptr;
   }
 
-  /// Ring index of `member` (owned or alias): a binary search on identifier.
+  /// Ring index of `member` (owned or alias). For an owned child whose
+  /// cached index is current this reads the child alone; otherwise it is a
+  /// binary search on identifier, and an owned child caches the result.
   [[nodiscard]] std::uint32_t index_of(const TreeNode* member) const {
+    const bool owned_child = member->parent == this;
+    if (owned_child && member->index_stamp == member_epoch) return member->ring_index;
     const auto it = std::ranges::lower_bound(members, member->id, {}, &TreeNode::id);
     HOURS_ASSERT(it != members.end() && *it == member);
-    return static_cast<std::uint32_t>(it - members.begin());
+    const auto index = static_cast<std::uint32_t>(it - members.begin());
+    if (owned_child) {
+      member->ring_index = index;
+      member->index_stamp = member_epoch;
+    }
+    return index;
   }
 
   void insert_member(TreeNode* member) {
     members.insert(std::ranges::upper_bound(members, member->id, {}, &TreeNode::id), member);
-    overlay_dirty = true;
+    members_changed();
   }
 
   void erase_member(const TreeNode* member) {
     members.erase(members.begin() + index_of(member));
+    members_changed();
+  }
+
+  /// Invalidates the overlay and every cached index in one step. Once the
+  /// epoch wraps, the owned children's stamps are cleared before any epoch
+  /// value comes round again, so an old stamp can never match.
+  void members_changed() {
     overlay_dirty = true;
+    if (++member_epoch != 0) return;
+    for (const TreeNode* member : members) {
+      if (member->parent == this) member->index_stamp = 0;
+    }
+    member_epoch = 1;
   }
 
   void adopt(std::unique_ptr<TreeNode> node) {

@@ -100,7 +100,7 @@ QueryResult EventBackend::run_client_query(std::uint32_t start_id, std::uint32_t
       result.delivered = true;
       system_.cache_bootstrap(dest.to_string());
       if (!from_cache && dest.depth() > 1) {
-        system_.cache_bootstrap(dest.ancestor_at(1).to_string());
+        system_.cache_bootstrap(dest.label(1));
       }
       break;
     case sim::QueryStatus::kDeadlineExceeded:

@@ -67,7 +67,7 @@ QueryResult GraphBackend::execute(const naming::Name& dest, bool record_path) {
       // every top-down path and therefore bootstraps any future query.
       system_.cache_bootstrap(dest.to_string());
       if (dest.depth() > 1) {
-        system_.cache_bootstrap(dest.ancestor_at(1).to_string());
+        system_.cache_bootstrap(dest.label(1));
       }
     }
     return result;

@@ -55,8 +55,15 @@ bool Name::is_prefix_of(const Name& other) const noexcept {
 
 std::string Name::to_string() const {
   if (is_root()) return ".";
-  std::vector<std::string> leaf_first{labels_.rbegin(), labels_.rend()};
-  return util::join(leaf_first, '.');
+  std::size_t size = labels_.size() - 1;  // the dots
+  for (const auto& part : labels_) size += part.size();
+  std::string out;
+  out.reserve(size);
+  for (auto it = labels_.rbegin(); it != labels_.rend(); ++it) {
+    if (it != labels_.rbegin()) out.push_back('.');
+    out += *it;
+  }
+  return out;
 }
 
 }  // namespace hours::naming

@@ -1,6 +1,7 @@
 #include "sim/hierarchy_protocol.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "ids/ring.hpp"
 #include "overlay/forwarding.hpp"
@@ -369,14 +370,21 @@ std::vector<std::uint32_t> HierarchySimulation::route_candidates(
   if (level < dest.size() && upward_prefix(at, 0, dest)) {
     // Algorithm 2 at an ancestor: the on-path child first; on its silence,
     // alive children nearest counter-clockwise of it serve as overlay
-    // entrances (footnote 4 / line 6). The walk visits each child once.
+    // entrances (footnote 4 / line 6). Counter-clockwise from the on-path
+    // child is two descending id ranges: the on-path child down to child 0,
+    // then the last child down to just past the on-path one.
+    const std::uint32_t first = first_child_[at];
     const std::uint32_t count = child_count_[at];
-    ids::RingIndex index = dest[level];
-    HOURS_EXPECTS(index < count);
+    HOURS_EXPECTS(dest[level] < count);
+    const std::uint32_t past_on_path = first + dest[level] + 1;
     out.reserve(count);
-    for (std::uint32_t step = 0; step < count; ++step) {
-      push(first_child_[at] + index);
-      index = index == 0 ? count - 1 : index - 1;
+    for (const auto& [top, bottom] :
+         {std::pair{past_on_path, first}, std::pair{first + count, past_on_path}}) {
+      for (std::uint32_t id = top; id-- > bottom;) {
+        if (suspects.empty() || !std::binary_search(suspects.begin(), suspects.end(), id)) {
+          out.push_back(id);
+        }
+      }
     }
     return out;
   }

@@ -184,7 +184,7 @@ void QueryClient::advance(std::uint64_t qid) {
     return;
   }
 
-  while (q.candidates.empty()) {
+  while (q.next_candidate == q.candidates.size()) {
     // Re-plan at the current custody holder with the (possibly enriched)
     // suspicion set; the flip to backward mode happens in here. Bounded:
     // every failed candidate was suspected, so each round shrinks.
@@ -218,10 +218,10 @@ void QueryClient::advance(std::uint64_t qid) {
       return;
     }
     q.candidates = std::move(candidates);
+    q.next_candidate = 0;
   }
 
-  q.current = q.candidates.front();
-  q.candidates.erase(q.candidates.begin());
+  q.current = q.candidates[q.next_candidate++];
   q.attempts = 0;
   attempt_current(qid);
 }
@@ -231,29 +231,32 @@ void QueryClient::attempt_current(std::uint64_t qid) {
   if (found == nullptr) return;
   QueryState& q = *found;
   ++q.attempts;
-  const std::uint32_t to = q.current;
+  // Two words of capture fit std::function's inline buffer; the target is
+  // q.current when either callback fires (one attempt outstanding).
   network_.attempt(
-      q.at, to, [this, qid, to] { on_ack(qid, to); },
-      [this, qid, to] { on_timeout(qid, to); });
+      q.at, q.current, [this, qid] { on_ack(qid); }, [this, qid] { on_timeout(qid); });
 }
 
-void QueryClient::on_ack(std::uint64_t qid, std::uint32_t hopped_to) {
+void QueryClient::on_ack(std::uint64_t qid) {
   QueryState* const found = pending(qid);
   if (found == nullptr) return;
   QueryState& q = *found;
+  const std::uint32_t hopped_to = q.current;
   liveness_.clear(0, hopped_to);  // proof of life
   q.backward = q.backward && network_.same_overlay(q.at, hopped_to);
   q.at = hopped_to;
   ++q.out.hops;
   q.candidates.clear();
+  q.next_candidate = 0;
   q.replans = 0;
   advance(qid);
 }
 
-void QueryClient::on_timeout(std::uint64_t qid, std::uint32_t tried) {
+void QueryClient::on_timeout(std::uint64_t qid) {
   QueryState* const found = pending(qid);
   if (found == nullptr) return;
   QueryState& q = *found;
+  const std::uint32_t tried = q.current;
 
   if (q.attempts <= config_.max_retries_per_hop) {
     // Retransmit after capped exponential backoff with deterministic jitter:

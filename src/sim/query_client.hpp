@@ -14,6 +14,15 @@
 //
 // Determinism: backoff jitter comes from a client-owned seeded generator,
 // so a fixed (network seed, client seed) pair replays bit-identically.
+//
+// One attempt outstanding: a query makes at most one transport attempt at
+// a time, and QueryState::current is that attempt's target until one of
+// its two callbacks fires (a retransmission re-attempts the same target
+// after its backoff; only a callback moves `current` on). The callbacks
+// therefore capture just (client, qid), which fits std::function's inline
+// buffer, and read the target from the query: a hop attempt allocates no
+// closure. The try-list is consumed through a cursor, not by erasing its
+// head.
 #pragma once
 
 #include <cstdint>
@@ -143,8 +152,9 @@ class QueryClient {
     std::uint32_t dest = 0;
     std::uint32_t at = 0;  ///< current custody holder
     bool backward = false;
-    std::vector<std::uint32_t> candidates;  ///< remaining at `at`
-    std::uint32_t current = 0;              ///< candidate being attempted
+    std::vector<std::uint32_t> candidates;  ///< the try-list planned at `at`
+    std::size_t next_candidate = 0;         ///< candidates[next_candidate..] remain
+    std::uint32_t current = 0;              ///< target of the outstanding attempt
     std::uint32_t attempts = 0;             ///< attempts made for `current`
     std::uint32_t replans = 0;              ///< candidate recomputations at `at`
     std::uint64_t deadline_event = 0;
@@ -156,8 +166,9 @@ class QueryClient {
   [[nodiscard]] QueryState* pending(std::uint64_t qid);
   void advance(std::uint64_t qid);
   void attempt_current(std::uint64_t qid);
-  void on_ack(std::uint64_t qid, std::uint32_t hopped_to);
-  void on_timeout(std::uint64_t qid, std::uint32_t tried);
+  /// The outstanding attempt to q.current was acked / went unanswered.
+  void on_ack(std::uint64_t qid);
+  void on_timeout(std::uint64_t qid);
   void complete(std::uint64_t qid, QueryStatus status);
   void suspect(std::uint32_t node);
   [[nodiscard]] std::uint32_t hop_budget() const noexcept;

@@ -46,7 +46,7 @@ std::uint64_t Simulator::insert(Ticks at, std::uint64_t id, std::uint32_t kind,
   } else {
     slot.args.clear();
   }
-  index_of_.emplace(id, index);
+  index_of_.insert(id, index);
   place(index);
   return id;
 }
@@ -229,10 +229,8 @@ std::uint64_t Simulator::schedule(Ticks delay, std::uint32_t kind, const std::ui
 void Simulator::cancel(std::uint64_t id) {
   // Stale ids (already executed, already cancelled, never issued) are
   // no-ops; live ones are erased outright — pending() stays exact.
-  const auto it = index_of_.find(id);
-  if (it == index_of_.end()) return;
-  const std::uint32_t index = it->second;
-  index_of_.erase(it);
+  const std::uint32_t index = index_of_.erase(id);
+  if (index == util::FlatIndex::kMissing) return;
   unlink(index);
   EventSlot& slot = slab_[index];
   slot.live = false;
@@ -339,7 +337,7 @@ void Simulator::restore_event(Ticks at, std::uint64_t id, snapshot::Described de
                               Action action) {
   HOURS_EXPECTS(at >= now_);
   HOURS_EXPECTS(id >= 1 && id < next_id_);
-  HOURS_EXPECTS(index_of_.find(id) == index_of_.end());
+  HOURS_EXPECTS(index_of_.find(id) == util::FlatIndex::kMissing);
   HOURS_EXPECTS(desc.kind != snapshot::kOpaque);
   HOURS_EXPECTS(action != nullptr);
   insert(at, id, desc.kind, desc.args.data(), desc.args.size(), std::move(action));

@@ -11,7 +11,9 @@
 // per-slot lists, and an overflow list beyond the ~2^36-tick horizon.
 // Scheduling and cancellation are O(1); finding the next event cascades a
 // slot down one level at a time (amortized O(levels) per event). Event
-// payloads live in reused slab slots, so the steady state allocates
+// payloads live in reused slab slots, and ids map to slots through a flat
+// open-addressing index (util/flat_index.hpp), so once the slab and the
+// index have grown to a run's peak, schedule, cancel and dispatch allocate
 // nothing. Exact (at, id) FIFO order is preserved: a level-0 slot holds a
 // single tick and is drained in id order.
 //
@@ -29,13 +31,13 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "snapshot/described.hpp"
 #include "snapshot/event_kinds.hpp"
 #include "util/arena.hpp"
 #include "util/contracts.hpp"
+#include "util/flat_index.hpp"
 
 namespace hours::sim {
 
@@ -184,7 +186,7 @@ class Simulator {
   std::uint64_t executed_total_ = 0;
 
   util::Slab<EventSlot> slab_;
-  std::unordered_map<std::uint64_t, std::uint32_t> index_of_;  ///< id -> slab index
+  util::FlatIndex index_of_;  ///< id -> slab index (ids start at 1)
 
   std::array<Level, kLevels> levels_;
   /// Events earlier than window 0's start (scheduled after a deadline-

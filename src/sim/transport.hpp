@@ -27,12 +27,20 @@
 // pending entry opaque — it works, but blocks snapshot save while
 // outstanding.
 //
+// Pending acks live in a slab (util/arena.hpp) found by token through a
+// flat index (util/flat_index.hpp): a slot keeps its callbacks' and
+// continuations' storage across reuse, so once both have grown to a run's
+// peak an acked send allocates nothing of its own. (A closure callback
+// still allocates when its captures outgrow std::function's inline
+// buffer, 16 bytes in libstdc++.) save_state() sorts the live tokens, so
+// the pending array stays in ascending token order.
+//
 // Header-only template: the payload type is supplied by the protocol.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -42,7 +50,9 @@
 #include "snapshot/event_kinds.hpp"
 #include "snapshot/json.hpp"
 #include "trace/sink.hpp"
+#include "util/arena.hpp"
 #include "util/contracts.hpp"
+#include "util/flat_index.hpp"
 
 namespace hours::sim {
 
@@ -185,11 +195,12 @@ class Transport {
   /// entry is opaque: it blocks snapshot save while outstanding.
   void send_expect_ack(Address from, Address to, Payload payload,
                        std::function<void()> on_ack, std::function<void()> on_timeout) {
-    Pending pending;
+    const std::uint32_t slot = pending_.allocate();
+    Pending& pending = pending_[slot];
     pending.opaque = true;
     pending.on_ack_fn = std::move(on_ack);
     pending.on_timeout_fn = std::move(on_timeout);
-    start_pending(from, to, std::move(payload), std::move(pending));
+    start_pending(from, to, std::move(payload), slot);
   }
 
   /// Continuation form: callbacks as described continuations dispatched
@@ -197,10 +208,11 @@ class Transport {
   void send_expect_ack(Address from, Address to, Payload payload, snapshot::Described on_ack,
                        snapshot::Described on_timeout) {
     HOURS_EXPECTS(runner_ != nullptr);
-    Pending pending;
+    const std::uint32_t slot = pending_.allocate();
+    Pending& pending = pending_[slot];
     pending.ack_cont = std::move(on_ack);
     pending.timeout_cont = std::move(on_timeout);
-    start_pending(from, to, std::move(payload), std::move(pending));
+    start_pending(from, to, std::move(payload), slot);
   }
 
   // -- snapshot support ---------------------------------------------------------
@@ -209,8 +221,15 @@ class Transport {
   /// pending entry is outstanding.
   [[nodiscard]] snapshot::Json save_state(std::string& error) const {
     using snapshot::Json;
-    for (const auto& [token, pending] : pending_) {
-      if (pending.opaque) {
+    // Cold path: collect the live slots and order them by token.
+    std::vector<std::pair<std::uint64_t, std::uint32_t>> live;  // (token, slot)
+    live.reserve(pending_index_.size());
+    for (std::uint32_t slot = 0; slot < pending_.high_water(); ++slot) {
+      if (pending_[slot].token != 0) live.emplace_back(pending_[slot].token, slot);
+    }
+    std::sort(live.begin(), live.end());
+    for (const auto& [token, slot] : live) {
+      if (pending_[slot].opaque) {
         error = "pending ack token " + std::to_string(token) +
                 " uses closure callbacks (unserializable)";
         return Json::object();
@@ -232,7 +251,8 @@ class Transport {
     out["messages_lost"] = Json(messages_lost_);
     out["messages_link_dropped"] = Json(messages_link_dropped_);
     Json pendings = Json::array();
-    for (const auto& [token, pending] : pending_) {
+    for (const auto& [token, slot] : live) {
+      const Pending& pending = pending_[slot];
       Json entry = Json::array();
       entry.push(Json(token));
       entry.push(Json(pending.timeout_event));
@@ -285,20 +305,28 @@ class Transport {
                                  ? state.find("messages_link_dropped")->as_u64()
                                  : 0;
     pending_.clear();
+    pending_index_.clear();
     for (const auto& raw : pending->items()) {
       if (!raw.is_array() || raw.items().size() < 5) return "transport.pending entry malformed";
       const auto& f = raw.items();
       std::size_t i = 0;
       const std::uint64_t token = f[i++].as_u64();
-      Pending entry;
-      entry.timeout_event = f[i++].as_u64();
-      entry.ack_cont.kind = static_cast<std::uint32_t>(f[i++].as_u64());
+      if (token == 0 || pending_index_.find(token) != util::FlatIndex::kMissing) {
+        return "transport.pending token zero or repeated";
+      }
+      const std::uint64_t timeout_event = f[i++].as_u64();
+      const auto ack_kind = static_cast<std::uint32_t>(f[i++].as_u64());
       const std::uint64_t ack_args = f[i++].as_u64();
       if (i + ack_args + 1 > f.size()) return "transport.pending entry truncated";
+      const std::uint32_t slot = pending_.allocate();
+      Pending& entry = pending_[slot];
+      entry.token = token;
+      entry.timeout_event = timeout_event;
+      entry.ack_cont.kind = ack_kind;
       for (std::uint64_t a = 0; a < ack_args; ++a) entry.ack_cont.args.push_back(f[i++].as_u64());
       entry.timeout_cont.kind = static_cast<std::uint32_t>(f[i++].as_u64());
       for (; i < f.size(); ++i) entry.timeout_cont.args.push_back(f[i].as_u64());
-      pending_.emplace(token, std::move(entry));
+      pending_index_.insert(token, slot);
     }
     return "";
   }
@@ -310,7 +338,7 @@ class Transport {
   void run_described(std::uint32_t kind, const std::uint64_t* args, std::size_t count) {
     if (kind == snapshot::kTransportAckTimeout) {
       HOURS_EXPECTS(count == 1);
-      handle_ack_timeout(args[0]);
+      settle(args[0], /*acked=*/false);
       return;
     }
     HOURS_EXPECTS(kind == snapshot::kTransportDelivery);
@@ -348,7 +376,10 @@ class Transport {
   }
 
  private:
+  /// One outstanding acked send. A free slab slot has token 0 and no
+  /// callbacks; its continuations' argument vectors keep their capacity.
   struct Pending {
+    std::uint64_t token = 0;
     bool opaque = false;
     std::function<void()> on_ack_fn;
     std::function<void()> on_timeout_fn;
@@ -357,7 +388,9 @@ class Transport {
     std::uint64_t timeout_event = 0;
   };
 
-  void start_pending(Address from, Address to, Payload payload, Pending pending) {
+  /// Sends the message for the filled pending `slot`, arms its timeout and
+  /// indexes it under a fresh token.
+  void start_pending(Address from, Address to, Payload payload, std::uint32_t slot) {
     const std::uint64_t token = next_token_++;
     Envelope env;
     env.from = from;
@@ -365,9 +398,11 @@ class Transport {
     env.payload = std::move(payload);
     transmit(to, std::move(env), /*is_ack=*/false);
 
+    Pending& pending = pending_[slot];
+    pending.token = token;
     if (pending.opaque) {
       pending.timeout_event =
-          sim_.schedule(config_.ack_timeout, [this, token] { handle_ack_timeout(token); });
+          sim_.schedule(config_.ack_timeout, [this, token] { settle(token, /*acked=*/false); });
     } else if (encode_) {
       // Codec installed implies the owning sim routes transport kinds to
       // run_described(): the timeout rides the described-only hot path.
@@ -377,21 +412,36 @@ class Transport {
       pending.timeout_event = sim_.schedule(
           config_.ack_timeout,
           snapshot::Described{snapshot::kTransportAckTimeout, {token}},
-          [this, token] { handle_ack_timeout(token); });
+          [this, token] { settle(token, /*acked=*/false); });
     }
-    pending_.emplace(token, std::move(pending));
+    pending_index_.insert(token, slot);
   }
 
-  void handle_ack_timeout(std::uint64_t token) {
-    const auto it = pending_.find(token);
-    if (it == pending_.end()) return;
-    Pending pending = std::move(it->second);
-    pending_.erase(it);
+  /// Settles `token` with its ack (true) or timeout callback: unindexes it,
+  /// runs the callback from its slot, then frees the slot. The slot stays
+  /// taken during the call, so sends the callback starts land elsewhere;
+  /// its token is already 0, so a save from inside the call skips it.
+  void settle(std::uint64_t token, bool acked) {
+    const std::uint32_t slot = pending_index_.erase(token);
+    if (slot == util::FlatIndex::kMissing) return;  // already settled
+    Pending& pending = pending_[slot];
+    pending.token = 0;
+    if (acked) sim_.cancel(pending.timeout_event);
     if (pending.opaque) {
-      if (pending.on_timeout_fn) pending.on_timeout_fn();
-    } else if (pending.timeout_cont.kind != snapshot::kOpaque) {
-      runner_(pending.timeout_cont);
+      const std::function<void()>& fn = acked ? pending.on_ack_fn : pending.on_timeout_fn;
+      if (fn) fn();
+    } else {
+      const snapshot::Described& cont = acked ? pending.ack_cont : pending.timeout_cont;
+      if (cont.kind != snapshot::kOpaque) runner_(cont);
     }
+    pending.opaque = false;
+    pending.on_ack_fn = nullptr;
+    pending.on_timeout_fn = nullptr;
+    pending.ack_cont.kind = snapshot::kOpaque;
+    pending.ack_cont.args.clear();
+    pending.timeout_cont.kind = snapshot::kOpaque;
+    pending.timeout_cont.args.clear();
+    pending_.release(slot);
   }
 
   [[nodiscard]] Ticks draw_latency() {
@@ -430,16 +480,7 @@ class Transport {
       digest_apply_(to, env.from, digest, digest_words);
     }
     if (is_ack) {
-      const auto it = pending_.find(env.token);
-      if (it == pending_.end()) return;  // raced with its own timeout
-      sim_.cancel(it->second.timeout_event);
-      Pending pending = std::move(it->second);
-      pending_.erase(it);
-      if (pending.opaque) {
-        if (pending.on_ack_fn) pending.on_ack_fn();
-      } else if (pending.ack_cont.kind != snapshot::kOpaque) {
-        runner_(pending.ack_cont);
-      }
+      settle(env.token, /*acked=*/true);  // a no-op once its timeout fired
       return;
     }
     if (env.token != 0) {
@@ -500,7 +541,10 @@ class Transport {
   trace::Tracer* trace_ = nullptr;
   std::uint64_t next_token_ = 1;
   std::vector<std::uint64_t> scratch_args_;  ///< reused per-transmit encode buffer
-  std::map<std::uint64_t, Pending> pending_;
+  /// Acks in flight are few next to queued events: small chunks keep an
+  /// idle transport's first chunk (value-initialized) to ~40 KB.
+  util::Slab<Pending> pending_{256};
+  util::FlatIndex pending_index_;  ///< token -> pending_ slot (tokens start at 1)
   std::uint64_t messages_sent_ = 0;
   std::uint64_t messages_lost_ = 0;
   std::uint64_t messages_link_dropped_ = 0;

@@ -1,11 +1,13 @@
 #include "util/strings.hpp"
 
+#include <algorithm>
 #include <cctype>
 
 namespace hours::util {
 
 std::vector<std::string> split(std::string_view input, char sep) {
   std::vector<std::string> out;
+  out.reserve(static_cast<std::size_t>(std::count(input.begin(), input.end(), sep)) + 1);
   std::size_t start = 0;
   while (true) {
     const std::size_t pos = input.find(sep, start);

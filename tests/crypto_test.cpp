@@ -6,6 +6,8 @@
 
 #include <string>
 
+#include "util/hash.hpp"
+
 namespace hours::crypto {
 namespace {
 
@@ -68,6 +70,21 @@ TEST(Sha1, ResetReusesObject) {
 
 TEST(Sha1, DistinctInputsDistinctDigests) {
   EXPECT_NE(sha1("node-a.example"), sha1("node-b.example"));
+}
+
+TEST(Crypto, Sha1DigestsArePinned) {
+  // One input of every length 0..300, so the padding's 55/56/64/119/120-byte
+  // boundaries are all crossed; bytes run through all 256 values. The
+  // FNV-1a hash of the concatenated digests was recorded from the
+  // byte-at-a-time padding implementation.
+  std::string input;
+  std::string digests;
+  for (std::size_t length = 0; length <= 300; ++length) {
+    const auto digest = sha1(input);
+    digests.append(digest.begin(), digest.end());
+    input.push_back(static_cast<char>((length * 131 + 7) & 0xFF));
+  }
+  EXPECT_EQ(util::fnv1a(digests), 0x9fb2b7ca51f80200ULL);
 }
 
 }  // namespace

@@ -147,11 +147,46 @@ TEST(NamedHierarchy, RootLiveness) {
 }
 
 // ---------------------------------------------------------------------------
+TEST(NamedHierarchy, CachedIndexSurvivesEpochWrap) {
+  // A resolve caches a node's ring index under its parent's membership
+  // epoch. Here the parent's membership then changes 65,535 times (enough
+  // to bring a 16-bit epoch back round) and ends with a sibling that sorts
+  // before the node: a stamp that matched again would return the stale
+  // index.
+  NamedHierarchy h{params()};
+  ASSERT_TRUE(h.admit(naming::Name::parse("z").value()).ok());
+  const auto keep = naming::Name::parse("keep.z").value();
+  ASSERT_TRUE(h.admit(keep).ok());
+  // A sibling label whose identifier sorts before keep.z's.
+  naming::Name temp;
+  for (int i = 0; temp.is_root(); ++i) {
+    std::string label{"t"};
+    label += std::to_string(i);
+    const auto candidate = naming::Name::from_labels({"z", label});
+    if (ids::Identifier::from_name(candidate.to_string()) <
+        ids::Identifier::from_name(keep.to_string())) {
+      temp = candidate;
+    }
+  }
+  ASSERT_EQ(h.resolve(keep).value(), (NodePath{0, 0}));  // cached here
+
+  for (int i = 0; i < 32'767; ++i) {  // two membership changes each
+    ASSERT_TRUE(h.admit(temp).ok());
+    ASSERT_TRUE(h.remove(temp).ok());
+  }
+  ASSERT_TRUE(h.admit(temp).ok());
+  EXPECT_EQ(h.resolve(keep).value(), (NodePath{0, 1}));
+  EXPECT_EQ(h.resolve(temp).value(), (NodePath{0, 0}));
+  EXPECT_EQ(h.name_of(NodePath{0, 1}).value(), keep);
+}
+
 // Differential check of the label and identifier indexes: seeded random
 // admit / admit_secondary / remove / set_alive sequences, re-admission after
 // removal included, must leave every view NamedHierarchy offers equal to a
 // brute-force model that scans labels linearly and fully sorts each sibling
-// set by identifier on every lookup.
+// set by identifier on every lookup. Beyond the full comparison every 16th
+// step, one random admitted name is resolved after every step, so cached
+// ring indices are checked right after each membership change.
 //
 // Seed control, as in the fuzz harnesses:
 //   HOURS_FUZZ_SEEDS=N   sweep seeds 1..N   (default 25)
@@ -384,6 +419,7 @@ void run_differential_seed(std::uint64_t seed) {
   constexpr int kCheckEvery = 16;
 
   rng::Xoshiro256 rng{seed};
+  rng::Xoshiro256 probe{~seed};  // picks the per-step resolve, apart from the ops
   NamedHierarchy h{params()};
   ReferenceHierarchy ref;
   std::vector<naming::Name> universe{naming::Name{}};
@@ -438,6 +474,13 @@ void run_differential_seed(std::uint64_t seed) {
       const bool alive = !h.root_alive();
       h.set_root_alive(alive);
       ref.set_root_alive(alive);
+    }
+    if (const auto now_present = ref.present(); !now_present.empty()) {
+      const auto& n = ref.name_of(now_present[probe.below(now_present.size())]);
+      const auto resolved = h.resolve(n);
+      ASSERT_TRUE(resolved.ok()) << "after step " << step << ": " << n.to_string();
+      ASSERT_EQ(resolved.value(), ref.paths(n, 1).front())
+          << "after step " << step << ": " << n.to_string();
     }
     if (step % kCheckEvery == kCheckEvery - 1 || step == kSteps - 1) {
       SCOPED_TRACE("after step " + std::to_string(step));

@@ -6,9 +6,12 @@
 // schedules across every delay class the wheel treats differently (same
 // instant, level 0..4, beyond the overflow horizon), antechamber inserts
 // (near events scheduled while the windows sit anchored at a far event),
-// cancels of live and stale ids, deadline- and max_events-bounded runs, and
-// events that schedule children mid-dispatch — and asserts identical
-// execution order, clocks, pending counts, and truncation flags.
+// cancels of live and stale ids, deadline- and max_events-bounded runs,
+// events that schedule children mid-dispatch, bursts of 1,000-5,000
+// schedules at once and cancel storms that take most of a burst back in
+// random order (so the id index grows several times and drains again;
+// util_test's FlatIndex case covers long probe runs) — and asserts
+// identical execution order, clocks, pending counts, and truncation flags.
 //
 // On a sampled subset of seeds the snapshot oracle interposes: pending
 // events are captured, the queue is reset, and every event is re-instated
@@ -63,16 +66,15 @@ class RefModel {
   };
 
   void schedule(Ticks delay, bool chain, Ticks child_delay) {
+    at_of_.emplace(next_id_, now_ + delay);
     q_.emplace(std::make_pair(now_ + delay, next_id_++), Entry{chain, child_delay});
   }
 
   void cancel(std::uint64_t id) {
-    for (auto it = q_.begin(); it != q_.end(); ++it) {
-      if (it->first.second == id) {
-        q_.erase(it);
-        return;
-      }
-    }
+    const auto it = at_of_.find(id);
+    if (it == at_of_.end()) return;
+    q_.erase(std::make_pair(it->second, id));
+    at_of_.erase(it);
   }
 
   std::size_t run(Ticks limit, std::size_t max_events, Log& log) {
@@ -86,6 +88,7 @@ class RefModel {
       const auto [at, id] = it->first;
       const Entry entry = it->second;
       q_.erase(it);
+      at_of_.erase(id);
       now_ = at;
       log.emplace_back(now_, id);
       if (entry.chain) schedule(entry.child_delay, false, 0);
@@ -106,6 +109,7 @@ class RefModel {
 
  private:
   std::map<std::pair<Ticks, std::uint64_t>, Entry> q_;
+  std::map<std::uint64_t, Ticks> at_of_;  ///< queued id -> instant, for cancel
   Ticks now_ = 0;
   std::uint64_t next_id_ = 1;
   bool truncated_ = false;
@@ -259,9 +263,31 @@ void run_seed(std::uint64_t seed, bool oracle) {
   Lockstep pair;
 
   const int phases = 24 + static_cast<int>(g.below(24));
+  std::vector<std::uint64_t> burst;  // ids of the latest burst
   for (int phase = 0; phase < phases; ++phase) {
-    const std::uint64_t op = g.below(8);
-    if (op < 3) {
+    const std::uint64_t op = g.below(10);
+    if (op == 8) {
+      // Burst: thousands of schedules with nothing run in between.
+      const auto size = 1'000 + static_cast<std::size_t>(g.below(4'001));
+      burst.clear();
+      for (std::size_t i = 0; i < size; ++i) {
+        burst.push_back(pair.sim().next_id());
+        const int form = oracle ? 1 + static_cast<int>(g.below(2))
+                                : static_cast<int>(g.below(3));
+        pair.schedule(random_delay(g), form, g.below(8) == 0, random_delay(g));
+      }
+      pair.check_state();
+    } else if (op == 9) {
+      // Cancel storm: most of the latest burst (some already ran), in
+      // random order.
+      for (std::size_t i = burst.size(); i > 1; --i) {
+        std::swap(burst[i - 1], burst[static_cast<std::size_t>(g.below(i))]);
+      }
+      const std::size_t storm = burst.size() * (60 + g.below(36)) / 100;
+      for (std::size_t i = 0; i < storm; ++i) pair.cancel(burst[i]);
+      burst.clear();
+      pair.check_state();
+    } else if (op < 3) {
       const int batch = 1 + static_cast<int>(g.below(16));
       for (int i = 0; i < batch; ++i) {
         // Oracle seeds stay fully described so the queue is serializable
@@ -294,7 +320,7 @@ void run_seed(std::uint64_t seed, bool oracle) {
       } else {
         pair.run(0, 10'000'000);
       }
-    } else if (oracle) {
+    } else if (op == 7 && oracle) {
       pair.snapshot_roundtrip(g);
     }
     if (::testing::Test::HasFatalFailure()) {

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
+
+#include "rng/xoshiro256.hpp"
+#include "util/flat_index.hpp"
 #include "util/hash.hpp"
 #include "util/status.hpp"
 #include "util/strings.hpp"
@@ -80,6 +85,42 @@ TEST(Result, ErrorCodeNames) {
   EXPECT_STREQ(to_string(Error::Code::kDropped), "dropped");
   EXPECT_STREQ(to_string(Error::Code::kDead), "dead");
   EXPECT_STREQ(to_string(Error::Code::kHopLimit), "hop_limit");
+}
+
+TEST(FlatIndex, MatchesMapUnderRandomInsertAndErase) {
+  // Random keys from a small range collide and form probe runs that wrap
+  // the table, so erase's backward shift moves entries across them; the
+  // table grows in the insert-heavy phases. A std::map is the oracle.
+  rng::Xoshiro256 rng{0xF1A7ULL};
+  FlatIndex index;
+  std::map<std::uint64_t, std::uint32_t> model;
+  for (int step = 0; step < 200'000; ++step) {
+    const bool insert_heavy = (step / 25'000) % 2 == 0;
+    const std::uint64_t key = 1 + rng.below(8'000);
+    const auto it = model.find(key);
+    if (rng.below(4) < (insert_heavy ? 3U : 1U)) {
+      if (it != model.end()) continue;
+      const auto value = static_cast<std::uint32_t>(rng.below(1U << 31));
+      index.insert(key, value);
+      model.emplace(key, value);
+    } else {
+      const std::uint32_t erased = index.erase(key);
+      if (it == model.end()) {
+        ASSERT_EQ(erased, FlatIndex::kMissing) << "step " << step;
+      } else {
+        ASSERT_EQ(erased, it->second) << "step " << step;
+        model.erase(it);
+      }
+    }
+    ASSERT_EQ(index.size(), model.size());
+    if (step % 1'000 == 0) {
+      for (const auto& [k, v] : model) ASSERT_EQ(index.find(k), v) << "step " << step;
+      ASSERT_EQ(index.find(8'001), FlatIndex::kMissing);
+    }
+  }
+  index.clear();
+  EXPECT_EQ(index.size(), 0U);
+  EXPECT_EQ(index.find(model.begin()->first), FlatIndex::kMissing);
 }
 
 }  // namespace
