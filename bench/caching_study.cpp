@@ -3,9 +3,9 @@
 // the query patterns. On the contrary, HOURS assures to forward arbitrary
 // queries with high probability."
 //
-// We drive a client Resolver with Zipf-distributed queries (the web/DNS
-// pattern of [Breslau99]/[Jung01]) over a hierarchy under attack, and
-// compare:
+// We drive a client resolver cache (a one-shard ConcurrentResolver) with
+// Zipf-distributed queries (the web/DNS pattern of [Breslau99]/[Jung01])
+// over a hierarchy under attack, and compare:
 //   * cache-only   (unprotected tree + client cache)
 //   * HOURS-only   (no client cache)
 //   * cache+HOURS
@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "hours/resolver.hpp"
+#include "hours/concurrent_resolver.hpp"
 #include "metrics/table_writer.hpp"
 #include "workload/workload.hpp"
 
@@ -71,13 +71,12 @@ Outcome run(overlay::Design design, Mode mode, double zipf_s, int queries) {
   World world{design};
 
   // Warm phase: the system is healthy; clients query and fill caches.
-  Resolver resolver{world.sys, 4096};
+  ConcurrentResolver resolver{world.sys, 4096, /*shard_count=*/1};
   workload::ZipfSampler zipf{world.names.size(), zipf_s, 0xCAC4E};
   std::uint64_t now = 0;
   for (int i = 0; i < queries / 2; ++i) {
     (void)resolver.resolve(world.names[zipf.next()], now++);
   }
-  if (!use_cache) resolver.clear_cache();
 
   // Attack phase: five zones go down. Without HOURS (base design cannot
   // detour two-deep here; we emulate "no HOURS" by killing the zones AND
@@ -108,7 +107,7 @@ Outcome run(overlay::Design design, Mode mode, double zipf_s, int queries) {
       // Keep the clock and cache churning but score only dead-zone names.
       if (mode == Mode::kHoursCache) {
         (void)resolver.resolve(name, now);
-      } else if (mode == Mode::kCachePlain && resolver.peek(name, now) == nullptr) {
+      } else if (mode == Mode::kCachePlain && !resolver.peek(name, now, nullptr)) {
         // Plain tree still resolves alive zones; refresh the cache as a
         // real client would.
         const auto r = world.sys.lookup(name);
@@ -134,7 +133,7 @@ Outcome run(overlay::Design design, Mode mode, double zipf_s, int queries) {
         // Unprotected tree (Figure 1): the query succeeds only from the
         // cache — the zone on the tree path is dead, so the hierarchy
         // cannot answer and the cache cannot be refreshed.
-        if (resolver.peek(name, now) != nullptr) {
+        if (resolver.peek(name, now, nullptr)) {
           ++answered;
           ++scored_hits;
         }

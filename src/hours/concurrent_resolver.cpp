@@ -1,5 +1,8 @@
 #include "hours/concurrent_resolver.hpp"
 
+#include <algorithm>
+#include <limits>
+#include <map>
 #include <tuple>
 #include <utility>
 
@@ -8,31 +11,59 @@
 
 namespace hours {
 
+namespace {
+
+/// When an answer cached at `now` expires: now + answer_min_ttl, saturating
+/// so that a TTL near 2^64 never wraps into the past.
+std::uint64_t answer_expiry(std::uint64_t now, const std::vector<store::Record>& records) {
+  constexpr std::uint64_t kNever = std::numeric_limits<std::uint64_t>::max();
+  const std::uint64_t ttl = answer_min_ttl(records);
+  return ttl > kNever - now ? kNever : now + ttl;
+}
+
+/// Names one shard of `capacity` split over `shard_count` shards may hold.
+std::size_t per_shard(std::size_t capacity, unsigned shard_count) {
+  return capacity / shard_count + (capacity % shard_count != 0 ? 1 : 0);
+}
+
+}  // namespace
+
 ConcurrentResolver::ConcurrentResolver(HoursSystem& system, std::size_t capacity,
                                        unsigned shard_count)
     : system_(system) {
   HOURS_EXPECTS(capacity > 0);
   HOURS_EXPECTS(shard_count > 0);
-  shard_capacity_ = capacity / shard_count + (capacity % shard_count != 0 ? 1 : 0);
+  size_shards(capacity, shard_count);
+}
+
+// No concurrent readers may remain; the RCU domain frees retired nodes.
+ConcurrentResolver::~ConcurrentResolver() {
+  for (Node* node : linked_nodes()) delete node;
+}
+
+void ConcurrentResolver::size_shards(std::size_t capacity, unsigned shard_count) {
+  for (Node* node : linked_nodes()) delete node;
+  capacity_ = capacity;
+  shard_capacity_ = per_shard(capacity, shard_count);
   std::size_t buckets = 1;
   while (buckets < shard_capacity_ && buckets < kMaxBuckets) buckets <<= 1;
   bucket_mask_ = buckets - 1;
+  shards_.clear();
   shards_.reserve(shard_count);
   for (unsigned i = 0; i < shard_count; ++i) shards_.push_back(std::make_unique<Shard>(buckets));
 }
 
-ConcurrentResolver::~ConcurrentResolver() {
-  // No concurrent readers may remain; the RCU domain frees retired nodes,
-  // the linked ones are freed here.
-  for (auto& shard : shards_) {
+std::vector<ConcurrentResolver::Node*> ConcurrentResolver::linked_nodes() const {
+  std::vector<Node*> nodes;
+  for (const auto& shard : shards_) {
     for (std::size_t b = 0; b <= bucket_mask_; ++b) {
-      for (Node* node = shard->buckets[b].load(std::memory_order_relaxed); node != nullptr;) {
-        Node* next = node->next.load(std::memory_order_relaxed);
-        delete node;
-        node = next;
+      for (Node* node = shard->buckets[b].load(std::memory_order_relaxed); node != nullptr;
+           node = node->next.load(std::memory_order_relaxed)) {
+        nodes.push_back(node);
       }
     }
   }
+  return nodes;
 }
 
 bool ConcurrentResolver::probe(const Shard& shard, std::uint64_t hash, std::string_view name,
@@ -48,19 +79,24 @@ bool ConcurrentResolver::probe(const Shard& shard, std::uint64_t hash, std::stri
   return false;
 }
 
+std::atomic<ConcurrentResolver::Node*>* ConcurrentResolver::link_of(
+    Shard& shard, std::uint64_t hash, std::string_view name) const {
+  std::atomic<Node*>* link = &shard.buckets[bucket_of(hash)];
+  for (Node* node = link->load(std::memory_order_relaxed);
+       node != nullptr && (node->hash != hash || node->name != name);
+       node = link->load(std::memory_order_relaxed)) {
+    link = &node->next;
+  }
+  return link;
+}
+
 void ConcurrentResolver::publish(Shard& shard, std::uint64_t hash, std::string_view name,
                                  std::uint64_t expires_at, std::vector<store::Record> records,
                                  std::uint64_t now) {
   auto fresh = std::make_unique<Node>(hash, name, expires_at, std::move(records));
   std::lock_guard<std::mutex> lock{shard.writer};
-  std::atomic<Node*>& head = shard.buckets[bucket_of(hash)];
-  std::atomic<Node*>* link = &head;
-  Node* old = head.load(std::memory_order_relaxed);
-  while (old != nullptr && (old->hash != hash || old->name != name)) {
-    link = &old->next;
-    old = old->next.load(std::memory_order_relaxed);
-  }
-  if (old != nullptr) {
+  std::atomic<Node*>* link = link_of(shard, hash, name);
+  if (Node* old = link->load(std::memory_order_relaxed); old != nullptr) {
     // An overwrite never evicts: the replacement takes the old node's place.
     fresh->next.store(old->next.load(std::memory_order_relaxed), std::memory_order_relaxed);
     link->store(fresh.release(), std::memory_order_seq_cst);
@@ -70,6 +106,7 @@ void ConcurrentResolver::publish(Shard& shard, std::uint64_t hash, std::string_v
     return;
   }
   if (shard.size.load(std::memory_order_relaxed) >= shard_capacity_) evict(shard, now);
+  std::atomic<Node*>& head = shard.buckets[bucket_of(hash)];
   fresh->next.store(head.load(std::memory_order_relaxed), std::memory_order_relaxed);
   head.store(fresh.release(), std::memory_order_seq_cst);
   shard.size.fetch_add(1, std::memory_order_relaxed);
@@ -77,9 +114,8 @@ void ConcurrentResolver::publish(Shard& shard, std::uint64_t hash, std::string_v
 
 void ConcurrentResolver::evict(Shard& shard, std::uint64_t now) {
   // One pass unlinks every expired node and finds the smallest
-  // (expires_at, name) among the rest: Resolver's victim, the first its
-  // name-ordered scan meets, dropped only when nothing had expired (so no
-  // unlink moved the link that points at it).
+  // (expires_at, name) among the rest, dropped only when nothing had
+  // expired (so no unlink moved the link that points at it).
   std::lock_guard<std::mutex> rcu_lock{rcu_writer_mutex_};
   std::size_t dropped = 0;
   std::atomic<Node*>* victim_link = nullptr;
@@ -110,9 +146,39 @@ void ConcurrentResolver::evict(Shard& shard, std::uint64_t now) {
   rcu_.advance_and_reclaim();
 }
 
+void ConcurrentResolver::drop_expired(Shard& shard, std::uint64_t hash, std::string_view name,
+                                      std::uint64_t now) {
+  std::lock_guard<std::mutex> lock{shard.writer};
+  std::atomic<Node*>* link = link_of(shard, hash, name);
+  Node* node = link->load(std::memory_order_relaxed);
+  if (node == nullptr || node->expires_at > now) return;
+  std::lock_guard<std::mutex> rcu_lock{rcu_writer_mutex_};
+  unlink(*link, node);
+  shard.size.fetch_sub(1, std::memory_order_relaxed);
+  rcu_.advance_and_reclaim();
+}
+
 void ConcurrentResolver::unlink(std::atomic<Node*>& link, Node* node) {
   link.store(node->next.load(std::memory_order_relaxed), std::memory_order_seq_cst);
   rcu_.retire([node] { delete node; });
+}
+
+void ConcurrentResolver::settle(Shard& shard, std::uint64_t hash, std::string_view name,
+                                std::uint64_t now, const HoursSystem::LookupResult& answer,
+                                ResolveResult& result) {
+  result.hops = answer.query.hops;
+  if (defense_ != nullptr) {
+    (void)defense_->record_miss(NegativeCacheDigest::zone_of(name), name, now);
+  }
+  if (!answer.query.delivered) {
+    shard.failures.fetch_add(1, std::memory_order_relaxed);
+    drop_expired(shard, hash, name, now);
+    return;
+  }
+  shard.misses.fetch_add(1, std::memory_order_relaxed);
+  result.answered = true;
+  result.records = answer.records;
+  publish(shard, hash, name, answer_expiry(now, result.records), result.records, now);
 }
 
 ResolveResult ConcurrentResolver::resolve(std::string_view name, std::uint64_t now) {
@@ -129,9 +195,9 @@ ResolveResult ConcurrentResolver::resolve(std::string_view name, std::uint64_t n
   // Defense gate before the authority mutex: a refused query must not even
   // contend for the single-consumer hierarchy path — starving the authority
   // of attacker traffic is the point.
-  if (defense_ != nullptr && defense_->config().enabled &&
-      defense_->flagged(NegativeCacheDigest::zone_of(name), now)) {
+  if (defense_ != nullptr && defense_->flagged(NegativeCacheDigest::zone_of(name), now)) {
     shard.refusals.fetch_add(1, std::memory_order_relaxed);
+    drop_expired(shard, hash, name, now);
     return result;
   }
 
@@ -144,19 +210,7 @@ ResolveResult ConcurrentResolver::resolve(std::string_view name, std::uint64_t n
     result.from_cache = true;
     return result;
   }
-  const auto looked_up = system_.lookup(name);
-  result.hops = looked_up.query.hops;
-  if (defense_ != nullptr && defense_->config().enabled) {
-    (void)defense_->record_miss(NegativeCacheDigest::zone_of(name), name, now);
-  }
-  if (!looked_up.query.delivered) {
-    shard.failures.fetch_add(1, std::memory_order_relaxed);
-    return result;
-  }
-  shard.misses.fetch_add(1, std::memory_order_relaxed);
-  result.answered = true;
-  result.records = looked_up.records;
-  publish(shard, hash, name, now + answer_min_ttl(result.records), result.records, now);
+  settle(shard, hash, name, now, system_.lookup(name), result);
   return result;
 }
 
@@ -192,9 +246,9 @@ std::vector<ResolveResult> ConcurrentResolver::resolve_batch(
       results[i].from_cache = true;
       continue;
     }
-    if (defense_ != nullptr && defense_->config().enabled &&
-        defense_->flagged(NegativeCacheDigest::zone_of(names[i]), now)) {
+    if (defense_ != nullptr && defense_->flagged(NegativeCacheDigest::zone_of(names[i]), now)) {
       shard.refusals.fetch_add(1, std::memory_order_relaxed);
+      drop_expired(shard, hashes[i], names[i], now);
       continue;
     }
     forwarded.push_back(names[i]);
@@ -203,20 +257,7 @@ std::vector<ResolveResult> ConcurrentResolver::resolve_batch(
   const auto answers = system_.lookup_batch(forwarded);
   for (std::size_t j = 0; j < answers.size(); ++j) {
     const std::size_t i = forwarded_index[j];
-    Shard& shard = shard_of(hashes[i]);
-    results[i].hops = answers[j].query.hops;
-    if (defense_ != nullptr && defense_->config().enabled) {
-      (void)defense_->record_miss(NegativeCacheDigest::zone_of(names[i]), names[i], now);
-    }
-    if (!answers[j].query.delivered) {
-      shard.failures.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    shard.misses.fetch_add(1, std::memory_order_relaxed);
-    results[i].answered = true;
-    results[i].records = answers[j].records;
-    publish(shard, hashes[i], names[i], now + answer_min_ttl(results[i].records),
-            results[i].records, now);
+    settle(shard_of(hashes[i]), hashes[i], names[i], now, answers[j], results[i]);
   }
   return results;
 }
@@ -230,8 +271,8 @@ bool ConcurrentResolver::peek(std::string_view name, std::uint64_t now,
 void ConcurrentResolver::insert(std::string_view name, std::uint64_t now,
                                 std::vector<store::Record> records) {
   const std::uint64_t hash = util::fnv1a(name);
-  const std::uint64_t ttl = answer_min_ttl(records);
-  publish(shard_of(hash), hash, name, now + ttl, std::move(records), now);
+  const std::uint64_t expires_at = answer_expiry(now, records);
+  publish(shard_of(hash), hash, name, expires_at, std::move(records), now);
 }
 
 ResolverStats ConcurrentResolver::stats() const {
@@ -251,6 +292,104 @@ std::size_t ConcurrentResolver::cached_names() const {
   std::size_t total = 0;
   for (const auto& shard : shards_) total += shard->size.load(std::memory_order_relaxed);
   return total;
+}
+
+snapshot::Json ConcurrentResolver::to_json() const {
+  using snapshot::Json;
+  auto nodes = linked_nodes();
+  std::sort(nodes.begin(), nodes.end(),
+            [](const Node* a, const Node* b) { return a->name < b->name; });
+  Json out = Json::object();
+  out["capacity"] = Json(static_cast<std::uint64_t>(capacity_));
+  Json cache = Json::array();  // rows [name, expires_at, [[type, value, ttl]...]]
+  for (const Node* node : nodes) {
+    Json row = Json::array();
+    row.push(Json(node->name));
+    row.push(Json(node->expires_at));
+    Json records = Json::array();
+    for (const auto& record : node->records) {
+      Json fields = Json::array();
+      fields.push(Json(record.type));
+      fields.push(Json(record.value));
+      fields.push(Json(record.ttl));
+      records.push(std::move(fields));
+    }
+    row.push(std::move(records));
+    cache.push(std::move(row));
+  }
+  out["cache"] = std::move(cache);
+  const ResolverStats totals = stats();
+  Json counters = Json::array();
+  counters.push(Json(totals.cache_hits));
+  counters.push(Json(totals.cache_misses));
+  counters.push(Json(totals.failures));
+  counters.push(Json(totals.evictions));
+  out["stats"] = std::move(counters);
+  return out;
+}
+
+std::string ConcurrentResolver::from_json(const snapshot::Json& state) {
+  using snapshot::Json;
+  const Json* capacity = state.find("capacity");
+  const Json* cache = state.find("cache");
+  const Json* stats = state.find("stats");
+  if (capacity == nullptr || !capacity->is_u64() || cache == nullptr || !cache->is_array() ||
+      stats == nullptr || !stats->is_array() || stats->items().size() != 4) {
+    return "resolver state malformed";
+  }
+  for (const auto& field : stats->items()) {
+    if (!field.is_u64()) return "resolver.stats malformed";
+  }
+  struct Row {
+    std::uint64_t expires_at = 0;
+    std::vector<store::Record> records;
+  };
+  std::map<std::string, Row> rows;
+  bool repeated = false;
+  for (const auto& raw : cache->items()) {
+    if (!raw.is_array() || raw.items().size() != 3 || !raw.items()[0].is_string() ||
+        !raw.items()[1].is_u64() || !raw.items()[2].is_array()) {
+      return "resolver.cache entry malformed";
+    }
+    Row row{raw.items()[1].as_u64(), {}};
+    for (const auto& fields : raw.items()[2].items()) {
+      if (!fields.is_array() || fields.items().size() != 3 || !fields.items()[0].is_string() ||
+          !fields.items()[1].is_string() || !fields.items()[2].is_u64()) {
+        return "resolver.cache record malformed";
+      }
+      store::Record record;
+      record.type = fields.items()[0].as_string();
+      record.value = fields.items()[1].as_string();
+      record.ttl = fields.items()[2].as_u64();
+      row.records.push_back(std::move(record));
+    }
+    repeated |= !rows.emplace(raw.items()[0].as_string(), std::move(row)).second;
+  }
+  // Refused only once the document parses, so every malformed one keeps its
+  // error: a capacity the constructor rejects, one name linked twice, or
+  // more rows than one shard of the saved capacity holds.
+  const auto restored_capacity = static_cast<std::size_t>(capacity->as_u64());
+  if (restored_capacity == 0) return "resolver.capacity must be >= 1";
+  if (repeated) return "resolver.cache repeats a name";
+  const std::size_t room = per_shard(restored_capacity, shard_count());
+  std::vector<std::size_t> fill(shard_count(), 0);
+  for (const auto& entry : rows) {
+    if (++fill[util::fnv1a(entry.first) % fill.size()] > room) {
+      return "resolver.cache overfills a shard";
+    }
+  }
+
+  size_shards(restored_capacity, shard_count());
+  for (auto& [name, row] : rows) {
+    const std::uint64_t hash = util::fnv1a(name);
+    publish(shard_of(hash), hash, name, row.expires_at, std::move(row.records), 0);
+  }
+  Shard& first = *shards_.front();  // refusals, outside the layout, restart at 0
+  first.hits.store(stats->items()[0].as_u64(), std::memory_order_relaxed);
+  first.misses.store(stats->items()[1].as_u64(), std::memory_order_relaxed);
+  first.failures.store(stats->items()[2].as_u64(), std::memory_order_relaxed);
+  first.evictions.store(stats->items()[3].as_u64(), std::memory_order_relaxed);
+  return "";
 }
 
 }  // namespace hours

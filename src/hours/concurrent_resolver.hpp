@@ -1,7 +1,8 @@
 // Concurrent serving front-end: a sharded, RCU-published TTL answer cache
 // in front of HoursSystem — the first step from "simulator" to "service
 // under heavy traffic" (ROADMAP; cf. the Random Query String DoS paper's
-// concern with resolver caches under high-rate query mixes).
+// concern with resolver caches under high-rate query mixes). With one
+// shard it is a single client's cache (caching study, `serial` scenarios).
 //
 // Design:
 //   * The name's FNV-1a hash is computed once per call. `hash % shard_count`
@@ -16,27 +17,25 @@
 //   * Writers serialize on a per-shard mutex and change one link per node:
 //     a fresh name's fully built node is linked at its bucket head, an
 //     overwrite stores the new node in the old one's place (it inherits the
-//     old `next`), an eviction stores the victim's `next` over the link that
-//     pointed at it. Unlinked nodes are retired to the RCU domain; until
-//     they are reclaimed their `next` stays valid, so a reader parked on
-//     one walks on into the live chain.
+//     old `next`), an eviction or a drop stores the node's `next` over the
+//     link that pointed at it. Unlinked nodes are retired to the RCU domain;
+//     until they are reclaimed their `next` stays valid, so a reader parked
+//     on one walks on into the live chain.
 //   * The miss path funnels into the single-threaded HoursSystem under one
 //     authority mutex — concurrency lives in front of the hierarchy, never
 //     inside one query. resolve_batch() amortizes that mutex: probe all
 //     names lock-free first, then forward the misses in one batched
 //     HoursSystem::lookup_batch call.
 //
-// Semantics match Resolver (same answer_min_ttl aging, same eviction policy
-// applied per shard: an overwrite never evicts; a fresh name over capacity
-// drops everything expired, else the entry with the smallest
-// (expires_at, name)). With one shard a single-threaded trace through both
-// produces identical answers, counters and cache contents, eviction
-// pressure included, for names that, once cached, never fail a lookup —
-// the oracle properties in tests/concurrent_resolver_test.cpp. (Resolver
-// erases an expired entry when it is asked for it; here the entry stays
-// until the re-lookup overwrites it or an eviction sweeps it.) With several
-// shards the shard-local victim choice may differ from Resolver's global
-// one; cached_names() <= shard_count * ceil(capacity / shard_count) holds.
+// Policy, per shard: an answer cached at `now` expires at now +
+// answer_min_ttl, saturating, and is stale from then on. An overwrite never
+// evicts; a fresh name over capacity drops everything expired, else the
+// entry with the smallest (expires_at, name). A lookup that fails or is
+// refused drops the name's expired entry without counting an eviction, so
+// one shard matches, call by call, a map cache that erases an expired entry
+// when asked for it (tests/concurrent_resolver_test.cpp's reference model).
+// With several shards the victim choice is shard-local; cached_names() <=
+// shard_count * ceil(capacity / shard_count) holds.
 #pragma once
 
 #include <atomic>
@@ -50,6 +49,7 @@
 #include "hours/hours.hpp"
 #include "hours/resolver.hpp"
 #include "jobs/rcu.hpp"
+#include "snapshot/json.hpp"
 #include "store/record_store.hpp"
 
 namespace hours {
@@ -90,14 +90,7 @@ class ConcurrentResolver {
   /// a burst detected through any shard flags the zone for all of them
   /// (the gossip-shared negative-cache digest, DESIGN.md §11).
   void set_defense(NegativeCacheDefenseConfig config) {
-    defense_ = config.enabled ? std::make_shared<NegativeCacheDigest>(config) : nullptr;
-  }
-  /// Adopts a digest pooled with other resolver instances (null disarms).
-  void share_defense(std::shared_ptr<NegativeCacheDigest> digest) {
-    defense_ = std::move(digest);
-  }
-  [[nodiscard]] const std::shared_ptr<NegativeCacheDigest>& defense() const noexcept {
-    return defense_;
+    defense_ = config.enabled ? std::make_unique<NegativeCacheDigest>(config) : nullptr;
   }
 
   /// Aggregated across shards. Individual counters are exact; a snapshot
@@ -109,6 +102,15 @@ class ConcurrentResolver {
   [[nodiscard]] unsigned shard_count() const noexcept {
     return static_cast<unsigned>(shards_.size());
   }
+
+  /// Serializes the answer cache and statistics (docs/PROTOCOL.md appendix
+  /// C, "resolver" layout) while no writer runs. The HoursSystem reference
+  /// is not captured: restore into a resolver over the restored system.
+  [[nodiscard]] snapshot::Json to_json() const;
+  /// Replaces capacity, cache and statistics with the saved state, keeping
+  /// the shard count; call it with no other call running. Returns "" on
+  /// success; on an error the resolver is unchanged.
+  [[nodiscard]] std::string from_json(const snapshot::Json& state);
 
  private:
   /// One cached answer. Immutable once linked, except `next`.
@@ -150,25 +152,43 @@ class ConcurrentResolver {
   }
   [[nodiscard]] bool probe(const Shard& shard, std::uint64_t hash, std::string_view name,
                            std::uint64_t now, std::vector<store::Record>* out) const;
+  /// The link that points at `name`'s node, or the chain's null terminator.
+  /// Caller holds `shard.writer`.
+  [[nodiscard]] std::atomic<Node*>* link_of(Shard& shard, std::uint64_t hash,
+                                            std::string_view name) const;
   /// Links a node for `name` (replacing the name's node, if any), evicting
   /// first when a fresh name finds the shard full.
   void publish(Shard& shard, std::uint64_t hash, std::string_view name, std::uint64_t expires_at,
                std::vector<store::Record> records, std::uint64_t now);
-  /// Resolver's policy on one shard: drop every expired node, else the one
+  /// The eviction policy on one shard: drop every expired node, else the one
   /// with the smallest (expires_at, name). Caller holds `shard.writer`.
   void evict(Shard& shard, std::uint64_t now);
+  /// Unlinks `name`'s node if it has expired at `now`, counting no eviction.
+  void drop_expired(Shard& shard, std::uint64_t hash, std::string_view name, std::uint64_t now);
+  /// Books one forwarded lookup of `name`: its hops, the defense's miss
+  /// record, then a failure (dropping the name's expired node) or a miss
+  /// whose answer is published.
+  void settle(Shard& shard, std::uint64_t hash, std::string_view name, std::uint64_t now,
+              const HoursSystem::LookupResult& answer, ResolveResult& result);
   /// Stores `node`'s successor over `link` and retires `node`. Caller holds
   /// the shard's writer mutex and `rcu_writer_mutex_`.
   void unlink(std::atomic<Node*>& link, Node* node);
 
+  /// Frees every linked node, then splits `capacity` over `shard_count`
+  /// empty shards. No other call may run concurrently.
+  void size_shards(std::size_t capacity, unsigned shard_count);
+  /// Every node linked in any shard. No writer may run concurrently.
+  [[nodiscard]] std::vector<Node*> linked_nodes() const;
+
   HoursSystem& system_;
   std::mutex system_mutex_;  ///< the single-consumer authority path
-  std::size_t shard_capacity_;
-  std::size_t bucket_mask_;  ///< bucket count - 1, the same for every shard
+  std::size_t capacity_ = 0;
+  std::size_t shard_capacity_ = 0;
+  std::size_t bucket_mask_ = 0;  ///< bucket count - 1, the same for every shard
   mutable jobs::RcuDomain rcu_;
   std::mutex rcu_writer_mutex_;  ///< serializes retire/advance across shards
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::shared_ptr<NegativeCacheDigest> defense_;  ///< null = defense off
+  std::unique_ptr<NegativeCacheDigest> defense_;  ///< null = defense off
 };
 
 }  // namespace hours

@@ -7,7 +7,7 @@
 // end-to-end deadlines, all liveness inferred from silence — and accepts
 // sim::FaultPlan schedules so resolver caching studies run against scripted
 // churn instead of static oracle strikes. The backend clock is the
-// simulator's, scaled by ticks_per_second, so Resolver TTLs, fault windows
+// simulator's, scaled by ticks_per_second, so resolver TTLs, fault windows
 // and query deadlines share one timeline.
 //
 // Semantics that differ from GraphBackend (see docs/PROTOCOL.md §7):
@@ -44,7 +44,7 @@ struct EventBackendConfig {
   sim::TransportConfig transport;
   sim::QueryClientConfig client = default_event_client_config();
   /// Scale between simulator ticks and the facade's second-granularity
-  /// clock (Resolver TTLs, advance()).
+  /// clock (resolver TTLs, advance()).
   sim::Ticks ticks_per_second = 1'000;
   /// In-network suspicion expiry (HierarchySimConfig::suspicion_ttl).
   sim::Ticks suspicion_ttl = liveness::kDefaultSuspicionTtl;

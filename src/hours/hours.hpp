@@ -105,7 +105,7 @@ class HoursSystem {
   /// The active EventBackend, or nullptr while on the graph engine.
   [[nodiscard]] EventBackend* event_backend() noexcept { return event_backend_; }
 
-  /// Backend clock in seconds — the time base Resolver cache TTLs use.
+  /// Backend clock in seconds — the time base resolver cache TTLs use.
   [[nodiscard]] std::uint64_t now() const noexcept { return backend_->now(); }
 
   /// Advances the backend clock (and, on the event backend, runs the

@@ -14,8 +14,8 @@
 //     inferred from silence and faults scripted by sim::FaultPlan. Its
 //     clock is the simulator's, scaled to seconds.
 //
-// Both report QueryResult-shaped outcomes and expose one time source, so a
-// Resolver's cache TTLs, a FaultPlan's churn windows, and the client's
+// Both report QueryResult-shaped outcomes and expose one time source, so the
+// resolver cache's TTLs, a FaultPlan's churn windows, and the client's
 // query deadlines share a single timeline regardless of the engine
 // underneath. docs/PROTOCOL.md §7 specifies the contract and the semantic
 // differences between the two implementations.
@@ -62,7 +62,7 @@ class QueryBackend {
   /// Stable engine name ("graph" / "event") for reports and dispatch.
   [[nodiscard]] virtual std::string_view kind() const noexcept = 0;
 
-  /// Client-visible clock in seconds — the unit Resolver TTLs use.
+  /// Client-visible clock in seconds — the unit resolver cache TTLs use.
   [[nodiscard]] virtual std::uint64_t now() const noexcept = 0;
 
   /// Advances the clock by `seconds`. The event backend also runs its

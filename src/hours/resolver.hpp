@@ -3,20 +3,19 @@
 //
 // The paper is explicit that caching is *complementary* to HOURS: it gives
 // only opportunistic resolution (hit rates depend on the query pattern),
-// while HOURS assures forwarding of arbitrary queries. The Resolver models
-// a client: a TTL-bounded answer cache in front of HoursSystem::lookup, with
-// hit/miss/failure accounting so the caching ablation bench can quantify
-// exactly that claim.
+// while HOURS assures forwarding of arbitrary queries. A client's resolver
+// is a TTL-bounded answer cache (ConcurrentResolver) in front of
+// HoursSystem::lookup, with the hit/miss/failure accounting declared here
+// so the caching study can quantify exactly that claim.
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
+#include <vector>
 
-#include "hours/hours.hpp"
-#include "snapshot/json.hpp"
 #include "store/record_store.hpp"
 
 namespace hours {
@@ -24,8 +23,7 @@ namespace hours {
 /// Minimum TTL over an answer's records; answers without records get a
 /// short negative-style TTL (60s) so existence checks still benefit. No
 /// sentinel: a record whose TTL *is* 60 participates in the minimum like
-/// any other value. Shared by Resolver and ConcurrentResolver so both
-/// caches age answers identically (the hit-rate oracle depends on it).
+/// any other value.
 [[nodiscard]] std::uint64_t answer_min_ttl(const std::vector<store::Record>& records) noexcept;
 
 struct ResolverStats {
@@ -56,18 +54,15 @@ struct NegativeCacheDefenseConfig {
   std::uint64_t flag_ttl = 60;  ///< seconds a flagged zone stays refused
 };
 
-/// The shared evidence the defense gossips between resolver instances: a
-/// per-zone digest of recent distinct forwarded-miss names plus the flagged
-/// set they imply. One digest may back many resolvers (every shard of a
-/// ConcurrentResolver, or several cooperating clients) so any one of them
+/// The shared evidence of the cache-busting defense: a per-zone digest of
+/// recent distinct forwarded-miss names plus the flagged set they imply.
+/// One digest backs every shard of a ConcurrentResolver, so any shard
 /// detecting a burst protects all — the cache analogue of the liveness
 /// plane's suspicion digests. Internally synchronized; soft state only
 /// (never snapshotted — a restored resolver re-learns it within one window).
 class NegativeCacheDigest {
  public:
   explicit NegativeCacheDigest(NegativeCacheDefenseConfig config) : config_(config) {}
-
-  [[nodiscard]] const NegativeCacheDefenseConfig& config() const noexcept { return config_; }
 
   /// True while `zone` is flagged at time `now`.
   [[nodiscard]] bool flagged(std::string_view zone, std::uint64_t now) const;
@@ -102,80 +97,6 @@ struct ResolveResult {
   bool from_cache = false;
   std::uint32_t hops = 0;  ///< 0 on a cache hit
   std::vector<store::Record> records;
-};
-
-class Resolver {
- public:
-  /// `capacity` bounds the number of cached names (LRU-ish eviction by
-  /// earliest expiry). The system reference must outlive the resolver.
-  explicit Resolver(HoursSystem& system, std::size_t capacity = 1024)
-      : system_(system), capacity_(capacity) {}
-
-  /// Resolves `name` at client time `now` (seconds, monotone). Cached
-  /// answers are served until their TTL expires.
-  [[nodiscard]] ResolveResult resolve(std::string_view name, std::uint64_t now);
-
-  /// Cache-only probe: returns the cached records if present and fresh,
-  /// without touching the hierarchy. Does not update statistics.
-  [[nodiscard]] const std::vector<store::Record>* peek(std::string_view name,
-                                                       std::uint64_t now) const;
-
-  /// Installs an answer obtained out of band (e.g. a comparison harness
-  /// that routes through a different substrate).
-  void insert(std::string_view name, std::uint64_t now, std::vector<store::Record> records);
-
-  // Backend-clock variants: `now` comes from system.now(), so cache TTLs
-  // live on the same timeline as the query engine — on the event backend
-  // that is simulated time, where FaultPlan windows and query deadlines are
-  // scheduled.
-  [[nodiscard]] ResolveResult resolve(std::string_view name);
-  [[nodiscard]] const std::vector<store::Record>* peek(std::string_view name) const;
-  void insert(std::string_view name, std::vector<store::Record> records);
-
-  /// Arms the cache-busting defense with a private digest. Refused queries
-  /// return unanswered without touching the hierarchy and count under
-  /// stats().refusals.
-  void set_defense(NegativeCacheDefenseConfig config) {
-    defense_ = config.enabled ? std::make_shared<NegativeCacheDigest>(config) : nullptr;
-  }
-  /// Adopts a digest shared with other resolvers (null disarms).
-  void share_defense(std::shared_ptr<NegativeCacheDigest> digest) {
-    defense_ = std::move(digest);
-  }
-  [[nodiscard]] const std::shared_ptr<NegativeCacheDigest>& defense() const noexcept {
-    return defense_;
-  }
-
-  [[nodiscard]] ResolverStats stats() const noexcept {
-    ResolverStats s = stats_;
-    if (defense_ != nullptr) s.zones_flagged = defense_->zones_flagged();
-    return s;
-  }
-  void clear_cache() noexcept { cache_.clear(); }
-  [[nodiscard]] std::size_t cached_names() const noexcept { return cache_.size(); }
-
-  // -- snapshot ---------------------------------------------------------------
-  /// Serializes the answer cache and statistics (docs/PROTOCOL.md appendix
-  /// C, "resolver" layout). The HoursSystem reference is not captured: a
-  /// restored resolver must be constructed over the restored system.
-  [[nodiscard]] snapshot::Json to_json() const;
-  /// Replaces cache and statistics with the saved state. Returns "" on
-  /// success.
-  [[nodiscard]] std::string from_json(const snapshot::Json& state);
-
- private:
-  struct Entry {
-    std::uint64_t expires_at = 0;
-    std::vector<store::Record> records;
-  };
-
-  void evict_expired_or_oldest(std::uint64_t now);
-
-  HoursSystem& system_;
-  std::size_t capacity_;
-  std::map<std::string, Entry> cache_;
-  ResolverStats stats_;
-  std::shared_ptr<NegativeCacheDigest> defense_;  ///< null = defense off
 };
 
 }  // namespace hours

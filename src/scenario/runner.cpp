@@ -7,7 +7,6 @@
 #include <sstream>
 
 #include "hours/concurrent_resolver.hpp"
-#include "hours/resolver.hpp"
 #include "jobs/sweep.hpp"
 #include "metrics/json_writer.hpp"
 #include "metrics/timeline.hpp"
@@ -391,7 +390,7 @@ RunOutcome run_ring(const Scenario& sc, const RunOptions& options,
 }
 
 // ---------------------------------------------------------------------------
-// Hierarchy scenarios: HoursSystem + Resolver in backend seconds.
+// Hierarchy scenarios: HoursSystem + ConcurrentResolver in backend seconds.
 // ---------------------------------------------------------------------------
 
 struct WindowStats {
@@ -484,24 +483,12 @@ RunOutcome run_hierarchy(const Scenario& sc, const RunOptions& options) {
   tracer.add_sink(jsonl.get());
   if (tracer.enabled()) sys.set_tracer(&tracer);
 
-  // liveness: gossip arms the resolver edge's cache-busting defense — one
-  // NegativeCacheDigest, shared across every shard of the concurrent
-  // resolver, refusing flagged-zone misses before they reach the authority.
-  NegativeCacheDefenseConfig dcfg;
-  dcfg.enabled = defend;
-
-  std::unique_ptr<Resolver> serial;
-  std::unique_ptr<ConcurrentResolver> concurrent;
-  std::function<ResolveResult(const std::string&)> resolve_one;
-  if (sc.hierarchy.resolver == ResolverKind::kConcurrent) {
-    concurrent = std::make_unique<ConcurrentResolver>(sys, sc.hierarchy.resolver_capacity);
-    concurrent->set_defense(dcfg);
-    resolve_one = [&](const std::string& name) { return concurrent->resolve(name, sys.now()); };
-  } else {
-    serial = std::make_unique<Resolver>(sys, sc.hierarchy.resolver_capacity);
-    serial->set_defense(dcfg);
-    resolve_one = [&](const std::string& name) { return serial->resolve(name); };
-  }
+  // `serial` is one shard, `concurrent` eight. liveness: gossip arms the
+  // cache-busting defense — one NegativeCacheDigest shared by every shard,
+  // refusing flagged-zone misses before they reach the authority.
+  ConcurrentResolver resolver{sys, sc.hierarchy.resolver_capacity,
+                              sc.hierarchy.resolver == ResolverKind::kConcurrent ? 8U : 1U};
+  resolver.set_defense(NegativeCacheDefenseConfig{.enabled = defend});
 
   const std::uint64_t divisor = options.quick ? 2 : 1;
   auto samplers = make_samplers(sc, leaves.size());
@@ -548,21 +535,21 @@ RunOutcome run_hierarchy(const Scenario& sc, const RunOptions& options) {
       const std::size_t pick = samplers[phase] == nullptr
                                    ? static_cast<std::size_t>(uniform_rng->below(leaves.size()))
                                    : samplers[phase]->next();
-      record(legit_totals, at, resolve_one(leaves[pick]));
+      record(legit_totals, at, resolver.resolve(leaves[pick], at));
     }
     if (sc.attacker.kind == AttackerKind::kCacheBusting && t >= sc.attacker.from &&
         t < sc.attacker.until) {
       for (std::uint64_t q = 0; q < sc.attacker.rate && sys.now() < sc.horizon; ++q) {
         const std::uint64_t at = sys.now();
         const std::string& name = cb_names[cb_cursor++ % cb_names.size()];
-        record(attacker_totals, at, resolve_one(name));
+        record(attacker_totals, at, resolver.resolve(name, at));
       }
     }
     sys.advance(1);
   }
   tracer.flush();
 
-  const ResolverStats rstats = serial != nullptr ? serial->stats() : concurrent->stats();
+  const ResolverStats rstats = resolver.stats();
 
   RunOutcome outcome;
   JsonWriter json;

@@ -1,7 +1,7 @@
 // Executes validated Scenario documents and renders deterministic reports.
 //
 // run() assembles the system a document describes — RingSimulation +
-// QueryClient for "ring" scenarios, HoursSystem + Resolver for "hierarchy"
+// QueryClient for "ring" scenarios, HoursSystem + ConcurrentResolver for "hierarchy"
 // ones — arms its fault plan and attacker, drives the phased workload to
 // the horizon, and renders one metrics::JsonWriter report whose bytes are a
 // pure function of the document (plus RunOptions::quick). Controls a

@@ -1,22 +1,25 @@
 // ConcurrentResolver: the sharded RCU-published answer cache in front of
 // HoursSystem. Two kinds of coverage: (a) oracle equality — a
 // single-threaded trace through ConcurrentResolver produces exactly the
-// hit/miss/failure counts Resolver produces whenever capacity never binds,
-// and with one shard exactly Resolver's answers and cache contents under
-// eviction pressure too; (b) TSan-exercised concurrency — lock-free readers
-// racing inserts, evictions and TTL expiry, on private and on shared bucket
-// chains (the `unit` label runs under the TSan CI job).
+// hit/miss/failure counts and cache size of an in-test reference model of
+// the cache policy whenever capacity never binds, and with one shard
+// exactly the model's answers, counters and cache contents under eviction
+// pressure, failed re-lookups and defense refusals too; (b) TSan-exercised
+// concurrency — lock-free readers racing inserts, evictions, TTL expiry and
+// drops of expired entries, on private and on shared bucket chains (the
+// `unit` label runs under the TSan CI job).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <map>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "hours/concurrent_resolver.hpp"
-#include "hours/resolver.hpp"
 #include "rng/splitmix64.hpp"
 #include "rng/xoshiro256.hpp"
 
@@ -37,6 +40,122 @@ struct Fixture {
       }
     }
   }
+};
+
+/// Reference model of the answer-cache policy: a std::map keyed by name
+/// that erases an expired entry when it is asked for it. Answers cached at
+/// `now` expire at now + answer_min_ttl (saturating) and are stale from
+/// then on; an overwrite never evicts; a fresh name over capacity drops
+/// every expired entry, else the one closest to expiry, the first in name
+/// order on a tie. The defense gates forwarded misses through a private
+/// digest.
+class ReferenceCache {
+ public:
+  ReferenceCache(HoursSystem& system, std::size_t capacity)
+      : system_(system), capacity_(capacity) {}
+
+  void set_defense(NegativeCacheDefenseConfig config) {
+    defense_ = std::make_unique<NegativeCacheDigest>(config);
+  }
+
+  ResolveResult resolve(const std::string& name, std::uint64_t now) {
+    ResolveResult result;
+    bool stale = false;
+    if (const auto it = cache_.find(name); it != cache_.end()) {
+      if (it->second.expires_at > now) {
+        ++stats_.cache_hits;
+        result.answered = true;
+        result.from_cache = true;
+        result.records = it->second.records;
+        return result;
+      }
+      cache_.erase(it);
+      stale = true;
+    }
+    const auto zone = NegativeCacheDigest::zone_of(name);
+    if (defense_ != nullptr && defense_->flagged(zone, now)) {
+      ++stats_.refusals;
+      if (stale) ++stale_refusals_;
+      return result;
+    }
+    const auto looked_up = system_.lookup(name);
+    result.hops = looked_up.query.hops;
+    if (defense_ != nullptr) (void)defense_->record_miss(zone, name, now);
+    if (!looked_up.query.delivered) {
+      ++stats_.failures;
+      if (stale) ++stale_failures_;
+      return result;
+    }
+    ++stats_.cache_misses;
+    result.answered = true;
+    result.records = looked_up.records;
+    insert(name, now, result.records);
+    return result;
+  }
+
+  void insert(const std::string& name, std::uint64_t now, std::vector<store::Record> records) {
+    constexpr std::uint64_t kNever = ~std::uint64_t{0};
+    const std::uint64_t ttl = answer_min_ttl(records);
+    const std::uint64_t expires_at = ttl > kNever - now ? kNever : now + ttl;
+    if (const auto it = cache_.find(name); it != cache_.end()) {
+      it->second = Entry{expires_at, std::move(records)};
+      return;
+    }
+    if (cache_.size() >= capacity_) evict(now);
+    cache_.emplace(name, Entry{expires_at, std::move(records)});
+  }
+
+  [[nodiscard]] const std::vector<store::Record>* peek(const std::string& name,
+                                                       std::uint64_t now) const {
+    const auto it = cache_.find(name);
+    return it == cache_.end() || it->second.expires_at <= now ? nullptr : &it->second.records;
+  }
+
+  [[nodiscard]] ResolverStats stats() const {
+    ResolverStats s = stats_;
+    if (defense_ != nullptr) s.zones_flagged = defense_->zones_flagged();
+    return s;
+  }
+  [[nodiscard]] std::size_t cached_names() const { return cache_.size(); }
+  /// Expired entries erased by a resolve whose lookup then failed, or was
+  /// refused: the calls on which the cache must drop what it cannot serve.
+  [[nodiscard]] std::uint64_t stale_failures() const { return stale_failures_; }
+  [[nodiscard]] std::uint64_t stale_refusals() const { return stale_refusals_; }
+
+ private:
+  struct Entry {
+    std::uint64_t expires_at = 0;
+    std::vector<store::Record> records;
+  };
+
+  void evict(std::uint64_t now) {
+    std::size_t dropped = 0;
+    for (auto it = cache_.begin(); it != cache_.end();) {
+      if (it->second.expires_at <= now) {
+        it = cache_.erase(it);
+        ++dropped;
+      } else {
+        ++it;
+      }
+    }
+    if (dropped == 0 && !cache_.empty()) {
+      auto victim = cache_.begin();
+      for (auto it = cache_.begin(); it != cache_.end(); ++it) {
+        if (it->second.expires_at < victim->second.expires_at) victim = it;
+      }
+      cache_.erase(victim);
+      dropped = 1;
+    }
+    stats_.evictions += dropped;
+  }
+
+  HoursSystem& system_;
+  std::size_t capacity_;
+  std::map<std::string, Entry> cache_;
+  ResolverStats stats_;
+  std::uint64_t stale_failures_ = 0;
+  std::uint64_t stale_refusals_ = 0;
+  std::unique_ptr<NegativeCacheDigest> defense_;  ///< null = defense off
 };
 
 TEST(ConcurrentResolver, ResolveCachesAndExpiresLikeResolver) {
@@ -64,12 +183,12 @@ TEST(ConcurrentResolver, ResolveCachesAndExpiresLikeResolver) {
 
 TEST(ConcurrentResolver, SingleThreadedTraceMatchesResolverOracle) {
   // Drive an identical pseudo-random trace (names, times, an outage window)
-  // through Resolver and ConcurrentResolver. Capacity never binds, so the
-  // shard-local eviction difference is out of play and every counter must
-  // agree exactly.
+  // through the reference model and a four-shard ConcurrentResolver.
+  // Capacity never binds, so the shard-local eviction difference is out of
+  // play and every counter and the cache size must agree exactly.
   Fixture oracle_fixture;
   Fixture subject_fixture;
-  Resolver oracle{oracle_fixture.sys, /*capacity=*/1024};
+  ReferenceCache oracle{oracle_fixture.sys, /*capacity=*/1024};
   ConcurrentResolver subject{subject_fixture.sys, /*capacity=*/1024, /*shard_count=*/4};
 
   const auto drive = [&](std::uint64_t step, HoursSystem& sys,
@@ -94,10 +213,12 @@ TEST(ConcurrentResolver, SingleThreadedTraceMatchesResolverOracle) {
   EXPECT_EQ(subject.stats().cache_hits, oracle.stats().cache_hits);
   EXPECT_EQ(subject.stats().cache_misses, oracle.stats().cache_misses);
   EXPECT_EQ(subject.stats().failures, oracle.stats().failures);
+  EXPECT_EQ(subject.cached_names(), oracle.cached_names());
   EXPECT_EQ(subject.stats().evictions, 0U);
   EXPECT_EQ(oracle.stats().evictions, 0U);
   EXPECT_GT(subject.stats().cache_hits, 0U);   // the trace exercised every path
   EXPECT_GT(subject.stats().failures, 0U);
+  EXPECT_GT(oracle.stale_failures(), 0U);
 }
 
 TEST(ConcurrentResolver, BatchMatchesSingly) {
@@ -171,7 +292,7 @@ TEST(ConcurrentResolver, EvictionPrefersExpiredThenEarliestExpiryPerShard) {
   EXPECT_TRUE(resolver.peek("newest", 20, &out));
 
   // "long" goes next; then "fresh", "last" and "newest" all expire at 120
-  // and the smallest name is the victim, as in Resolver's name-ordered scan.
+  // and the smallest name is the victim.
   resolver.insert("last", 20, {store::Record{"A", "6", 100}});
   EXPECT_FALSE(resolver.peek("long", 20, &out));
   resolver.insert("later", 20, {store::Record{"A", "7", 100}});
@@ -189,16 +310,14 @@ TEST(ConcurrentResolver, EvictionPrefersExpiredThenEarliestExpiryPerShard) {
 }
 
 // Differential check under eviction pressure: seeded traces of resolve and
-// insert over more names than the capacity, driven through Resolver and a
-// one-shard ConcurrentResolver, must agree on every call and on the final
-// cache. Seed control, as in the fuzz harnesses:
+// insert over more names than the capacity, driven through the reference
+// model and a one-shard ConcurrentResolver, must agree on every call and on
+// the final cache. Traces kill and revive hosts, so re-lookups of expired
+// cached names fail, and half the seeds arm the defense with a low
+// threshold, so refusals meet expired names too. Seed control, as in the
+// fuzz harnesses:
 //   HOURS_FUZZ_SEEDS=N   sweep seeds 1..N   (default 25)
 //   HOURS_FUZZ_SEED=S    run exactly seed S
-//
-// Resolver erases an expired entry when it is asked for it, ConcurrentResolver
-// leaves it for the re-lookup to overwrite or the next eviction to sweep; the
-// two differ only when that re-lookup fails. So failures come from dead
-// names that are never cached, and cached names never fail a lookup.
 
 std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
   const char* raw = std::getenv(name);
@@ -206,8 +325,8 @@ std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
   return std::strtoull(raw, nullptr, 10);
 }
 
-/// Resolver and ConcurrentResolver of one capacity, each over its own
-/// identically built system (lookups advance per-system state).
+/// The model and a one-shard ConcurrentResolver of one capacity, each over
+/// its own identically built system (lookups advance per-system state).
 struct DifferentialPair {
   explicit DifferentialPair(std::size_t capacity)
       : oracle{oracle_side.sys, capacity}, subject{subject_side.sys, capacity, 1} {
@@ -217,9 +336,17 @@ struct DifferentialPair {
       side->sys.set_alive("dead.red", false);
     }
   }
+  void arm(NegativeCacheDefenseConfig config) {
+    oracle.set_defense(config);
+    subject.set_defense(config);
+  }
+  void set_alive(const std::string& name, bool alive) {
+    oracle_side.sys.set_alive(name, alive);
+    subject_side.sys.set_alive(name, alive);
+  }
   Fixture oracle_side;
   Fixture subject_side;
-  Resolver oracle;
+  ReferenceCache oracle;
   ConcurrentResolver subject;
 };
 
@@ -230,21 +357,40 @@ void expect_same_state(const DifferentialPair& pair) {
   EXPECT_EQ(got.cache_misses, want.cache_misses);
   EXPECT_EQ(got.failures, want.failures);
   EXPECT_EQ(got.evictions, want.evictions);
+  EXPECT_EQ(got.refusals, want.refusals);
+  EXPECT_EQ(got.zones_flagged, want.zones_flagged);
   EXPECT_EQ(pair.subject.cached_names(), pair.oracle.cached_names());
 }
 
-void run_eviction_seed(std::uint64_t seed) {
+/// How often, over a sweep, a failed or refused re-lookup met an expired
+/// cached entry (the model's count).
+struct StaleTotals {
+  std::uint64_t failures = 0;
+  std::uint64_t refusals = 0;
+};
+
+void run_eviction_seed(std::uint64_t seed, StaleTotals& stale) {
   SCOPED_TRACE("reproduce with HOURS_FUZZ_SEED=" + std::to_string(seed));
   rng::Xoshiro256 g{rng::mix64(0xE71C7, seed)};
   // 2..7 slots for 12 resolvable hosts plus 6 insert-only names. The
   // unbounded pair pins the capped bucket array and never evicts.
   DifferentialPair tight{2 + g.below(6)};
   DifferentialPair roomy{std::size_t{1} << 40};
+  if (seed % 2 == 0) {
+    NegativeCacheDefenseConfig defense;
+    defense.enabled = true;
+    defense.distinct_miss_threshold = 2;
+    defense.window = 5;
+    defense.flag_ttl = 20;
+    for (auto* pair : {&tight, &roomy}) pair->arm(defense);
+  }
 
-  std::vector<std::string> resolvable = tight.oracle_side.names;
+  const std::vector<std::string> hosts = tight.oracle_side.names;  // killed and revived
+  std::vector<bool> alive(hosts.size(), true);
+  std::vector<std::string> resolvable = hosts;
   resolvable.push_back("dead.red");     // admitted, then killed
   resolvable.push_back("ghost.green");  // never admitted
-  std::vector<std::string> insertable = tight.oracle_side.names;
+  std::vector<std::string> insertable = hosts;
   for (int i = 0; i < 6; ++i) insertable.push_back("out-of-band-" + std::to_string(i));
   // Few distinct TTLs on a slow clock: expiries tie often, so the name
   // tie-break decides many victims.
@@ -253,7 +399,8 @@ void run_eviction_seed(std::uint64_t seed) {
   std::uint64_t now = 0;
   for (std::uint64_t step = 0; step < 300; ++step) {
     now += g.below(20) == 0 ? 100 + g.below(100) : g.below(3);  // now and then, past every TTL
-    if (g.below(3) == 0) {
+    const std::uint64_t kind = g.below(12);
+    if (kind < 4) {
       const auto& name = insertable[g.below(insertable.size())];
       const std::vector<store::Record> records{
           store::Record{"A", name + "#" + std::to_string(step), kTtls[g.below(3)]}};
@@ -261,6 +408,10 @@ void run_eviction_seed(std::uint64_t seed) {
         pair->oracle.insert(name, now, records);
         pair->subject.insert(name, now, records);
       }
+    } else if (kind == 4) {
+      const std::size_t h = g.below(hosts.size());
+      alive[h] = !alive[h];
+      for (auto* pair : {&tight, &roomy}) pair->set_alive(hosts[h], alive[h]);
     } else {
       const auto& name = resolvable[g.below(resolvable.size())];
       for (auto* pair : {&tight, &roomy}) {
@@ -293,6 +444,8 @@ void run_eviction_seed(std::uint64_t seed) {
         EXPECT_EQ(got, *want) << name;
       }
     }
+    stale.failures += pair->oracle.stale_failures();
+    stale.refusals += pair->oracle.stale_refusals();
   }
 }
 
@@ -300,9 +453,15 @@ TEST(ConcurrentResolver, MatchesResolverUnderEvictionPressure) {
   const std::uint64_t pinned = env_u64("HOURS_FUZZ_SEED", 0);
   const std::uint64_t count = pinned != 0 ? 1 : env_u64("HOURS_FUZZ_SEEDS", 25);
   ASSERT_GT(count, 0U) << "HOURS_FUZZ_SEEDS must be >= 1";
+  StaleTotals stale;
   for (std::uint64_t i = 0; i < count; ++i) {
-    run_eviction_seed(pinned != 0 ? pinned : i + 1);
+    run_eviction_seed(pinned != 0 ? pinned : i + 1, stale);
     if (HasFailure()) return;
+  }
+  if (count >= 2) {
+    // The sweep reached both drop paths (one seed may miss either).
+    EXPECT_GT(stale.failures, 0U);
+    EXPECT_GT(stale.refusals, 0U);
   }
 }
 
@@ -418,6 +577,69 @@ TEST(ConcurrentResolver, ConcurrentReadersOnSharedBucketChains) {
   EXPECT_GT(answered.load(), 0U);
   EXPECT_LE(resolver.cached_names(), 4U);
   EXPECT_GT(resolver.stats().evictions, 0U);
+}
+
+TEST(ConcurrentResolver, ConcurrentDropsOfExpiredFailedLookups) {
+  // Writers re-insert never-admitted names out of band with 1-8 s TTLs;
+  // readers resolve the same names, so a read after expiry forwards a
+  // lookup that fails and unlinks the expired node while other threads walk
+  // the chain it sat on (one shard of capacity 4: four buckets, 16 names).
+  // Every served record must name its key.
+  Fixture f;
+  ConcurrentResolver resolver{f.sys, /*capacity=*/4, /*shard_count=*/1};
+  std::vector<std::string> churned;
+  for (int i = 0; i < 16; ++i) churned.push_back("unadmitted-" + std::to_string(i));
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> clock{0};
+  std::atomic<std::uint64_t> served{0};
+  std::atomic<std::uint64_t> failed{0};
+
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; ++t) {
+    readers.emplace_back([&, t] {
+      rng::Xoshiro256 g{rng::mix64(0xD209, static_cast<std::uint64_t>(t))};
+      while (!stop.load(std::memory_order_acquire)) {
+        const std::uint64_t now = clock.load(std::memory_order_relaxed);
+        const auto& name = churned[g.below(churned.size())];
+        const auto result = resolver.resolve(name, now);
+        if (!result.answered) {
+          failed.fetch_add(1, std::memory_order_relaxed);
+          continue;
+        }
+        ASSERT_TRUE(result.from_cache) << name;
+        ASSERT_EQ(result.records.size(), 1U) << name;
+        ASSERT_EQ(result.records[0].value.substr(0, name.size() + 1), name + "#")
+            << result.records[0].value;
+        served.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  std::vector<std::thread> writers;
+  for (int t = 0; t < 2; ++t) {
+    writers.emplace_back([&, t] {
+      rng::Xoshiro256 g{rng::mix64(0xE4B1, static_cast<std::uint64_t>(t))};
+      // At least 2'000 publishes each, then more until the readers have
+      // both been served and seen a lookup fail.
+      const auto pending = [&] {
+        return served.load(std::memory_order_relaxed) == 0 ||
+               failed.load(std::memory_order_relaxed) == 0;
+      };
+      for (int i = 0; i < 2'000 || (pending() && i < 1'000'000); ++i) {
+        const std::uint64_t now = clock.fetch_add(1, std::memory_order_relaxed);
+        const auto& name = churned[g.below(churned.size())];
+        resolver.insert(name, now,
+                        {store::Record{"A", name + "#" + std::to_string(i), 1 + g.below(8)}});
+      }
+    });
+  }
+  for (auto& writer : writers) writer.join();
+  stop.store(true, std::memory_order_release);
+  for (auto& reader : readers) reader.join();
+
+  EXPECT_GT(served.load(), 0U);
+  EXPECT_GT(failed.load(), 0U);
+  EXPECT_EQ(resolver.stats().failures, failed.load());
+  EXPECT_LE(resolver.cached_names(), 4U);
 }
 
 TEST(ConcurrentResolver, ConcurrentResolversAgreeOnRecords) {

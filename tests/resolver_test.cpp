@@ -1,11 +1,14 @@
 // Client resolver: TTL answer caching in front of the routed lookup
-// (Section 7's caching discussion).
+// (Section 7's caching discussion), as a single client runs it — a
+// ConcurrentResolver with one shard.
 #include <gtest/gtest.h>
 
-#include "hours/resolver.hpp"
+#include "hours/concurrent_resolver.hpp"
 
 namespace hours {
 namespace {
+
+constexpr unsigned kOneShard = 1;
 
 struct Fixture {
   HoursSystem sys;
@@ -47,7 +50,7 @@ TEST(HoursDataPlane, LookupOfNodeWithoutRecords) {
 
 TEST(Resolver, CachesWithinTtl) {
   Fixture f;
-  Resolver resolver{f.sys};
+  ConcurrentResolver resolver{f.sys, /*capacity=*/1024, kOneShard};
 
   const auto first = resolver.resolve("a.red", 0);
   ASSERT_TRUE(first.answered);
@@ -72,7 +75,7 @@ TEST(Resolver, CachedAnswersSurviveTotalOutage) {
   // The paper's point about caching being opportunistic: cached names keep
   // resolving through an outage, anything else fails.
   Fixture f;
-  Resolver resolver{f.sys};
+  ConcurrentResolver resolver{f.sys, /*capacity=*/1024, kOneShard};
   ASSERT_TRUE(resolver.resolve("a.green", 0).answered);
 
   f.sys.set_alive(".", false);
@@ -94,7 +97,7 @@ TEST(Resolver, CachedAnswersSurviveTotalOutage) {
 
 TEST(Resolver, CapacityEviction) {
   Fixture f;
-  Resolver resolver{f.sys, /*capacity=*/2};
+  ConcurrentResolver resolver{f.sys, /*capacity=*/2, kOneShard};
   ASSERT_TRUE(resolver.resolve("a.red", 0).answered);
   ASSERT_TRUE(resolver.resolve("a.green", 0).answered);
   ASSERT_TRUE(resolver.resolve("a.blue", 0).answered);  // evicts one
@@ -104,7 +107,7 @@ TEST(Resolver, CapacityEviction) {
 
 TEST(Resolver, FailureIsNotCached) {
   Fixture f;
-  Resolver resolver{f.sys};
+  ConcurrentResolver resolver{f.sys, /*capacity=*/1024, kOneShard};
   f.sys.set_alive("a.cyan", false);
   EXPECT_FALSE(resolver.resolve("a.cyan", 0).answered);
   f.sys.set_alive("a.cyan", true);
@@ -117,7 +120,7 @@ TEST(Resolver, FailureAccountingAndHitRateDenominator) {
   // Failures are forwarded-but-unanswered lookups; they must count in the
   // hit-rate denominator (an unavailable name is not a cache win).
   Fixture f;
-  Resolver resolver{f.sys};
+  ConcurrentResolver resolver{f.sys, /*capacity=*/1024, kOneShard};
   f.sys.set_alive("a.cyan", false);
   EXPECT_FALSE(resolver.resolve("a.cyan", 0).answered);
   EXPECT_FALSE(resolver.resolve("a.cyan", 1).answered);
@@ -128,12 +131,12 @@ TEST(Resolver, FailureAccountingAndHitRateDenominator) {
   EXPECT_EQ(resolver.stats().cache_hits, 1U);
   EXPECT_DOUBLE_EQ(resolver.stats().hit_rate(), 0.25);
   // Failures leave no cache entry behind.
-  EXPECT_EQ(resolver.peek("a.cyan", 4), nullptr);
+  EXPECT_FALSE(resolver.peek("a.cyan", 4, nullptr));
 }
 
 TEST(Resolver, EvictionPrefersExpiredThenEarliestExpiry) {
   Fixture f;
-  Resolver resolver{f.sys, /*capacity=*/3};
+  ConcurrentResolver resolver{f.sys, /*capacity=*/3, kOneShard};
   resolver.insert("short", 0, {store::Record{"A", "1", 10}});
   resolver.insert("mid", 0, {store::Record{"A", "2", 50}});
   resolver.insert("long", 0, {store::Record{"A", "3", 100}});
@@ -143,34 +146,34 @@ TEST(Resolver, EvictionPrefersExpiredThenEarliestExpiry) {
   resolver.insert("fresh", 20, {store::Record{"A", "4", 100}});
   EXPECT_EQ(resolver.cached_names(), 3U);
   EXPECT_EQ(resolver.stats().evictions, 1U);
-  EXPECT_EQ(resolver.peek("short", 20), nullptr);
-  EXPECT_NE(resolver.peek("mid", 20), nullptr);
-  EXPECT_NE(resolver.peek("long", 20), nullptr);
+  EXPECT_FALSE(resolver.peek("short", 20, nullptr));
+  EXPECT_TRUE(resolver.peek("mid", 20, nullptr));
+  EXPECT_TRUE(resolver.peek("long", 20, nullptr));
 
   // Nothing expired now: the entry closest to expiry ("mid") is the victim.
   resolver.insert("newest", 20, {store::Record{"A", "5", 100}});
   EXPECT_EQ(resolver.cached_names(), 3U);
   EXPECT_EQ(resolver.stats().evictions, 2U);
-  EXPECT_EQ(resolver.peek("mid", 20), nullptr);
-  EXPECT_NE(resolver.peek("long", 20), nullptr);
-  EXPECT_NE(resolver.peek("newest", 20), nullptr);
+  EXPECT_FALSE(resolver.peek("mid", 20, nullptr));
+  EXPECT_TRUE(resolver.peek("long", 20, nullptr));
+  EXPECT_TRUE(resolver.peek("newest", 20, nullptr));
 
   // "long" goes next; then "fresh", "last" and "newest" all expire at 120
   // and the smallest name is the victim.
   resolver.insert("last", 20, {store::Record{"A", "6", 100}});
-  EXPECT_EQ(resolver.peek("long", 20), nullptr);
+  EXPECT_FALSE(resolver.peek("long", 20, nullptr));
   resolver.insert("later", 20, {store::Record{"A", "7", 100}});
   EXPECT_EQ(resolver.stats().evictions, 4U);
-  EXPECT_EQ(resolver.peek("fresh", 20), nullptr);
-  EXPECT_NE(resolver.peek("last", 20), nullptr);
-  EXPECT_NE(resolver.peek("newest", 20), nullptr);
+  EXPECT_FALSE(resolver.peek("fresh", 20, nullptr));
+  EXPECT_TRUE(resolver.peek("last", 20, nullptr));
+  EXPECT_TRUE(resolver.peek("newest", 20, nullptr));
 }
 
 TEST(Resolver, OverwriteOfACachedNameNeverEvicts) {
   // A full cache re-inserting a name it holds replaces that entry in place;
   // no other live entry is dropped to make room.
   Fixture f;
-  Resolver resolver{f.sys, /*capacity=*/3};
+  ConcurrentResolver resolver{f.sys, /*capacity=*/3, kOneShard};
   resolver.insert("x", 0, {store::Record{"A", "1", 100}});
   resolver.insert("y", 0, {store::Record{"A", "2", 100}});
   resolver.insert("z", 0, {store::Record{"A", "3", 100}});
@@ -178,19 +181,20 @@ TEST(Resolver, OverwriteOfACachedNameNeverEvicts) {
   resolver.insert("y", 10, {store::Record{"A", "4", 100}});
   EXPECT_EQ(resolver.stats().evictions, 0U);
   EXPECT_EQ(resolver.cached_names(), 3U);
-  EXPECT_NE(resolver.peek("x", 10), nullptr);
-  ASSERT_NE(resolver.peek("y", 10), nullptr);
-  EXPECT_EQ(resolver.peek("y", 10)->at(0).value, "4");
-  EXPECT_NE(resolver.peek("z", 10), nullptr);
+  std::vector<store::Record> y;
+  EXPECT_TRUE(resolver.peek("x", 10, nullptr));
+  ASSERT_TRUE(resolver.peek("y", 10, &y));
+  EXPECT_EQ(y.at(0).value, "4");
+  EXPECT_TRUE(resolver.peek("z", 10, nullptr));
 }
 
 TEST(Resolver, MultiRecordAnswerCachedUnderMinimumTtl) {
   Fixture f;
-  Resolver resolver{f.sys, /*capacity=*/4};
+  ConcurrentResolver resolver{f.sys, /*capacity=*/4, kOneShard};
   resolver.insert("multi", 0,
                   {store::Record{"A", "1", 80}, store::Record{"TXT", "t", 30}});
-  EXPECT_NE(resolver.peek("multi", 29), nullptr);   // within the min TTL
-  EXPECT_EQ(resolver.peek("multi", 30), nullptr);   // the 30s record bounds it
+  EXPECT_TRUE(resolver.peek("multi", 29, nullptr));   // within the min TTL
+  EXPECT_FALSE(resolver.peek("multi", 30, nullptr));  // the 30s record bounds it
 }
 
 TEST(Resolver, TtlOfSixtyIsNotASentinel) {
@@ -198,29 +202,29 @@ TEST(Resolver, TtlOfSixtyIsNotASentinel) {
   // no-records default, so a record whose TTL *was* 60 lost to any larger
   // sibling and {60, 300} stayed cached for 300s.
   Fixture f;
-  Resolver resolver{f.sys, /*capacity=*/4};
+  ConcurrentResolver resolver{f.sys, /*capacity=*/4, kOneShard};
   resolver.insert("pair", 0,
                   {store::Record{"A", "1", 60}, store::Record{"TXT", "t", 300}});
-  EXPECT_NE(resolver.peek("pair", 59), nullptr);
-  EXPECT_EQ(resolver.peek("pair", 60), nullptr);  // bounded by the 60s record
+  EXPECT_TRUE(resolver.peek("pair", 59, nullptr));
+  EXPECT_FALSE(resolver.peek("pair", 60, nullptr));  // bounded by the 60s record
 
   // TTLs above 60 must still win over the empty-answer default...
   resolver.insert("slow", 0, {store::Record{"A", "1", 200}});
-  EXPECT_NE(resolver.peek("slow", 199), nullptr);
-  EXPECT_EQ(resolver.peek("slow", 200), nullptr);
+  EXPECT_TRUE(resolver.peek("slow", 199, nullptr));
+  EXPECT_FALSE(resolver.peek("slow", 200, nullptr));
   // ...and an answer with no records still gets the 60s existence TTL.
   resolver.insert("bare", 0, {});
-  EXPECT_NE(resolver.peek("bare", 59), nullptr);
-  EXPECT_EQ(resolver.peek("bare", 60), nullptr);
+  EXPECT_TRUE(resolver.peek("bare", 59, nullptr));
+  EXPECT_FALSE(resolver.peek("bare", 60, nullptr));
 }
 
 TEST(Resolver, ExpiryBoundaryIsExclusive) {
   // An entry expiring at T is stale *at* T, for peek and resolve alike.
   Fixture f;
-  Resolver resolver{f.sys};
+  ConcurrentResolver resolver{f.sys, /*capacity=*/1024, kOneShard};
   ASSERT_TRUE(resolver.resolve("a.red", 0).answered);  // ttl=100 -> expires_at=100
-  EXPECT_NE(resolver.peek("a.red", 99), nullptr);
-  EXPECT_EQ(resolver.peek("a.red", 100), nullptr);
+  EXPECT_TRUE(resolver.peek("a.red", 99, nullptr));
+  EXPECT_FALSE(resolver.peek("a.red", 100, nullptr));
 
   const auto at_expiry = resolver.resolve("a.red", 100);
   ASSERT_TRUE(at_expiry.answered);
@@ -233,7 +237,7 @@ TEST(Resolver, EvictionCountsEveryExpiredDrop) {
   // A single insert under capacity pressure may sweep several expired
   // entries; each one is an eviction, not just the first.
   Fixture f;
-  Resolver resolver{f.sys, /*capacity=*/3};
+  ConcurrentResolver resolver{f.sys, /*capacity=*/3, kOneShard};
   resolver.insert("e1", 0, {store::Record{"A", "1", 5}});
   resolver.insert("e2", 0, {store::Record{"A", "2", 10}});
   resolver.insert("e3", 0, {store::Record{"A", "3", 15}});
@@ -242,7 +246,7 @@ TEST(Resolver, EvictionCountsEveryExpiredDrop) {
   resolver.insert("fresh", 50, {store::Record{"A", "4", 100}});  // all three expired
   EXPECT_EQ(resolver.stats().evictions, 3U);
   EXPECT_EQ(resolver.cached_names(), 1U);
-  EXPECT_NE(resolver.peek("fresh", 50), nullptr);
+  EXPECT_TRUE(resolver.peek("fresh", 50, nullptr));
 
   // No expired entries now: exactly one (earliest-expiry) victim.
   resolver.insert("f2", 50, {store::Record{"A", "5", 200}});
@@ -250,25 +254,25 @@ TEST(Resolver, EvictionCountsEveryExpiredDrop) {
   resolver.insert("f4", 50, {store::Record{"A", "7", 400}});
   EXPECT_EQ(resolver.stats().evictions, 4U);
   EXPECT_EQ(resolver.cached_names(), 3U);
-  EXPECT_EQ(resolver.peek("fresh", 50), nullptr);  // closest expiry lost
+  EXPECT_FALSE(resolver.peek("fresh", 50, nullptr));  // closest expiry lost
 }
 
 TEST(Resolver, BackendClockDrivesTtlExpiry) {
-  // The now-less overloads read system.now(): cache TTLs live on the
-  // backend timeline, so advancing the clock ages entries.
+  // Resolving at system.now() puts cache TTLs on the backend timeline, so
+  // advancing the clock ages entries.
   Fixture f;
-  Resolver resolver{f.sys};
-  const auto first = resolver.resolve("a.red");
+  ConcurrentResolver resolver{f.sys, /*capacity=*/1024, kOneShard};
+  const auto first = resolver.resolve("a.red", f.sys.now());
   ASSERT_TRUE(first.answered);
   EXPECT_FALSE(first.from_cache);
 
   f.sys.advance(99);  // ttl=100, still fresh
-  EXPECT_TRUE(resolver.resolve("a.red").from_cache);
-  EXPECT_NE(resolver.peek("a.red"), nullptr);
+  EXPECT_TRUE(resolver.resolve("a.red", f.sys.now()).from_cache);
+  EXPECT_TRUE(resolver.peek("a.red", f.sys.now(), nullptr));
 
   f.sys.advance(1);  // now == expires_at
-  EXPECT_EQ(resolver.peek("a.red"), nullptr);
-  const auto refreshed = resolver.resolve("a.red");
+  EXPECT_FALSE(resolver.peek("a.red", f.sys.now(), nullptr));
+  const auto refreshed = resolver.resolve("a.red", f.sys.now());
   ASSERT_TRUE(refreshed.answered);
   EXPECT_FALSE(refreshed.from_cache);
 }
@@ -278,16 +282,16 @@ TEST(Resolver, CacheSurvivesBackendSwapAndExpiresAcrossClockJump) {
   // valid across the swap; a large advance() on the new backend then ages
   // them out like any other passage of time.
   Fixture f;
-  Resolver resolver{f.sys};
-  ASSERT_TRUE(resolver.resolve("a.red").answered);  // graph backend, t=0
+  ConcurrentResolver resolver{f.sys, /*capacity=*/1024, kOneShard};
+  ASSERT_TRUE(resolver.resolve("a.red", f.sys.now()).answered);  // graph backend, t=0
 
   f.sys.use_event_backend();
   ASSERT_EQ(f.sys.now(), 0U);
-  EXPECT_TRUE(resolver.resolve("a.red").from_cache);  // swap kept the entry live
+  EXPECT_TRUE(resolver.resolve("a.red", f.sys.now()).from_cache);  // swap kept the entry live
 
   f.sys.advance(250);  // clock jump far past the 100s TTL
-  EXPECT_EQ(resolver.peek("a.red"), nullptr);
-  const auto after_jump = resolver.resolve("a.red");
+  EXPECT_FALSE(resolver.peek("a.red", f.sys.now(), nullptr));
+  const auto after_jump = resolver.resolve("a.red", f.sys.now());
   ASSERT_TRUE(after_jump.answered);
   EXPECT_FALSE(after_jump.from_cache);  // re-routed through the event engine
   EXPECT_EQ(resolver.stats().cache_hits, 1U);
@@ -296,13 +300,13 @@ TEST(Resolver, CacheSurvivesBackendSwapAndExpiresAcrossClockJump) {
 
 TEST(Resolver, PeekDoesNotMutateStats) {
   Fixture f;
-  Resolver resolver{f.sys};
+  ConcurrentResolver resolver{f.sys, /*capacity=*/1024, kOneShard};
   ASSERT_TRUE(resolver.resolve("a.red", 0).answered);
   const auto before = resolver.stats();
 
-  ASSERT_NE(resolver.peek("a.red", 1), nullptr);    // fresh hit
-  EXPECT_EQ(resolver.peek("a.green", 1), nullptr);  // absent
-  EXPECT_EQ(resolver.peek("a.red", 1000), nullptr); // expired
+  ASSERT_TRUE(resolver.peek("a.red", 1, nullptr));      // fresh hit
+  EXPECT_FALSE(resolver.peek("a.green", 1, nullptr));   // absent
+  EXPECT_FALSE(resolver.peek("a.red", 1000, nullptr));  // expired
 
   EXPECT_EQ(resolver.stats().cache_hits, before.cache_hits);
   EXPECT_EQ(resolver.stats().cache_misses, before.cache_misses);
@@ -311,11 +315,57 @@ TEST(Resolver, PeekDoesNotMutateStats) {
   EXPECT_EQ(resolver.cached_names(), 1U);  // peek of an expired entry does not erase
 }
 
+TEST(Resolver, FailedOrRefusedRelookupDropsTheExpiredEntry) {
+  // A lookup that fails, or that the defense refuses, erases the name's
+  // expired entry and counts no eviction: the cache never keeps an answer
+  // it could neither serve nor refresh.
+  Fixture f;
+  ConcurrentResolver resolver{f.sys, /*capacity=*/4, kOneShard};
+  NegativeCacheDefenseConfig defense;
+  defense.enabled = true;
+  defense.distinct_miss_threshold = 1;  // every forwarded miss flags its zone
+  resolver.set_defense(defense);
+  ASSERT_TRUE(resolver.resolve("a.red", 0).answered);    // expires at 100
+  ASSERT_TRUE(resolver.resolve("a.green", 0).answered);  // expires at 100
+  ASSERT_EQ(resolver.cached_names(), 2U);
+
+  f.sys.set_alive("a.red", false);
+  EXPECT_FALSE(resolver.resolve("a.red", 150).answered);  // "red" unflagged since 60
+  EXPECT_EQ(resolver.stats().failures, 1U);
+  EXPECT_EQ(resolver.cached_names(), 1U);
+
+  ASSERT_TRUE(resolver.resolve("b.green", 150).answered);   // flags "green" until 210
+  EXPECT_FALSE(resolver.resolve("a.green", 160).answered);  // refused
+  EXPECT_EQ(resolver.stats().refusals, 1U);
+  EXPECT_FALSE(resolver.peek("a.green", 0, nullptr));
+  EXPECT_TRUE(resolver.peek("b.green", 160, nullptr));
+  EXPECT_EQ(resolver.cached_names(), 1U);
+  EXPECT_EQ(resolver.stats().evictions, 0U);
+}
+
+TEST(Resolver, MaximalTtlDoesNotWrap) {
+  // now + TTL saturates: an answer whose TTL is 2^64-1 stays fresh however
+  // late it is cached, on the insert and the resolve path alike.
+  Fixture f;
+  constexpr std::uint64_t kForever = ~std::uint64_t{0};
+  ASSERT_TRUE(f.sys.admit("z.red").ok());
+  ASSERT_TRUE(f.sys.add_record("z.red", store::Record{"A", "10.0.0.z", kForever}).ok());
+  ConcurrentResolver resolver{f.sys, /*capacity=*/1024, kOneShard};
+
+  resolver.insert("inserted", 5, {store::Record{"A", "1", kForever}});
+  EXPECT_TRUE(resolver.peek("inserted", 5, nullptr));
+  EXPECT_TRUE(resolver.peek("inserted", kForever - 1, nullptr));
+
+  ASSERT_TRUE(resolver.resolve("z.red", 5).answered);
+  EXPECT_TRUE(resolver.resolve("z.red", 6).from_cache);
+  EXPECT_TRUE(resolver.peek("z.red", kForever - 1, nullptr));
+}
+
 TEST(Resolver, ServesThroughCoordinatedStrike) {
   // End-to-end: records keep flowing while a zone and its ring neighborhood
   // are under a coordinated neighbor attack.
   Fixture f;
-  Resolver resolver{f.sys};
+  ConcurrentResolver resolver{f.sys, /*capacity=*/1024, kOneShard};
   ASSERT_TRUE(f.sys.strike("red", attack::Strategy::kNeighbor, 2).ok());
 
   const auto r = resolver.resolve("a.red", 0);

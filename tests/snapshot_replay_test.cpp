@@ -16,10 +16,11 @@
 #include <iterator>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
+#include "hours/concurrent_resolver.hpp"
 #include "hours/hours.hpp"
-#include "hours/resolver.hpp"
 #include "liveness/liveness.hpp"
 #include "rng/xoshiro256.hpp"
 #include "sim/fault_injector.hpp"
@@ -534,23 +535,81 @@ TEST(SnapshotReplay, ResolverCacheRoundTrips) {
   HoursSystem system;
   ASSERT_TRUE(system.admit("ucla").ok());
   ASSERT_TRUE(system.admit("cs.ucla").ok());
+  ASSERT_TRUE(system.admit("ai.ucla").ok());
   ASSERT_TRUE(system.add_record("cs.ucla", {"A", "10.1.1.1", 600}).ok());
+  ASSERT_TRUE(system.add_record("ai.ucla", {"TXT", "lab", 300}).ok());
 
-  Resolver original{system, 16};
-  (void)original.resolve("cs.ucla");  // miss -> fills the cache
-  (void)original.resolve("cs.ucla");  // hit
-  (void)original.resolve("nosuch.ucla");
+  ConcurrentResolver original{system, 16, /*shard_count=*/1};
+  (void)original.resolve("cs.ucla", system.now());  // miss -> fills the cache
+  (void)original.resolve("cs.ucla", system.now());  // hit
+  (void)original.resolve("nosuch.ucla", system.now());
+  system.advance(7);
+  (void)original.resolve("ai.ucla", system.now());  // a second row, sorting first
+  // The hash is of the document the std::map-backed cache wrote for this
+  // trace: rows in name order, whatever the bucket order.
+  EXPECT_EQ(util::fnv1a(original.to_json().dump()), 0x55ede73e11e2619cULL)
+      << original.to_json().dump();
 
-  Resolver restored{system, 4};
+  ConcurrentResolver restored{system, 4, /*shard_count=*/1};
   ASSERT_EQ(restored.from_json(original.to_json()), "");
   EXPECT_EQ(restored.cached_names(), original.cached_names());
   EXPECT_EQ(restored.stats().cache_hits, original.stats().cache_hits);
   EXPECT_EQ(restored.stats().failures, original.stats().failures);
   EXPECT_EQ(restored.to_json().dump(), original.to_json().dump());
-  const auto* peeked = restored.peek("cs.ucla");
-  ASSERT_NE(peeked, nullptr);
-  ASSERT_EQ(peeked->size(), 1U);
-  EXPECT_EQ((*peeked)[0].value, "10.1.1.1");
+  std::vector<store::Record> peeked;
+  ASSERT_TRUE(restored.peek("cs.ucla", system.now(), &peeked));
+  ASSERT_EQ(peeked.size(), 1U);
+  EXPECT_EQ(peeked[0].value, "10.1.1.1");
+
+  // Eight shards restore the same document and save the same bytes.
+  ConcurrentResolver sharded{system, 64};
+  ASSERT_EQ(sharded.from_json(original.to_json()), "");
+  EXPECT_EQ(sharded.shard_count(), 8U);
+  EXPECT_EQ(sharded.to_json().dump(), original.to_json().dump());
+  EXPECT_TRUE(sharded.resolve("ai.ucla", system.now()).from_cache);
+}
+
+TEST(SnapshotReplay, ResolverRestoreRejectsHostileDocuments) {
+  // Documents no resolver could have saved are refused whole: the resolver
+  // answers and saves exactly as before each attempt.
+  HoursSystem system;
+  ASSERT_TRUE(system.admit("ucla").ok());
+  ASSERT_TRUE(system.admit("cs.ucla").ok());
+  ASSERT_TRUE(system.add_record("cs.ucla", {"A", "10.1.1.1", 600}).ok());
+  ConcurrentResolver resolver{system, 4, /*shard_count=*/2};
+  (void)resolver.resolve("cs.ucla", system.now());
+  const std::string saved = resolver.to_json().dump();
+
+  const auto document = [&](std::uint64_t capacity, const std::vector<std::string>& names) {
+    snapshot::Json doc = resolver.to_json();
+    doc["capacity"] = snapshot::Json(capacity);
+    snapshot::Json cache = snapshot::Json::array();
+    for (const auto& name : names) {
+      snapshot::Json row = snapshot::Json::array();
+      row.push(snapshot::Json(name));
+      row.push(snapshot::Json(std::uint64_t{900}));
+      row.push(snapshot::Json::array());
+      cache.push(std::move(row));
+    }
+    doc["cache"] = std::move(cache);
+    return doc;
+  };
+  const std::vector<std::pair<snapshot::Json, std::string>> hostile{
+      {document(0, {}), "resolver.capacity must be >= 1"},
+      {document(8, {"x.ucla", "x.ucla"}), "resolver.cache repeats a name"},
+      // One name per shard, so three names overfill one of the two.
+      {document(2, {"a.ucla", "b.ucla", "c.ucla"}), "resolver.cache overfills a shard"},
+  };
+  for (const auto& [doc, error] : hostile) {
+    EXPECT_EQ(resolver.from_json(doc), error) << doc.dump();
+    EXPECT_EQ(resolver.to_json().dump(), saved);
+    std::vector<store::Record> answer;
+    ASSERT_TRUE(resolver.peek("cs.ucla", system.now(), &answer));
+    ASSERT_EQ(answer.size(), 1U);
+    EXPECT_EQ(answer[0].value, "10.1.1.1");
+  }
+  EXPECT_TRUE(resolver.resolve("cs.ucla", system.now()).from_cache);
+  EXPECT_EQ(resolver.cached_names(), 1U);
 }
 
 }  // namespace
