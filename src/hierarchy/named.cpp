@@ -281,32 +281,33 @@ std::vector<NodePath> NamedHierarchy::resolve_paths(const naming::Name& name,
                                                     std::size_t max_paths) {
   TreeNode* node = find_by_name(name);
   if (node == nullptr) return {};
-
-  // Enumerate ancestor chains depth-first, primary parents first, so the
-  // primary path is emitted first.
   std::vector<NodePath> out;
-  NodePath suffix;  // indices from the current node down to the target, reversed
-  const std::function<void(TreeNode*)> walk_up = [&](TreeNode* at) {
-    if (out.size() >= max_paths) return;
-    if (at->parent == nullptr && at->secondary_parents.empty()) {
-      // `at` is the root: the reversed suffix is a complete path.
-      NodePath path{suffix.rbegin(), suffix.rend()};
-      out.push_back(std::move(path));
-      return;
-    }
-    std::vector<TreeNode*> parents;
-    if (at->parent != nullptr) parents.push_back(at->parent);
-    parents.insert(parents.end(), at->secondary_parents.begin(),
-                   at->secondary_parents.end());
-    for (TreeNode* p : parents) {
-      if (out.size() >= max_paths) return;
-      suffix.push_back(p->index_of(at));
-      walk_up(p);
-      suffix.pop_back();
-    }
-  };
-  walk_up(node);
+  NodePath suffix;
+  suffix.reserve(name.depth());
+  collect_paths(*node, suffix, out, max_paths);
   return out;
+}
+
+void NamedHierarchy::collect_paths(const TreeNode& at, NodePath& suffix,
+                                   std::vector<NodePath>& out, std::size_t max_paths) {
+  if (out.size() >= max_paths) return;
+  if (at.parent == nullptr) {
+    // Only the root has no primary parent: the reversed suffix is a path.
+    out.emplace_back(suffix.rbegin(), suffix.rend());
+    return;
+  }
+  // Depth-first, primary parent before the mesh parents in registration
+  // order, so the primary path is emitted first.
+  const auto climb = [&](const TreeNode& parent) {
+    suffix.push_back(parent.index_of(&at));
+    collect_paths(parent, suffix, out, max_paths);
+    suffix.pop_back();
+  };
+  climb(*at.parent);
+  for (const TreeNode* parent : at.secondary_parents) {
+    if (out.size() >= max_paths) return;
+    climb(*parent);
+  }
 }
 
 util::Result<naming::Name> NamedHierarchy::name_of(const NodePath& path) {

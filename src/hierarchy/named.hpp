@@ -121,6 +121,12 @@ class NamedHierarchy final : public HierarchyModel {
 
   void unlink_aliases_in_subtree(TreeNode& node);
 
+  /// resolve_paths' walk from `at` up to the root: appends each complete
+  /// path to `out` until it holds `max_paths`. `suffix` holds the ring
+  /// indices from `at` down to the target, deepest first.
+  static void collect_paths(const TreeNode& at, NodePath& suffix, std::vector<NodePath>& out,
+                            std::size_t max_paths);
+
   overlay::OverlayParams params_;
   std::unique_ptr<TreeNode> root_;
   std::size_t node_count_ = 0;

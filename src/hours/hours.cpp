@@ -150,14 +150,17 @@ QueryResult HoursSystem::finish_query(std::uint64_t qid, QueryResult result) {
 }
 
 QueryResult HoursSystem::query(std::string_view dest_name, bool record_path) {
+  return query_parsed(parse_name(dest_name), record_path);
+}
+
+QueryResult HoursSystem::query_parsed(const util::Result<naming::Name>& dest, bool record_path) {
   const std::uint64_t qid = next_qid_++;
   queries_submitted_.inc();
-  auto parsed = parse_name(dest_name);
-  if (!parsed.ok()) return finish_query(qid, failed(parsed.error().code));
+  if (!dest.ok()) return finish_query(qid, failed(dest.error().code));
   HOURS_TRACE_EMIT(trace_, {.at = stamp(), .type = trace::EventType::kQuerySubmit,
-                            .level = static_cast<std::int32_t>(parsed.value().depth()),
+                            .level = static_cast<std::int32_t>(dest.value().depth()),
                             .causal = qid});
-  return finish_query(qid, backend_->execute(parsed.value(), record_path));
+  return finish_query(qid, backend_->execute(dest.value(), record_path));
 }
 
 QueryResult HoursSystem::query_from(std::string_view start_name, std::string_view dest_name,
@@ -186,11 +189,9 @@ util::Result<naming::Name> HoursSystem::add_record(std::string_view name, store:
 
 HoursSystem::LookupResult HoursSystem::lookup(std::string_view name) {
   LookupResult result;
-  result.query = query(name);
-  if (result.query.delivered) {
-    auto parsed = parse_name(name);
-    if (parsed.ok()) result.records = records_.records_at(parsed.value());
-  }
+  result.query = query_parsed(parse_name(name), /*record_path=*/false);
+  // Delivered implies `name` parsed, so the store can key by the text.
+  if (result.query.delivered) result.records = records_.records_at(name);
   return result;
 }
 

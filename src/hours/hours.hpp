@@ -178,6 +178,9 @@ class HoursSystem {
   [[nodiscard]] const trace::Registry& registry() const noexcept { return registry_; }
 
  private:
+  /// query() on an already-parsed destination: counts the submission, emits
+  /// kQuerySubmit, runs a valid name from the root, fails a malformed one.
+  QueryResult query_parsed(const util::Result<naming::Name>& dest, bool record_path);
   /// Counts the outcome, emits kQueryDelivered/kQueryFailed, returns `result`.
   QueryResult finish_query(std::uint64_t qid, QueryResult result);
   /// The configuration echo stored in (and verified against) a snapshot.

@@ -145,11 +145,11 @@ std::string HoursSystem::save_json(snapshot::Json& doc) const {
   system["members"] = std::move(members);
   system["root_alive"] = Json(static_cast<std::uint64_t>(hierarchy_.root_alive() ? 1 : 0));
 
-  Json records = Json::array();  // rows [name, [[type, value, ttl]...]]
-  for (const auto& [name, held] : records_.all()) {
+  Json records = Json::array();  // rows [name, [[type, value, ttl]...]], in Name order
+  for (const auto& [name, held] : records_.in_name_order()) {
     Json row = Json::array();
     row.push(Json(name.to_string()));
-    row.push(records_json(held));
+    row.push(records_json(*held));
     records.push(std::move(row));
   }
   system["records"] = std::move(records);

@@ -8,8 +8,11 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <functional>
 #include <string>
+#include <string_view>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "naming/name.hpp"
@@ -26,6 +29,9 @@ struct Record {
   friend bool operator==(const Record&, const Record&) = default;
 };
 
+/// Records hashed by the owning name's presentation string (`to_string()`,
+/// "." for the root), so a lookup hashes one string and compares one.
+/// Name order exists only in the view a snapshot save builds.
 class RecordStore {
  public:
   /// Adds a record under `name` (the owning node's name).
@@ -37,19 +43,31 @@ class RecordStore {
   /// All records held at `name` (empty if none).
   [[nodiscard]] const std::vector<Record>& records_at(const naming::Name& name) const;
 
+  /// The same, keyed by text `Name::parse` accepts: a name's presentation
+  /// string, or "" for the root. Allocates nothing.
+  [[nodiscard]] const std::vector<Record>& records_at(std::string_view name) const;
+
   /// Records of one type at `name`.
   [[nodiscard]] std::vector<Record> records_at(const naming::Name& name,
                                                const std::string& type) const;
 
   [[nodiscard]] std::size_t total_records() const noexcept { return total_; }
 
-  /// Every (name, records) pair in name order, for snapshot serialization.
-  [[nodiscard]] const std::map<naming::Name, std::vector<Record>>& all() const noexcept {
-    return by_name_;
-  }
+  /// Every (name, records) pair ordered by naming::Name (root-first labels,
+  /// which is not the order of the presentation strings), built on each
+  /// call for snapshot serialization.
+  [[nodiscard]] std::vector<std::pair<naming::Name, const std::vector<Record>*>> in_name_order()
+      const;
 
  private:
-  std::map<naming::Name, std::vector<Record>> by_name_;
+  struct KeyHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view key) const noexcept {
+      return std::hash<std::string_view>{}(key);
+    }
+  };
+
+  std::unordered_map<std::string, std::vector<Record>, KeyHash, std::equal_to<>> by_key_;
   std::size_t total_ = 0;
   static const std::vector<Record> kEmpty;
 };

@@ -106,6 +106,23 @@ TEST(Facade, LookupOnMeshNodeReturnsRecordsViaEitherPath) {
   EXPECT_EQ(r.records[0].value, "10.0.0.1");
 }
 
+TEST(Facade, LookupOfTheRootAcceptsBothSpellings) {
+  HoursSystem sys;
+  sys.admit("zone");
+  ASSERT_TRUE(sys.add_record(".", store::Record{"NS", "root", 60}).ok());
+  for (const char* root : {"", "."}) {
+    const auto r = sys.lookup(root);
+    ASSERT_TRUE(r.query.delivered) << '"' << root << '"';
+    ASSERT_EQ(r.records.size(), 1U) << '"' << root << '"';
+    EXPECT_EQ(r.records[0].value, "root");
+  }
+  const auto malformed = sys.lookup("a..zone");
+  EXPECT_FALSE(malformed.query.delivered);
+  EXPECT_TRUE(malformed.records.empty());
+  EXPECT_EQ(sys.registry().counter("facade.queries_submitted").value(), 3U);
+  EXPECT_EQ(sys.registry().counter("facade.queries_failed").value(), 1U);
+}
+
 TEST(Facade, PathAttemptsReportedForMeshFallback) {
   HoursConfig cfg;
   cfg.overlay.k = 2;

@@ -362,6 +362,12 @@ void expect_same_views(NamedHierarchy& h, const ReferenceHierarchy& ref,
   for (const auto& n : universe) {
     const auto want = ref.paths(n, 8);
     EXPECT_EQ(h.resolve_paths(n), want) << n.to_string();
+    // The cut-offs below the default; not 0, where the model still emits
+    // the root's path and resolve_paths emits none.
+    for (const std::size_t max_paths : {1U, 2U, 3U}) {
+      EXPECT_EQ(h.resolve_paths(n, max_paths), ref.paths(n, max_paths))
+          << n.to_string() << " max_paths " << max_paths;
+    }
     const auto resolved = h.resolve(n);
     ASSERT_EQ(resolved.ok(), !want.empty()) << n.to_string();
     if (resolved.ok()) {
