@@ -1,6 +1,7 @@
-// google-benchmark microbenchmarks for the hot primitives: routing-table
-// generation (jump sampler vs naive O(N) Bernoulli), greedy forwarding,
-// Chord routing, the trace emission path, and the timer-wheel event core.
+// google-benchmark microbenchmarks for the hot primitives: SHA-1 identifier
+// derivation and hierarchy admission, routing-table generation (jump
+// sampler vs naive O(N) Bernoulli), greedy forwarding, Chord routing, the
+// trace emission path, and the timer-wheel event core.
 // The BM_ForwardTraced* group bounds the cost the tracing subsystem adds to
 // a hot protocol op: with no tracer attached the emission site must be
 // within noise (<= 2%) of the untraced BM_ForwardEager loop. The BM_Sim*
@@ -8,10 +9,16 @@
 // benchmark output) plus peak RSS, the scale metrics ISSUE-level runs track.
 #include <benchmark/benchmark.h>
 
+#include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "baseline/chord.hpp"
 #include "bench_util.hpp"
+#include "hierarchy/named.hpp"
+#include "ids/identifier.hpp"
+#include "naming/name.hpp"
 #include "overlay/overlay.hpp"
 #include "overlay/table_builder.hpp"
 #include "rng/pointer_sampler.hpp"
@@ -24,6 +31,79 @@
 namespace {
 
 using namespace hours;
+
+/// `count` names of scale_smoke's shape ("c3.b17.a4"); with `long_label`
+/// each gains a 60-byte label, so its padded message takes two SHA-1
+/// blocks instead of one.
+std::vector<std::string> tree_names(std::size_t count, bool long_label) {
+  std::vector<std::string> names;
+  names.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    std::string name = "c";
+    name += std::to_string(i % 100);
+    name += ".b";
+    name += std::to_string(i / 100 % 100);
+    name += ".a";
+    name += std::to_string(i / 10'000 % 100);
+    if (long_label) {
+      name += '.';
+      name.append(60, 'r');
+    }
+    names.push_back(std::move(name));
+  }
+  return names;
+}
+
+/// SHA-1(name), the per-node identifier (Section 3.2) every admission
+/// derives. range(0) is the number of 64-byte blocks a name takes.
+void BM_IdentifierFromName(benchmark::State& state) {
+  const auto names = tree_names(1 << 16, state.range(0) == 2);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ids::Identifier::from_name(names[i]));
+    i = (i + 1) % names.size();
+  }
+}
+BENCHMARK(BM_IdentifierFromName)->Arg(1)->Arg(2);
+
+/// NamedHierarchy::admit over a three-level tree of fanout range(0), parents
+/// first; items/sec is admissions per second. Each iteration admits the
+/// whole tree into a fresh hierarchy; copying the names and destroying the
+/// tree are not timed.
+void BM_HierarchyAdmit(benchmark::State& state) {
+  const auto fanout = static_cast<std::size_t>(state.range(0));
+  std::vector<naming::Name> names;
+  std::vector<std::string> level{""};  // the parent level's suffixes
+  for (const char prefix : {'a', 'b', 'c'}) {
+    std::vector<std::string> next;
+    for (const auto& parent : level) {
+      for (std::size_t i = 0; i < fanout; ++i) {
+        std::string text{prefix};
+        text += std::to_string(i);
+        if (!parent.empty()) {
+          text += '.';
+          text += parent;
+        }
+        names.push_back(naming::Name::parse(text).value());
+        next.push_back(std::move(text));
+      }
+    }
+    level = std::move(next);
+  }
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto batch = names;
+    auto hierarchy = std::make_unique<hierarchy::NamedHierarchy>(overlay::OverlayParams{});
+    state.ResumeTiming();
+    for (auto& name : batch) benchmark::DoNotOptimize(hierarchy->admit(std::move(name)));
+    state.PauseTiming();
+    hierarchy.reset();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(names.size()));
+}
+BENCHMARK(BM_HierarchyAdmit)->Arg(16)->Arg(40);
 
 void BM_SamplerJump(benchmark::State& state) {
   const auto n = static_cast<std::uint32_t>(state.range(0));

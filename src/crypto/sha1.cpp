@@ -1,6 +1,7 @@
 #include "crypto/sha1.hpp"
 
 #include <cstring>
+#include <utility>
 
 #include "util/strings.hpp"
 
@@ -12,6 +13,41 @@ constexpr std::uint32_t rotl(std::uint32_t value, unsigned bits) noexcept {
   return (value << bits) | (value >> (32U - bits));
 }
 
+/// Round T of the 80. The caller rotates the working variables' roles
+/// instead of moving their values: this round's `e` receives the new `a`,
+/// and its `b` becomes the next round's `c`. From round 16 on, W[t]
+/// overwrites W[t-16], which no later round reads. The boolean functions
+/// are FIPS 180-1's Ch, Parity and Maj in forms with one operation fewer.
+template <unsigned T>
+inline void sha1_round(std::uint32_t a, std::uint32_t& b, std::uint32_t c, std::uint32_t d,
+                       std::uint32_t& e, std::uint32_t (&w)[16]) noexcept {
+  if constexpr (T >= 16) {
+    w[T % 16] = rotl(w[(T + 13) % 16] ^ w[(T + 8) % 16] ^ w[(T + 2) % 16] ^ w[T % 16], 1);
+  }
+  if constexpr (T < 20) {
+    e += (d ^ (b & (c ^ d))) + 0x5A827999U;
+  } else if constexpr (T < 40) {
+    e += (b ^ c ^ d) + 0x6ED9EBA1U;
+  } else if constexpr (T < 60) {
+    e += ((b & c) | (d & (b | c))) + 0x8F1BBCDCU;
+  } else {
+    e += (b ^ c ^ d) + 0xCA62C1D6U;
+  }
+  e += rotl(a, 5) + w[T % 16];
+  b = rotl(b, 30);
+}
+
+/// Rounds T to T+4: after five rotations every variable holds its role again.
+template <unsigned T>
+inline void five_rounds(std::uint32_t& a, std::uint32_t& b, std::uint32_t& c, std::uint32_t& d,
+                        std::uint32_t& e, std::uint32_t (&w)[16]) noexcept {
+  sha1_round<T>(a, b, c, d, e, w);
+  sha1_round<T + 1>(e, a, b, c, d, w);
+  sha1_round<T + 2>(d, e, a, b, c, w);
+  sha1_round<T + 3>(c, d, e, a, b, w);
+  sha1_round<T + 4>(b, c, d, e, a, w);
+}
+
 }  // namespace
 
 void Sha1::reset() noexcept {
@@ -21,37 +57,21 @@ void Sha1::reset() noexcept {
 }
 
 void Sha1::process_block(const std::uint8_t* block) noexcept {
-  std::uint32_t w[80];
+  std::uint32_t w[16];
   for (int t = 0; t < 16; ++t) {
     w[t] = (static_cast<std::uint32_t>(block[t * 4]) << 24) |
            (static_cast<std::uint32_t>(block[t * 4 + 1]) << 16) |
            (static_cast<std::uint32_t>(block[t * 4 + 2]) << 8) |
            static_cast<std::uint32_t>(block[t * 4 + 3]);
   }
-  for (int t = 16; t < 80; ++t) {
-    w[t] = rotl(w[t - 3] ^ w[t - 8] ^ w[t - 14] ^ w[t - 16], 1);
-  }
-
   std::uint32_t a = state_[0];
   std::uint32_t b = state_[1];
   std::uint32_t c = state_[2];
   std::uint32_t d = state_[3];
   std::uint32_t e = state_[4];
-  // One round: the same update for all 80, with the round function f and
-  // constant k fixed per 20-round stage.
-  const auto round = [&](std::uint32_t f, std::uint32_t k, std::uint32_t word) {
-    const std::uint32_t temp = rotl(a, 5) + f + e + word + k;
-    e = d;
-    d = c;
-    c = rotl(b, 30);
-    b = a;
-    a = temp;
-  };
-  for (int t = 0; t < 20; ++t) round((b & c) | (~b & d), 0x5A827999U, w[t]);
-  for (int t = 20; t < 40; ++t) round(b ^ c ^ d, 0x6ED9EBA1U, w[t]);
-  for (int t = 40; t < 60; ++t) round((b & c) | (b & d) | (c & d), 0x8F1BBCDCU, w[t]);
-  for (int t = 60; t < 80; ++t) round(b ^ c ^ d, 0xCA62C1D6U, w[t]);
-
+  [&]<unsigned... Group>(std::integer_sequence<unsigned, Group...>) {
+    (five_rounds<Group * 5>(a, b, c, d, e, w), ...);
+  }(std::make_integer_sequence<unsigned, 16>{});
   state_[0] += a;
   state_[1] += b;
   state_[2] += c;

@@ -1,7 +1,6 @@
 #include "hierarchy/named.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <string_view>
 #include <utility>
 
@@ -24,7 +23,9 @@ constexpr std::uint32_t kEagerTableLimit = 20'000;
 struct NamedHierarchy::TreeNode {
   using LabelEntry = std::pair<std::uint64_t, TreeNode*>;  // (label hash, owned child)
 
-  naming::Name name;
+  /// This node's own label ("" for the root). Full names are rebuilt from
+  /// the primary-parent chain (full_name), which no query path needs.
+  std::string label;
   ids::Identifier id;
   /// This node's ring index in its primary parent, cached by index_of and
   /// valid while `index_stamp` equals that parent's `member_epoch`.
@@ -52,17 +53,16 @@ struct NamedHierarchy::TreeNode {
   // forces a table build.
   bool overlay_dirty = true;
 
-  [[nodiscard]] const std::string& label() const { return name.labels().back(); }
   [[nodiscard]] std::uint32_t member_count() const noexcept {
     return static_cast<std::uint32_t>(members.size());
   }
 
-  /// The owned child labelled `label`, or null: O(log fanout).
-  [[nodiscard]] TreeNode* child(std::string_view label) const {
-    const std::uint64_t h = util::fnv1a(label);
+  /// The owned child labelled `wanted`, or null: O(log fanout).
+  [[nodiscard]] TreeNode* child(std::string_view wanted) const {
+    const std::uint64_t h = util::fnv1a(wanted);
     for (auto it = std::ranges::lower_bound(by_label, h, {}, &LabelEntry::first);
          it != by_label.end() && it->first == h; ++it) {
-      if (it->second->label() == label) return it->second;
+      if (it->second->label == wanted) return it->second;
     }
     return nullptr;
   }
@@ -106,7 +106,7 @@ struct NamedHierarchy::TreeNode {
   }
 
   void adopt(std::unique_ptr<TreeNode> node) {
-    const std::uint64_t h = util::fnv1a(node->label());
+    const std::uint64_t h = util::fnv1a(node->label);
     by_label.emplace(std::ranges::upper_bound(by_label, h, {}, &LabelEntry::first), h,
                      node.get());
     insert_member(node.get());
@@ -126,19 +126,32 @@ struct NamedHierarchy::TreeNode {
 NamedHierarchy::NamedHierarchy(overlay::OverlayParams params)
     : params_(params), root_(std::make_unique<TreeNode>()) {
   params_.validate();
-  root_->name = naming::Name{};
-  root_->id = ids::Identifier::from_name(root_->name.to_string());
+  root_->id = ids::Identifier::from_name(naming::Name{}.to_string());
 }
 
 NamedHierarchy::~NamedHierarchy() = default;
 
 NamedHierarchy::TreeNode* NamedHierarchy::find_by_name(const naming::Name& name) {
+  return find_ancestor(name, name.depth());
+}
+
+NamedHierarchy::TreeNode* NamedHierarchy::find_ancestor(const naming::Name& name,
+                                                        std::size_t level) {
   // Primary names identify nodes; the walk follows owned children only.
   TreeNode* node = root_.get();
-  for (std::size_t lvl = 1; lvl <= name.depth() && node != nullptr; ++lvl) {
+  for (std::size_t lvl = 1; lvl <= level && node != nullptr; ++lvl) {
     node = node->child(name.label(lvl));
   }
   return node;
+}
+
+naming::Name NamedHierarchy::full_name(const TreeNode& node) {
+  std::vector<std::string> labels;
+  for (const TreeNode* at = &node; at->parent != nullptr; at = at->parent) {
+    labels.push_back(at->label);
+  }
+  std::reverse(labels.begin(), labels.end());
+  return naming::Name::from_labels(std::move(labels));
 }
 
 NamedHierarchy::TreeNode* NamedHierarchy::find_by_path(const NodePath& path) {
@@ -178,22 +191,23 @@ void NamedHierarchy::refresh(TreeNode& node) {
   node.overlay_dirty = false;
 }
 
-util::Result<naming::Name> NamedHierarchy::admit(const naming::Name& name) {
+util::Result<naming::Name> NamedHierarchy::admit(naming::Name name) {
   if (name.is_root()) {
     return util::Error{util::Error::Code::kInvalidArgument, "the root exists implicitly"};
   }
-  TreeNode* parent_node = find_by_name(name.parent());
+  TreeNode* parent_node = find_ancestor(name, name.depth() - 1);
   if (parent_node == nullptr) {
     return util::Error{util::Error::Code::kNotFound,
                        "parent not admitted: " + name.parent().to_string()};
   }
-  if (parent_node->child(name.labels().back()) != nullptr) {
+  const std::string& label = name.labels().back();
+  if (parent_node->child(label) != nullptr) {
     return util::Error{util::Error::Code::kInvalidArgument,
                        "already admitted: " + name.to_string()};
   }
 
   auto node = std::make_unique<TreeNode>();
-  node->name = name;
+  node->label = label;
   node->id = ids::Identifier::from_name(name.to_string());
   node->parent = parent_node;
   parent_node->adopt(std::move(node));
@@ -229,6 +243,12 @@ util::Result<naming::Name> NamedHierarchy::admit_secondary(const naming::Name& n
   return name;
 }
 
+std::size_t NamedHierarchy::subtree_size(const TreeNode& node) {
+  std::size_t size = 1;
+  for (const auto& c : node.owned) size += subtree_size(*c);
+  return size;
+}
+
 void NamedHierarchy::unlink_aliases_in_subtree(TreeNode& node) {
   // The node may be an alias child elsewhere: detach those memberships.
   for (TreeNode* sp : node.secondary_parents) sp->erase_member(&node);
@@ -251,13 +271,7 @@ util::Result<naming::Name> NamedHierarchy::remove(const naming::Name& name) {
   }
   unlink_aliases_in_subtree(*node);
 
-  std::size_t removed = 0;
-  const std::function<void(const TreeNode&)> count_subtree = [&](const TreeNode& n) {
-    removed += 1;
-    for (const auto& c : n.owned) count_subtree(*c);
-  };
-  count_subtree(*node);
-  node_count_ -= removed;
+  node_count_ -= subtree_size(*node);
 
   node->parent->disown(node);
   return name;
@@ -315,7 +329,7 @@ util::Result<naming::Name> NamedHierarchy::name_of(const NodePath& path) {
   if (node == nullptr) {
     return util::Error{util::Error::Code::kNotFound, "no node at " + to_string(path)};
   }
-  return node->name;
+  return full_name(*node);
 }
 
 util::Result<naming::Name> NamedHierarchy::set_alive(const naming::Name& name, bool alive) {
@@ -368,21 +382,26 @@ overlay::Overlay& NamedHierarchy::overlay_of(const NodePath& path) {
 std::vector<NamedHierarchy::MemberInfo> NamedHierarchy::members() const {
   std::vector<MemberInfo> out;
   out.reserve(node_count_);
-  const std::function<void(const TreeNode&)> walk = [&](const TreeNode& node) {
-    for (const auto& child : node.owned) {
-      MemberInfo info;
-      info.name = child->name;
-      info.alive = child->alive;
-      info.secondary_parents.reserve(child->secondary_parents.size());
-      for (const TreeNode* sp : child->secondary_parents) {
-        info.secondary_parents.push_back(sp->name);
-      }
-      out.push_back(std::move(info));
-      walk(*child);
-    }
-  };
-  walk(*root_);
+  std::vector<std::string> labels;
+  collect_members(*root_, labels, out);
   return out;
+}
+
+void NamedHierarchy::collect_members(const TreeNode& node, std::vector<std::string>& labels,
+                                     std::vector<MemberInfo>& out) {
+  for (const auto& child : node.owned) {
+    labels.push_back(child->label);
+    MemberInfo info;
+    info.name = naming::Name::from_labels(labels);
+    info.alive = child->alive;
+    info.secondary_parents.reserve(child->secondary_parents.size());
+    for (const TreeNode* sp : child->secondary_parents) {
+      info.secondary_parents.push_back(full_name(*sp));
+    }
+    out.push_back(std::move(info));
+    collect_members(*child, labels, out);
+    labels.pop_back();
+  }
 }
 
 NamedHierarchy::TopologySnapshot NamedHierarchy::topology_snapshot() {

@@ -43,7 +43,7 @@ class NamedHierarchy final : public HierarchyModel {
 
   /// Admits a node under its (already admitted) primary parent. The root
   /// exists implicitly. Fails on duplicates or a missing parent.
-  util::Result<naming::Name> admit(const naming::Name& name);
+  util::Result<naming::Name> admit(naming::Name name);
 
   /// Mesh topology: registers `parent` as an additional parent of the
   /// (already admitted) node `name`. The secondary parent must sit at the
@@ -113,6 +113,8 @@ class NamedHierarchy final : public HierarchyModel {
   struct TreeNode;
 
   [[nodiscard]] TreeNode* find_by_name(const naming::Name& name);
+  /// The node named by the first `level` labels of `name` (the root at 0).
+  [[nodiscard]] TreeNode* find_ancestor(const naming::Name& name, std::size_t level);
   [[nodiscard]] TreeNode* find_by_path(const NodePath& path);
 
   /// (Re)builds the child overlay if stale — the expensive step, deferred
@@ -120,6 +122,15 @@ class NamedHierarchy final : public HierarchyModel {
   void refresh(TreeNode& node);
 
   void unlink_aliases_in_subtree(TreeNode& node);
+  [[nodiscard]] static std::size_t subtree_size(const TreeNode& node);
+
+  /// `node`'s name, rebuilt from its labels along the primary-parent chain.
+  [[nodiscard]] static naming::Name full_name(const TreeNode& node);
+
+  /// members()' pre-order walk below `node`; `labels` holds `node`'s name,
+  /// root first, so each member's name is one copy of it plus a label.
+  static void collect_members(const TreeNode& node, std::vector<std::string>& labels,
+                              std::vector<MemberInfo>& out);
 
   /// resolve_paths' walk from `at` up to the root: appends each complete
   /// path to `out` until it holds `max_paths`. `suffix` holds the ring

@@ -42,7 +42,7 @@ void HoursSystem::use_graph_backend() {
 util::Result<naming::Name> HoursSystem::admit(std::string_view name) {
   auto parsed = parse_name(name);
   if (!parsed.ok()) return parsed.error();
-  auto admitted = hierarchy_.admit(parsed.value());
+  auto admitted = hierarchy_.admit(std::move(parsed).value());
   if (admitted.ok()) backend_->on_membership_change();
   return admitted;
 }

@@ -9,7 +9,8 @@
 // Once the simulator's slab and id index, and the transport's pending
 // table, have grown to a run's peak, scheduling, cancelling, dispatching
 // and acked sends must allocate nothing; a client-driven query on the
-// hierarchy engine and a graph-engine lookup stay under per-call budgets.
+// hierarchy engine, a graph-engine lookup and a facade admission stay under
+// per-call budgets.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -214,6 +215,46 @@ TEST(AllocBudget, GraphLookupStaysUnderBudget) {
   // lookup parsed the name a second time for the records and the path walk
   // allocated a std::function and a parent list at every level.
   EXPECT_LT(per_lookup, 10.0) << per_lookup << " allocations per lookup";
+}
+
+TEST(AllocBudget, AdmissionStaysUnderBudget) {
+  // The facade admissions that build a hierarchy: levels 1 and 2 of a
+  // 16 x 16 x 16 tree first, then the 4,096 depth-3 names, counted. The
+  // names are spelled before the count starts.
+  HoursSystem sys;
+  std::vector<std::string> leaves;
+  for (int a = 0; a < 16; ++a) {
+    std::string zone = "a";
+    zone += std::to_string(a);
+    ASSERT_TRUE(sys.admit(zone).ok());
+    for (int b = 0; b < 16; ++b) {
+      std::string site = "b";
+      site += std::to_string(b);
+      site += '.';
+      site += zone;
+      ASSERT_TRUE(sys.admit(site).ok());
+      for (int c = 0; c < 16; ++c) {
+        std::string leaf = "c";
+        leaf += std::to_string(c);
+        leaf += '.';
+        leaf += site;
+        leaves.push_back(std::move(leaf));
+      }
+    }
+  }
+  std::uint64_t admitted = 0;
+  const std::uint64_t before = allocations();
+  for (const auto& leaf : leaves) admitted += sys.admit(leaf).ok() ? 1 : 0;
+  const double per_admission =
+      static_cast<double>(allocations() - before) / static_cast<double>(leaves.size());
+
+  EXPECT_EQ(admitted, 4'096U);
+  EXPECT_EQ(sys.hierarchy().node_count(), 16U + 256U + 4'096U);
+  // Recorded in a RelWithDebInfo build with g++ 12: 2.94 allocations per
+  // admission; 5.94 when every tree node held a copy of its full name,
+  // admission built the parent's name to find it, and the admitted name
+  // was copied into the result.
+  EXPECT_LT(per_admission, 3.5) << per_admission << " allocations per admission";
 }
 
 }  // namespace
