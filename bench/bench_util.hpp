@@ -6,11 +6,14 @@
 // mirrors it to <binary>.csv in the current directory.
 #pragma once
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <string>
 #include <string_view>
+#include <system_error>
+#include <type_traits>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
@@ -29,6 +32,21 @@ inline bool quick_mode(int argc, char** argv) {
 /// Scales a default workload down in quick mode.
 inline std::uint64_t scaled(std::uint64_t full, std::uint64_t quick, bool is_quick) {
   return is_quick ? quick : full;
+}
+
+/// Parses `text` as a plain non-negative decimal that fits T into `out`:
+/// digits only, with no sign, space or trailing character. On anything else
+/// it returns false and leaves `out` alone, so a CLI can refuse "-1" or
+/// "abc" instead of wrapping it or reading it as 0.
+template <typename T>
+bool parse_decimal(std::string_view text, T& out) {
+  static_assert(std::is_unsigned_v<T>);
+  T value = 0;
+  const char* last = text.data() + text.size();
+  const auto [end, error] = std::from_chars(text.data(), last, value);
+  if (error != std::errc{} || end != last) return false;
+  out = value;
+  return true;
 }
 
 inline std::string csv_path(std::string_view bench_name) {

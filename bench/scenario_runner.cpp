@@ -4,9 +4,9 @@
 // Each argument is a scenario file or a directory (expanded to its *.json
 // members in lexicographic order). Every document is schema-validated up
 // front; with --validate-only the run stops there. Otherwise the whole list
-// fans out across the work-stealing executor as one jobs::sweep, each
-// scenario seeded by its own document — per-scenario reports and the merged
-// matrix are byte-identical at any --threads value.
+// fans out across threads as one jobs::sweep, each scenario seeded by its
+// own document — per-scenario reports and the merged matrix are
+// byte-identical at any --threads value.
 //
 // Every document runs twice: the first run carries the --trace-dir trace,
 // the second runs untraced, and the two reports must be byte-identical. A
@@ -21,7 +21,8 @@
 //
 // Flags:
 //   --validate-only      schema-check every document, run nothing
-//   --threads=T          executor width (default 0 = hardware)
+//   --threads=T          sweep width, jobs::worker_count (default 0 = hardware);
+//                        a plain decimal, else the usage line and exit 2
 //   --out-dir=D          report directory (default ".")
 //   --trace-dir=D        write each first run's JSONL trace to D/<name>.jsonl
 //   --quick              CI smoke size: ring intervals x2, hierarchy rates /2
@@ -35,7 +36,6 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "jobs/executor.hpp"
 #include "metrics/json_writer.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/scenario.hpp"
@@ -60,6 +60,13 @@ std::vector<std::string> expand(const std::string& arg) {
   return paths;
 }
 
+int usage() {
+  std::fprintf(stderr,
+               "usage: scenario_runner [--validate-only] [--threads=T] [--out-dir=D] "
+               "[--trace-dir=D] [--quick] <scenario.json | dir>...\n");
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -67,7 +74,7 @@ int main(int argc, char** argv) {
 
   const bool quick = bench::quick_mode(argc, argv);
   bool validate_only = false;
-  unsigned threads = 0;  // 0 = hardware concurrency (Executor's convention)
+  unsigned threads = 0;  // 0 = hardware concurrency (jobs::worker_count)
   std::string out_dir = ".";
   std::string trace_dir;
   std::vector<std::string> args;
@@ -75,7 +82,7 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--validate-only") == 0) {
       validate_only = true;
     } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      threads = static_cast<unsigned>(std::strtoul(argv[i] + 10, nullptr, 10));
+      if (!bench::parse_decimal(argv[i] + 10, threads)) return usage();
     } else if (std::strncmp(argv[i], "--out-dir=", 10) == 0) {
       out_dir = argv[i] + 10;
     } else if (std::strncmp(argv[i], "--trace-dir=", 12) == 0) {
@@ -89,12 +96,7 @@ int main(int argc, char** argv) {
       args.emplace_back(argv[i]);
     }
   }
-  if (args.empty()) {
-    std::fprintf(stderr,
-                 "usage: scenario_runner [--validate-only] [--threads=T] [--out-dir=D] "
-                 "[--trace-dir=D] [--quick] <scenario.json | dir>...\n");
-    return 2;
-  }
+  if (args.empty()) return usage();
 
   std::vector<std::string> paths;
   for (const auto& arg : args) {
@@ -134,9 +136,8 @@ int main(int argc, char** argv) {
 
   std::error_code ec;
   if (!trace_dir.empty()) fs::create_directories(trace_dir, ec);
-  jobs::Executor executor{threads};
-  auto outcomes = scenario::run_matrix(scenarios, executor, {quick, trace_dir});
-  const auto repeats = scenario::run_matrix(scenarios, executor, {quick, ""});
+  auto outcomes = scenario::run_matrix(scenarios, threads, {quick, trace_dir});
+  const auto repeats = scenario::run_matrix(scenarios, threads, {quick, ""});
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
     if (outcomes[i].json == repeats[i].json) continue;
     outcomes[i].expectations_met = false;

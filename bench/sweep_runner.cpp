@@ -1,5 +1,5 @@
 // Parallel experiment-fleet orchestrator: fans the fault-schedule fuzz
-// corpus (sim/fuzz_cases.hpp) across the work-stealing executor and merges
+// corpus (sim/fuzz_cases.hpp) across threads with jobs::sweep and merges
 // every per-seed verdict into one deterministic report
 // (sweep_runner.json). This is the binary the nightly CI sweep runs — the
 // 200-seed ASan + snapshot-equivalence pass that used to crawl through the
@@ -15,27 +15,24 @@
 //
 // Flags:
 //   --seeds=N            sweep seeds 1..N        (default 200; --quick: 10)
-//   --threads=T          executor width           (default 0 = hardware)
+//   --threads=T          sweep width, jobs::worker_count (default 0 = hardware)
 //   --snapshot-stride=K  snapshot oracle every Kth seed (default 4; 0 off,
 //                        1 = every seed — the nightly setting)
 //   --baseline-serial    also run serially; record wall clocks + speedup
 //   --quick              CI smoke size (bench-smoke ctest label)
-// Exit status: 0 clean, 1 if any seed reported violations (or the serial
-// and parallel reports diverged).
+// N, T and K are plain decimals and N >= 1; anything else prints the usage
+// line and exits 2. Exit status: 0 clean, 1 if any seed reported violations
+// (or the serial and parallel reports diverged).
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
-#include "jobs/executor.hpp"
 #include "jobs/sweep.hpp"
 #include "metrics/json_writer.hpp"
 #include "sim/fuzz_cases.hpp"
-#include "util/contracts.hpp"
 
 namespace {
 
@@ -46,12 +43,17 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 std::vector<hours::sim::fuzz::SeedResult> run_parallel(
     unsigned threads, const std::vector<std::uint64_t>& seeds,
     const hours::sim::fuzz::SeedOptions& options) {
-  hours::jobs::Executor executor{threads};
   return hours::jobs::sweep<hours::sim::fuzz::SeedResult>(
-      executor, /*sweep_seed=*/0, seeds.size(),
-      [&seeds, &options](std::size_t index, hours::rng::Xoshiro256&) {
+      threads, seeds.size(), [&seeds, &options](std::size_t index) {
         return hours::sim::fuzz::run_seed(seeds[index], options);
       });
+}
+
+int usage() {
+  std::fprintf(stderr,
+               "usage: sweep_runner [--seeds=N] [--threads=T] [--snapshot-stride=K] "
+               "[--baseline-serial] [--quick]  (plain decimals, N >= 1)\n");
+  return 2;
 }
 
 }  // namespace
@@ -62,22 +64,25 @@ int main(int argc, char** argv) {
 
   const bool quick = hours::bench::quick_mode(argc, argv);
   std::uint64_t seed_count = quick ? 10 : 200;
-  unsigned threads = 0;  // 0 = hardware concurrency (Executor's convention)
+  unsigned threads = 0;  // 0 = hardware concurrency (jobs::worker_count)
   std::uint64_t snapshot_stride = 4;
   bool baseline_serial = false;
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--seeds=", 8) == 0) {
-      seed_count = std::strtoull(argv[i] + 8, nullptr, 10);
+    if (std::strncmp(argv[i], "--seeds=", 8) == 0 &&
+        !hours::bench::parse_decimal(argv[i] + 8, seed_count)) {
+      return usage();
     }
-    if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      threads = static_cast<unsigned>(std::strtoul(argv[i] + 10, nullptr, 10));
+    if (std::strncmp(argv[i], "--threads=", 10) == 0 &&
+        !hours::bench::parse_decimal(argv[i] + 10, threads)) {
+      return usage();
     }
-    if (std::strncmp(argv[i], "--snapshot-stride=", 18) == 0) {
-      snapshot_stride = std::strtoull(argv[i] + 18, nullptr, 10);
+    if (std::strncmp(argv[i], "--snapshot-stride=", 18) == 0 &&
+        !hours::bench::parse_decimal(argv[i] + 18, snapshot_stride)) {
+      return usage();
     }
     if (std::strcmp(argv[i], "--baseline-serial") == 0) baseline_serial = true;
   }
-  HOURS_ASSERT(seed_count > 0);
+  if (seed_count == 0) return usage();
 
   fuzz::SeedOptions options;
   options.snapshot_stride = snapshot_stride;
@@ -124,13 +129,7 @@ int main(int argc, char** argv) {
                  "the determinism contract is broken\n");
   }
 
-  // The resolved width (threads=0 expands to hardware concurrency inside
-  // the Executor; reconstruct it the same way for the report).
-  unsigned resolved_threads = threads;
-  if (resolved_threads == 0) {
-    resolved_threads = std::thread::hardware_concurrency();
-    if (resolved_threads == 0) resolved_threads = 1;
-  }
+  const unsigned resolved_threads = hours::jobs::worker_count(threads);
 
   JsonWriter json;
   json.begin_object();

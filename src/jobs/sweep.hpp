@@ -1,62 +1,71 @@
-// Deterministic parallel sweeps over the work-stealing executor.
+// Deterministic fan-out of independent tasks across threads.
+//
+// sweep() starts min(worker_count(threads), count) threads; each claims the
+// next index from one shared counter, so tasks start in index order. The
+// tasks this repository fans out (one fuzz seed or one scenario document
+// each) are independent, coarse and never spawn subtasks, which is why one
+// shared counter is the whole scheduler.
 //
 // The determinism contract that makes the fuzz/bench fleet thread-count
 // invariant:
-//   1. every task's randomness comes from task_rng(sweep_seed, task_index)
-//      — a pure function of the sweep seed and the task's position, never
-//      of the worker that ran it or of wall-clock time;
+//   1. a task's output is a pure function of its index (every fuzz seed and
+//      scenario document carries its own seed), never of the thread that ran
+//      it or of wall-clock time;
 //   2. tasks share no mutable state (each writes only its own result slot);
-//   3. results merge in task-index order.
+//   3. results merge in index order.
 // Under those three rules the merged output of sweep() is byte-identical
-// at 1, 2, or N worker threads — proven by tests/sweep_determinism_test.
+// at 1, 2, or N threads — proven by tests/sweep_determinism_test.
 #pragma once
 
+#include <algorithm>
+#include <atomic>
 #include <cstddef>
-#include <cstdint>
-#include <utility>
+#include <exception>
+#include <thread>
+#include <type_traits>
 #include <vector>
-
-#include "jobs/executor.hpp"
-#include "rng/splitmix64.hpp"
-#include "rng/xoshiro256.hpp"
 
 namespace hours::jobs {
 
-/// Independent, reproducible per-task generator: the same
-/// (sweep_seed, task_index) always yields the same stream.
-[[nodiscard]] inline rng::Xoshiro256 task_rng(std::uint64_t sweep_seed,
-                                              std::uint64_t task_index) noexcept {
-  return rng::Xoshiro256{rng::mix64(sweep_seed, task_index)};
+/// The number of threads a `threads` request means: 0 is
+/// std::thread::hardware_concurrency() (at least 1).
+[[nodiscard]] inline unsigned worker_count(unsigned threads) noexcept {
+  if (threads != 0) return threads;
+  const unsigned hardware = std::thread::hardware_concurrency();
+  return hardware == 0 ? 1 : hardware;
 }
 
-/// Fans `count` independent tasks across `exec` and returns their results
-/// in task-index order. `fn(index, rng)` must be invocable concurrently
-/// from any worker thread and returns R (default-constructible). The first
-/// task exception (lowest index) propagates to the caller after all tasks
-/// finished.
+/// Runs fn(index) for every index in [0, count) on up to
+/// worker_count(threads) threads and returns the results in index order.
+/// `fn` must be invocable concurrently and return R (default-constructible).
+/// Every task runs even if some throw; once all threads have joined, the
+/// exception of the lowest failing index is rethrown.
 template <typename R, typename Fn>
-std::vector<R> sweep(Executor& exec, std::uint64_t sweep_seed, std::size_t count, Fn&& fn) {
+std::vector<R> sweep(unsigned threads, std::size_t count, Fn&& fn) {
+  static_assert(!std::is_same_v<R, bool>, "std::vector<bool> slots share words");
   std::vector<R> results(count);
-  std::vector<Future<void>> pending;
-  pending.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    pending.push_back(exec.submit([&results, &fn, sweep_seed, i] {
-      rng::Xoshiro256 rng = task_rng(sweep_seed, i);
-      results[i] = fn(i, rng);
-    }));
-  }
-  // Wait for *every* task before propagating anything: tasks reference
-  // `results` and `fn`, so unwinding while stragglers still run would leave
-  // them with dangling captures. The lowest failing index wins.
-  std::exception_ptr first_error;
-  for (auto& future : pending) {
-    try {
-      future.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
+  std::vector<std::exception_ptr> errors(count);
+  std::atomic<std::size_t> next{0};
+  const auto work = [&] {
+    for (std::size_t i = next++; i < count; i = next++) {
+      try {
+        results[i] = fn(i);
+      } catch (...) {
+        errors[i] = std::current_exception();
+      }
     }
+  };
+  {
+    // Declared after everything `work` touches: the jthreads join when the
+    // block ends, also if a later thread fails to start.
+    std::vector<std::jthread> pool;
+    const std::size_t width = std::min<std::size_t>(worker_count(threads), count);
+    pool.reserve(width);
+    for (std::size_t t = 0; t < width; ++t) pool.emplace_back(work);
   }
-  if (first_error) std::rethrow_exception(first_error);
+  for (const auto& error : errors) {
+    if (error) std::rethrow_exception(error);
+  }
   return results;
 }
 

@@ -663,14 +663,12 @@ RunOutcome run(const Scenario& scenario, const RunOptions& options) {
                                             : run_hierarchy(scenario, options);
 }
 
-std::vector<RunOutcome> run_matrix(const std::vector<Scenario>& scenarios,
-                                   jobs::Executor& executor, const RunOptions& options) {
-  return jobs::sweep<RunOutcome>(
-      executor, /*sweep_seed=*/0, scenarios.size(),
-      [&scenarios, &options](std::size_t index, rng::Xoshiro256& rng) {
-        (void)rng;  // each scenario carries its own seed; sweep order is the contract
-        return run(scenarios[index], options);
-      });
+std::vector<RunOutcome> run_matrix(const std::vector<Scenario>& scenarios, unsigned threads,
+                                   const RunOptions& options) {
+  return jobs::sweep<RunOutcome>(threads, scenarios.size(),
+                                 [&scenarios, &options](std::size_t index) {
+                                   return run(scenarios[index], options);
+                                 });
 }
 
 }  // namespace hours::scenario

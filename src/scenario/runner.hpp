@@ -7,14 +7,13 @@
 // pure function of the document (plus RunOptions::quick). Controls a
 // document asks for (the no-fault fixpoint, the probe-only detection twin)
 // run inside run(). run_matrix() fans a scenario list across jobs::sweep;
-// because each run is deterministic and results merge in task-index order,
-// the matrix output is byte-identical at any worker-thread count.
+// because each run is deterministic and results merge in index order, the
+// matrix output is byte-identical at any thread count.
 #pragma once
 
 #include <string>
 #include <vector>
 
-#include "jobs/executor.hpp"
 #include "scenario/scenario.hpp"
 
 namespace hours::scenario {
@@ -41,10 +40,11 @@ struct RunOutcome {
 /// parse()/load_file() — run() trusts its invariants.
 [[nodiscard]] RunOutcome run(const Scenario& scenario, const RunOptions& options = {});
 
-/// Runs every scenario as one jobs::sweep task; outcomes return in input
-/// order regardless of worker count or scheduling.
+/// Runs every scenario as one jobs::sweep task on up to
+/// jobs::worker_count(threads) threads; outcomes return in input order
+/// regardless of thread count or scheduling.
 [[nodiscard]] std::vector<RunOutcome> run_matrix(const std::vector<Scenario>& scenarios,
-                                                 jobs::Executor& executor,
+                                                 unsigned threads,
                                                  const RunOptions& options = {});
 
 }  // namespace hours::scenario

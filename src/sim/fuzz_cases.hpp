@@ -5,16 +5,16 @@
 // share the exact same per-seed pipeline:
 //   * the gtest harness (artifacts + assertions, serial or parallel via
 //     HOURS_FUZZ_THREADS),
-//   * bench/sweep_runner, which fans seeds across the work-stealing
-//     executor for the nightly 200-seed ASan sweep,
+//   * bench/sweep_runner, which fans seeds across threads with
+//     jobs::sweep for the nightly 200-seed ASan sweep,
 //   * tests/sweep_determinism_test, which proves the merged report is
-//     byte-identical at 1, 2, and N worker threads.
+//     byte-identical at 1, 2, and N threads.
 //
 // Everything here is a pure function of the seed (and options): case
 // generation draws from a single seed-keyed Xoshiro256 stream, the
 // simulation is single-threaded and deterministic, and the merged report
 // renders results in seed order with metrics::JsonWriter. That purity is
-// the whole determinism contract — the executor adds concurrency across
+// the whole determinism contract — jobs::sweep adds concurrency across
 // seeds, never within one.
 #pragma once
 

@@ -15,9 +15,9 @@
 //   HOURS_FUZZ_SEED=S       run exactly seed S       (local reproduction)
 //   HOURS_FUZZ_SNAPSHOT=K   oracle every Kth seed    (default 4; 0 disables,
 //                           1 = every seed; pinned seeds always run it)
-//   HOURS_FUZZ_THREADS=T    fan seeds across a T-worker work-stealing
-//                           executor (default 1 = serial; 0 = hardware
-//                           concurrency). Results and artifacts are
+//   HOURS_FUZZ_THREADS=T    fan seeds across T threads with jobs::sweep
+//                           (default 1 = serial; 0 = hardware concurrency,
+//                           jobs::worker_count). Results and artifacts are
 //                           identical at any T — the sweep's determinism
 //                           contract (jobs/sweep.hpp).
 // On failure the harness writes fuzz_failures/seed_<S>.txt containing the
@@ -33,7 +33,6 @@
 #include <string>
 #include <vector>
 
-#include "jobs/executor.hpp"
 #include "jobs/sweep.hpp"
 #include "sim/fuzz_cases.hpp"
 
@@ -76,22 +75,13 @@ TEST(FaultScheduleFuzz, RandomFaultPlansConvergeToCleanRings) {
   seeds.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) seeds.push_back(pinned != 0 ? pinned : i + 1);
 
-  // Serial by default; HOURS_FUZZ_THREADS fans the same seeds across the
-  // work-stealing executor. Each seed is an independent single-threaded
-  // simulation, so the verdicts are identical either way.
+  // One thread by default; HOURS_FUZZ_THREADS widens the sweep. Each seed
+  // is an independent single-threaded simulation, so the verdicts are
+  // identical at any width.
   const auto threads = static_cast<unsigned>(env_u64("HOURS_FUZZ_THREADS", 1));
-  std::vector<fuzz::SeedResult> results;
-  if (threads == 1) {
-    results.reserve(seeds.size());
-    for (const auto seed : seeds) results.push_back(fuzz::run_seed(seed, options));
-  } else {
-    jobs::Executor executor{threads};
-    results = jobs::sweep<fuzz::SeedResult>(
-        executor, /*sweep_seed=*/0, seeds.size(),
-        [&seeds, &options](std::size_t index, rng::Xoshiro256&) {
-          return fuzz::run_seed(seeds[index], options);
-        });
-  }
+  const auto results = jobs::sweep<fuzz::SeedResult>(
+      threads, seeds.size(),
+      [&seeds, &options](std::size_t index) { return fuzz::run_seed(seeds[index], options); });
 
   std::uint64_t failures = 0;
   for (const auto& result : results) {

@@ -11,7 +11,6 @@
 #include <string_view>
 #include <vector>
 
-#include "jobs/executor.hpp"
 #include "metrics/json_writer.hpp"
 #include "scenario/detection.hpp"
 #include "scenario/runner.hpp"
@@ -321,8 +320,7 @@ TEST(ScenarioRunner, MatrixBytesAreThreadCountInvariant) {
 
   std::vector<std::vector<scenario::RunOutcome>> runs;
   for (const unsigned threads : {1u, 2u, 4u}) {
-    jobs::Executor executor{threads};
-    runs.push_back(scenario::run_matrix(scenarios, executor, quick));
+    runs.push_back(scenario::run_matrix(scenarios, threads, quick));
   }
   for (std::size_t t = 1; t < runs.size(); ++t) {
     ASSERT_EQ(runs[t].size(), runs[0].size());

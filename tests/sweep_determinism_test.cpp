@@ -3,12 +3,12 @@
 //
 // This is the contract bench/sweep_runner and the nightly CI sweep stand
 // on — parallelism may only change wall-clock, never a byte of output.
-// The test runs the same seed set serially, on a 1-worker executor, a
-// 2-worker executor, and a wide executor, and compares the full
-// fuzz::sweep_report_json strings. Seeds come from the same env knobs as
-// the fuzz harness (HOURS_FUZZ_SEEDS / HOURS_FUZZ_SNAPSHOT), so nightly CI
-// can deepen the sweep without a rebuild; the default is sized for the
-// `fuzz`-labelled ctest tier.
+// The test runs the same seed set serially, then through jobs::sweep at 1,
+// 2, and many threads, and compares the full fuzz::sweep_report_json
+// strings. Seeds come from the same env knobs as the fuzz harness
+// (HOURS_FUZZ_SEEDS / HOURS_FUZZ_SNAPSHOT), so nightly CI can deepen the
+// sweep without a rebuild; the default is sized for the `fuzz`-labelled
+// ctest tier.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,7 +18,6 @@
 #include <thread>
 #include <vector>
 
-#include "jobs/executor.hpp"
 #include "jobs/sweep.hpp"
 #include "sim/fuzz_cases.hpp"
 
@@ -33,12 +32,9 @@ std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
 
 std::string report_at(unsigned threads, const std::vector<std::uint64_t>& seeds,
                       const fuzz::SeedOptions& options) {
-  jobs::Executor executor{threads};
   const auto results = jobs::sweep<fuzz::SeedResult>(
-      executor, /*sweep_seed=*/0, seeds.size(),
-      [&seeds, &options](std::size_t index, rng::Xoshiro256&) {
-        return fuzz::run_seed(seeds[index], options);
-      });
+      threads, seeds.size(),
+      [&seeds, &options](std::size_t index) { return fuzz::run_seed(seeds[index], options); });
   return fuzz::sweep_report_json(results);
 }
 
@@ -52,7 +48,7 @@ TEST(SweepDeterminism, ReportIsByteIdenticalAcrossThreadCounts) {
   seeds.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) seeds.push_back(i + 1);
 
-  // The serial reference does not touch the executor at all.
+  // The serial reference does not touch jobs::sweep at all.
   std::vector<fuzz::SeedResult> serial_results;
   serial_results.reserve(seeds.size());
   for (const auto seed : seeds) serial_results.push_back(fuzz::run_seed(seed, options));
@@ -61,15 +57,15 @@ TEST(SweepDeterminism, ReportIsByteIdenticalAcrossThreadCounts) {
   EXPECT_NE(serial.find("\"report\""), std::string::npos);
 
   const unsigned wide = std::max(4U, std::thread::hardware_concurrency());
-  EXPECT_EQ(report_at(1, seeds, options), serial) << "1-worker executor diverged from serial";
-  EXPECT_EQ(report_at(2, seeds, options), serial) << "2-worker executor diverged from serial";
+  EXPECT_EQ(report_at(1, seeds, options), serial) << "1-thread sweep diverged from serial";
+  EXPECT_EQ(report_at(2, seeds, options), serial) << "2-thread sweep diverged from serial";
   EXPECT_EQ(report_at(wide, seeds, options), serial)
-      << wide << "-worker executor diverged from serial";
+      << wide << "-thread sweep diverged from serial";
 }
 
 TEST(SweepDeterminism, ReportIsStableAcrossRepeatedRuns) {
-  // Same sweep twice on the same wide executor: scheduling noise between
-  // runs must not reach the report either.
+  // Same sweep twice at the same width: scheduling noise between runs must
+  // not reach the report either.
   fuzz::SeedOptions options;
   options.snapshot_stride = 0;  // keep the repeat cheap; stride covered above
   const std::vector<std::uint64_t> seeds = {3, 1, 2};  // caller order, not sorted
