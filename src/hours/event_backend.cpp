@@ -64,13 +64,7 @@ void EventBackend::ensure_built() {
 
   client_ = std::make_unique<sim::QueryClient>(sim::make_query_network(*sim_), config_.client);
 
-  injectors_.clear();
-  for (const auto& plan : plans_) {
-    injectors_.push_back(
-        std::make_unique<sim::FaultInjector>(sim::make_fault_target(*sim_), plan));
-    injectors_.back()->set_tracer(trace_);
-    injectors_.back()->arm();
-  }
+  for (const auto& plan : plans_) arm(plan);
 
   sim_->set_tracer(trace_);
   client_->set_tracer(trace_);
@@ -185,18 +179,23 @@ void EventBackend::on_membership_change() {
   // Stored fault plans re-arm relative to the rebuilt simulator's t=0.
   offset_seconds_ = now();
   client_.reset();
-  injectors_.clear();
+  injector_.reset();
   sim_.reset();
 }
 
-util::Result<std::size_t> EventBackend::schedule_faults(sim::FaultPlan plan) {
-  plans_.push_back(plan);
-  if (sim_) {
-    injectors_.push_back(
-        std::make_unique<sim::FaultInjector>(sim::make_fault_target(*sim_), std::move(plan)));
-    injectors_.back()->set_tracer(trace_);
-    injectors_.back()->arm();
+void EventBackend::arm(const sim::FaultPlan& plan) {
+  if (injector_) {
+    injector_->add(plan);
+    return;
   }
+  injector_ = std::make_unique<sim::FaultInjector>(sim::make_fault_target(*sim_), plan);
+  injector_->set_tracer(trace_);
+  injector_->arm();
+}
+
+util::Result<std::size_t> EventBackend::schedule_faults(sim::FaultPlan plan) {
+  plans_.push_back(std::move(plan));
+  if (sim_) arm(plans_.back());
   return plans_.size();
 }
 
@@ -211,7 +210,7 @@ void EventBackend::set_tracer(trace::Tracer* tracer) {
   trace_ = tracer;
   if (sim_) sim_->set_tracer(tracer);
   if (client_) client_->set_tracer(tracer);
-  for (auto& injector : injectors_) injector->set_tracer(tracer);
+  if (injector_) injector_->set_tracer(tracer);
 }
 
 std::optional<std::uint32_t> EventBackend::node_id(std::string_view name) {
@@ -224,17 +223,7 @@ std::optional<std::uint32_t> EventBackend::node_id(std::string_view name) {
 }
 
 sim::FaultInjectorStats EventBackend::fault_stats() const {
-  sim::FaultInjectorStats total;
-  for (const auto& injector : injectors_) {
-    const auto& s = injector->stats();
-    total.kills += s.kills;
-    total.revivals += s.revivals;
-    total.link_cuts += s.link_cuts;
-    total.link_heals += s.link_heals;
-    total.loss_changes += s.loss_changes;
-    total.behavior_changes += s.behavior_changes;
-  }
-  return total;
+  return injector_ ? injector_->stats() : sim::FaultInjectorStats{};
 }
 
 }  // namespace hours

@@ -85,7 +85,7 @@ class EventBackend final : public QueryBackend {
   [[nodiscard]] sim::HierarchySimulation* simulation() noexcept { return sim_.get(); }
   [[nodiscard]] sim::QueryClient* client() noexcept { return client_.get(); }
 
-  /// Transitions applied so far, summed over every scheduled plan.
+  /// Transitions applied so far by every scheduled plan together.
   [[nodiscard]] sim::FaultInjectorStats fault_stats() const;
 
   [[nodiscard]] const EventBackendConfig& config() const noexcept { return config_; }
@@ -100,6 +100,10 @@ class EventBackend final : public QueryBackend {
   /// initial kills, stored fault plans re-armed at the (fresh) simulator's
   /// t=0. Name->id lookups resolve lazily through resolve_id().
   void ensure_built();
+
+  /// Arms `plan` from the current instant on the one injector (created by
+  /// the first plan), so every plan shares its down and link refcounts.
+  void arm(const sim::FaultPlan& plan);
 
   /// The simulator node id `name` maps to (its primary path), or -1 when
   /// the name is not admitted.
@@ -124,7 +128,7 @@ class EventBackend final : public QueryBackend {
 
   std::unique_ptr<sim::HierarchySimulation> sim_;
   std::unique_ptr<sim::QueryClient> client_;
-  std::vector<std::unique_ptr<sim::FaultInjector>> injectors_;
+  std::unique_ptr<sim::FaultInjector> injector_;  ///< arms every plan; never saved
   std::vector<sim::FaultPlan> plans_;  ///< everything scheduled, for re-arming
 };
 

@@ -419,6 +419,12 @@ FaultInjector::FaultInjector(FaultTarget target, FaultPlan plan)
   HOURS_EXPECTS(target_.sim != nullptr && target_.node_count > 0);
   HOURS_EXPECTS(target_.kill != nullptr && target_.revive != nullptr);
   down_count_.assign(target_.node_count, 0);
+  target_.sim->set_runner(snapshot::kFaultAction,
+                          [this](std::uint32_t kind, const std::uint64_t* args,
+                                 std::size_t count) {
+                            HOURS_EXPECTS(kind == snapshot::kFaultAction && count == 1);
+                            apply_planned(static_cast<std::size_t>(args[0]));
+                          });
 }
 
 bool FaultInjector::held_down(std::uint32_t node) const {
@@ -477,7 +483,8 @@ void FaultInjector::apply_up(std::uint32_t node) {
   }
 }
 
-std::vector<FaultInjector::PlannedAction> FaultInjector::build_schedule() const {
+std::vector<FaultInjector::PlannedAction> FaultInjector::build_schedule(
+    const FaultPlan& plan, std::size_t first_loss_slot) const {
   using Kind = PlannedAction::Kind;
   std::vector<PlannedAction> out;
   const auto node_action = [&out, this](Kind kind, std::uint32_t node, Ticks at) {
@@ -505,12 +512,12 @@ std::vector<FaultInjector::PlannedAction> FaultInjector::build_schedule() const 
     }
   };
 
-  for (const auto& spec : plan_.crashes_) {
+  for (const auto& spec : plan.crashes_) {
     node_action(Kind::kDown, spec.node, spec.at);
     if (spec.recover_at != 0) node_action(Kind::kUp, spec.node, spec.recover_at);
   }
 
-  for (const auto& spec : plan_.flaps_) {
+  for (const auto& spec : plan.flaps_) {
     const Ticks cycle = spec.down + spec.up;
     for (std::uint32_t c = 0; c < spec.cycles; ++c) {
       node_action(Kind::kDown, spec.node, spec.start + c * cycle);
@@ -518,7 +525,7 @@ std::vector<FaultInjector::PlannedAction> FaultInjector::build_schedule() const 
     }
   }
 
-  for (const auto& spec : plan_.outages_) {
+  for (const auto& spec : plan.outages_) {
     for (std::uint32_t s = 0; s < spec.strikes; ++s) {
       const Ticks base = spec.at + s * (spec.duration + spec.strike_gap);
       for (const auto node : spec.nodes) {
@@ -528,7 +535,7 @@ std::vector<FaultInjector::PlannedAction> FaultInjector::build_schedule() const 
     }
   }
 
-  for (const auto& spec : plan_.partitions_) {
+  for (const auto& spec : plan.partitions_) {
     for (std::size_t g = 0; g < spec.groups.size(); ++g) {
       for (std::size_t h = g + 1; h < spec.groups.size(); ++h) {
         for (const auto a : spec.groups[g]) {
@@ -538,26 +545,26 @@ std::vector<FaultInjector::PlannedAction> FaultInjector::build_schedule() const 
     }
   }
 
-  for (const auto& spec : plan_.cut_links_) {
+  for (const auto& spec : plan.cut_links_) {
     link_window(spec.a, spec.b, spec.at, spec.heal_at);
   }
 
-  for (std::size_t slot = 0; slot < plan_.loss_episodes_.size(); ++slot) {
-    const auto& spec = plan_.loss_episodes_[slot];
+  for (std::size_t slot = 0; slot < plan.loss_episodes_.size(); ++slot) {
+    const auto& spec = plan.loss_episodes_[slot];
     PlannedAction set;
     set.kind = Kind::kLossSet;
     set.at = spec.from;
     set.probability = spec.probability;
-    set.slot = slot;
+    set.slot = first_loss_slot + slot;
     out.push_back(set);
     PlannedAction restore;
     restore.kind = Kind::kLossRestore;
     restore.at = spec.until;
-    restore.slot = slot;
+    restore.slot = first_loss_slot + slot;
     out.push_back(restore);
   }
 
-  for (const auto& spec : plan_.byzantine_) {
+  for (const auto& spec : plan.byzantine_) {
     HOURS_EXPECTS(spec.node < target_.node_count);
     PlannedAction action;
     action.kind = Kind::kBehavior;
@@ -567,7 +574,7 @@ std::vector<FaultInjector::PlannedAction> FaultInjector::build_schedule() const 
     out.push_back(action);
   }
 
-  for (const auto& spec : plan_.churn_) {
+  for (const auto& spec : plan.churn_) {
     HOURS_EXPECTS(spec.spare.size() < target_.node_count);
     rng::Xoshiro256 rng{spec.seed};
     for (std::uint32_t e = 0; e < spec.events; ++e) {
@@ -636,6 +643,8 @@ void FaultInjector::apply_planned(std::size_t index) {
 
 void FaultInjector::install_link_filter() {
   HOURS_EXPECTS(target_.set_link_filter != nullptr);
+  if (link_filter_installed_) return;  // one filter serves every plan
+  link_filter_installed_ = true;
   // The injector owns the refcounted link state; the transport consults
   // it on every delivery. (The injector must outlive the run anyway.)
   target_.set_link_filter([this](std::uint32_t from, std::uint32_t to) {
@@ -646,27 +655,41 @@ void FaultInjector::install_link_filter() {
 void FaultInjector::arm() {
   HOURS_EXPECTS(!armed_);
   armed_ = true;
-  if (plan_.needs_loss_hooks()) {
+  schedule_plan(plan_);
+}
+
+void FaultInjector::add(const FaultPlan& plan) {
+  HOURS_EXPECTS(armed_);
+  added_plans_ = true;
+  schedule_plan(plan);
+}
+
+void FaultInjector::schedule_plan(const FaultPlan& plan) {
+  if (plan.needs_loss_hooks()) {
     HOURS_EXPECTS(target_.set_loss != nullptr && target_.loss != nullptr);
   }
-  if (plan_.needs_behavior_hook()) HOURS_EXPECTS(target_.set_behavior != nullptr);
-  if (plan_.needs_link_hook()) install_link_filter();
+  if (plan.needs_behavior_hook()) HOURS_EXPECTS(target_.set_behavior != nullptr);
+  if (plan.needs_link_hook()) install_link_filter();
 
-  schedule_ = build_schedule();
-  loss_saved_.assign(plan_.loss_episodes_.size(), 0.0);
-  for (std::size_t i = 0; i < schedule_.size(); ++i) {
-    target_.sim->schedule(
-        schedule_[i].at,
-        snapshot::Described{snapshot::kFaultAction, {static_cast<std::uint64_t>(i)}},
-        [this, i] { apply_planned(i); });
+  const std::size_t first = schedule_.size();
+  auto actions = build_schedule(plan, loss_saved_.size());
+  schedule_.insert(schedule_.end(), actions.begin(), actions.end());
+  loss_saved_.resize(loss_saved_.size() + plan.loss_episodes_.size(), 0.0);
+  for (std::size_t i = first; i < schedule_.size(); ++i) {
+    const std::uint64_t index = i;
+    target_.sim->schedule(schedule_[i].at, snapshot::kFaultAction, &index, 1);
   }
 }
 
 // -- snapshot (snapshot::Participant) ------------------------------------------------
 
 snapshot::Json FaultInjector::save_state(std::string& error) const {
-  (void)error;  // fault state is always serializable
   using snapshot::Json;
+  // The section echoes one plan; actions of added plans have no place in it.
+  if (added_plans_) {
+    error = "injector holds plans added after arm() (unserializable)";
+    return Json::object();
+  }
   Json out = Json::object();
   out["armed"] = Json(static_cast<std::uint64_t>(armed_ ? 1 : 0));
   out["plan"] = Json(plan_.describe());
@@ -771,17 +794,13 @@ std::string FaultInjector::restore_state(const snapshot::Json& state) {
       }
       install_link_filter();
     }
-    schedule_ = build_schedule();
+    schedule_ = build_schedule(plan_, 0);
   }
   return "";
 }
 
-std::function<void()> FaultInjector::rebuild_event(const snapshot::Described& desc) {
-  if (desc.kind != snapshot::kFaultAction) return nullptr;
-  HOURS_EXPECTS(desc.args.size() == 1);
-  const std::size_t index = static_cast<std::size_t>(desc.args[0]);
-  HOURS_EXPECTS(index < schedule_.size());
-  return [this, index] { apply_planned(index); };
+bool FaultInjector::owns(std::uint32_t kind) const {
+  return snapshot::kind_block(kind) == snapshot::kind_block(snapshot::kFaultAction);
 }
 
 }  // namespace hours::sim

@@ -19,12 +19,19 @@
 // refcounts: crashing a partitioned node and lifting the crash leaves the
 // node alive but still unreachable until the partition heals.
 //
+// One injector can carry several plans: add() arms a further plan at the
+// current instant against the same refcounts and the same link filter, so
+// overlapping windows of different plans compose exactly like overlapping
+// windows of one plan.
+//
 // Snapshot integration: arm() first expands the plan into an indexed,
 // deterministic action list (build_schedule()); each simulator event is the
-// described datum {kFaultAction, [index]}, so a snapshot stores indices and
-// a restored injector — constructed with the identical plan — rebuilds the
-// identical closures. FaultInjector is a snapshot::Participant; FaultPlan
-// round-trips through describe()/parse().
+// described datum {kFaultAction, [index]}, run through the fault block's
+// runner the injector claims on its simulator at construction. A snapshot
+// stores indices, and a restored injector — constructed with the identical
+// plan — re-expands the identical list. FaultInjector is a
+// snapshot::Participant; FaultPlan round-trips through describe()/parse().
+// An injector holding added plans refuses to save.
 #pragma once
 
 #include <cstdint>
@@ -215,15 +222,25 @@ struct FaultInjectorStats {
 
 class FaultInjector : public snapshot::Participant {
  public:
-  /// The target's simulator/hooks must outlive the injector; the injector
-  /// itself must outlive the run (scheduled events point back into it).
+  /// Claims the fault kind block on the target's simulator, which must not
+  /// have been claimed already. The target's simulator/hooks must outlive
+  /// the injector; the injector itself must outlive the run (its runner
+  /// and scheduled events point back into it).
   FaultInjector(FaultTarget target, FaultPlan plan);
+  FaultInjector(const FaultInjector&) = delete;
+  FaultInjector& operator=(const FaultInjector&) = delete;
 
   /// Expands the plan into simulator events, offset from the current
   /// simulation instant. Call exactly once, before running the schedule
   /// window — and not at all when the injector is about to be restored
   /// from a snapshot.
   void arm();
+
+  /// Arms a further plan on an armed injector, offset from the current
+  /// simulation instant. Its windows share the down and link refcounts with
+  /// every plan already armed, so a node stays down while any window of any
+  /// plan covers it. After this call save_state() refuses.
+  void add(const FaultPlan& plan);
 
   /// Attaches the trace stream (kill/revive/link/loss/behavior events as
   /// they are applied); null detaches. Must outlive the run.
@@ -243,8 +260,7 @@ class FaultInjector : public snapshot::Participant {
   [[nodiscard]] std::string section() const override { return "faults"; }
   [[nodiscard]] snapshot::Json save_state(std::string& error) const override;
   [[nodiscard]] std::string restore_state(const snapshot::Json& state) override;
-  [[nodiscard]] std::function<void()> rebuild_event(
-      const snapshot::Described& desc) override;
+  [[nodiscard]] bool owns(std::uint32_t kind) const override;
 
  private:
   /// One expanded plan step. `at` is the delay from the arm() instant;
@@ -269,11 +285,15 @@ class FaultInjector : public snapshot::Participant {
     overlay::NodeBehavior behavior = overlay::NodeBehavior::kHonest;
   };
 
-  /// Pure, deterministic expansion of the plan. The vector ORDER is part of
-  /// the snapshot contract: same-instant actions fire in list order (the
-  /// simulator's FIFO tie-break), so it must never be reordered across
-  /// versions without bumping kSnapshotVersion.
-  [[nodiscard]] std::vector<PlannedAction> build_schedule() const;
+  /// Pure, deterministic expansion of `plan`, its loss episodes numbered
+  /// from `first_loss_slot`. The vector ORDER is part of the snapshot
+  /// contract: same-instant actions fire in list order (the simulator's
+  /// FIFO tie-break), so it must never be reordered across versions
+  /// without bumping kSnapshotVersion.
+  [[nodiscard]] std::vector<PlannedAction> build_schedule(const FaultPlan& plan,
+                                                          std::size_t first_loss_slot) const;
+  /// Appends `plan`'s actions to schedule_ and schedules them from now.
+  void schedule_plan(const FaultPlan& plan);
   void apply_planned(std::size_t index);
   void install_link_filter();
 
@@ -286,12 +306,14 @@ class FaultInjector : public snapshot::Participant {
   FaultPlan plan_;
   FaultInjectorStats stats_;
   trace::Tracer* trace_ = nullptr;
-  std::vector<PlannedAction> schedule_;  ///< built by arm() / restore_state()
+  std::vector<PlannedAction> schedule_;  ///< built by arm() / restore_state(); add() appends
   std::vector<double> loss_saved_;       ///< per-episode pre-episode loss rate
   std::vector<std::uint32_t> down_count_;
   /// Directed (from, to) -> number of severing windows currently in force.
   std::map<std::pair<std::uint32_t, std::uint32_t>, std::uint32_t> link_down_count_;
   bool armed_ = false;
+  bool added_plans_ = false;
+  bool link_filter_installed_ = false;
 };
 
 }  // namespace hours::sim

@@ -41,7 +41,8 @@ FuzzCase generate_case(std::uint64_t seed) {
   // Every third seed arms the gossip liveness plane, so the invariant
   // sweep and the snapshot oracle both cover digest piggybacking and the
   // gossip-mode snapshot format. Stale rumors about revived nodes self-heal
-  // through suspicion_refresh, so convergence demands are unchanged.
+  // through the ring's suspicion refresh probes, so convergence demands are
+  // unchanged.
   if (seed % 3 == 0) c.config.liveness.mode = liveness::Mode::kGossip;
 
   // Crashes: 0..2, all recovering before the horizon.

@@ -52,7 +52,8 @@ TreeTopology topology_from_fanout(const std::vector<std::uint32_t>& fanout) {
 HierarchySimulation::HierarchySimulation(HierarchySimConfig config)
     : config_(std::move(config)),
       liveness_(config_.liveness, config_.suspicion_ttl),
-      transport_(sim_, config_.transport, total_nodes(config_.fanout), config_.seed),
+      transport_(sim_, config_.transport, total_nodes(config_.fanout), config_.seed,
+                 &encode_message, &decode_message),
       queries_delivered_(registry_.counter("hier.queries_delivered")),
       queries_failed_(registry_.counter("hier.queries_failed")),
       hop_timeouts_(registry_.counter("hier.hop_timeouts")),
@@ -65,7 +66,7 @@ HierarchySimulation::HierarchySimulation(HierarchySimConfig config, const TreeTo
     : config_(std::move(config)),
       liveness_(config_.liveness, config_.suspicion_ttl),
       transport_(sim_, config_.transport, static_cast<std::uint32_t>(topology.child_counts.size()),
-                 config_.seed),
+                 config_.seed, &encode_message, &decode_message),
       queries_delivered_(registry_.counter("hier.queries_delivered")),
       queries_failed_(registry_.counter("hier.queries_failed")),
       hop_timeouts_(registry_.counter("hier.hop_timeouts")),
@@ -113,20 +114,12 @@ void HierarchySimulation::build(const TreeTopology& topology) {
   transport_.set_handler([this](std::uint32_t to, const Transport<Message>::Envelope& env) {
     handle(to, env.payload);
   });
-  transport_.set_snapshot_codec(
-      [](const Message& msg, std::vector<std::uint64_t>& out) { encode_message(msg, out); },
-      [](const std::uint64_t* words, std::size_t count) { return decode_message(words, count); });
-  transport_.set_continuation_runner(
-      [this](const snapshot::Described& cont) { run_continuation(cont); });
-  // Described-only events (deliveries, ack timeouts, protocol continuations)
-  // dispatch through here — the hot path, no closures involved.
-  sim_.set_runner([this](std::uint32_t kind, const std::uint64_t* args, std::size_t count) {
-    if (kind >= 0x100 && kind <= 0x1FF) {
-      transport_.run_described(kind, args, count);
-      return;
-    }
-    run_continuation(kind, args, count);
-  });
+  // Query starts and attempt timeouts are described events of the
+  // hierarchy block: live, restored and ack/timeout-settled alike run here.
+  sim_.set_runner(snapshot::kHierQueryStart,
+                  [this](std::uint32_t kind, const std::uint64_t* args, std::size_t count) {
+                    run_continuation(kind, args, count);
+                  });
   if (liveness_.gossip_enabled()) {
     digests_sent_ = registry_.counter("hier.liveness_digests_sent");
     digest_entries_sent_ = registry_.counter("hier.liveness_digest_entries_sent");
@@ -771,12 +764,12 @@ std::string HierarchySimulation::restore_state(const snapshot::Json& state) {
   return "";
 }
 
-std::function<void()> HierarchySimulation::rebuild_event(const snapshot::Described& desc) {
-  if (desc.kind >= 0x100 && desc.kind <= 0x1FF) return transport_.rebuild_event(desc);
-  if (desc.kind >= 0x300 && desc.kind <= 0x3FF) {
-    return [this, copy = desc] { run_continuation(copy); };
-  }
-  return nullptr;
+bool HierarchySimulation::owns(std::uint32_t kind) const {
+  // The hierarchy block, plus the transport block: the transport's state
+  // is part of this section.
+  const std::uint32_t block = snapshot::kind_block(kind);
+  return block == snapshot::kind_block(snapshot::kHierQueryStart) ||
+         block == snapshot::kind_block(snapshot::kTransportDelivery);
 }
 
 }  // namespace hours::sim

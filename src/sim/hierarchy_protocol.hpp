@@ -215,8 +215,7 @@ class HierarchySimulation : public snapshot::Participant {
   [[nodiscard]] std::string section() const override { return "hier"; }
   [[nodiscard]] snapshot::Json save_state(std::string& error) const override;
   [[nodiscard]] std::string restore_state(const snapshot::Json& state) override;
-  [[nodiscard]] std::function<void()> rebuild_event(
-      const snapshot::Described& desc) override;
+  [[nodiscard]] bool owns(std::uint32_t kind) const override;
 
  private:
   struct Message {
@@ -258,13 +257,9 @@ class HierarchySimulation : public snapshot::Participant {
   static void encode_message(const Message& msg, std::vector<std::uint64_t>& out);
   static Message decode_message(const std::uint64_t* words, std::size_t count);
 
-  /// Dispatches a described continuation (kHier* kinds) — the single decode
-  /// path shared by live scheduling (the simulator runner) and snapshot
-  /// restore.
+  /// Dispatches a hierarchy-block event or continuation (kHier* kinds) —
+  /// the runner this simulation claims, for live and restored events alike.
   void run_continuation(std::uint32_t kind, const std::uint64_t* args, std::size_t count);
-  void run_continuation(const snapshot::Described& cont) {
-    run_continuation(cont.kind, cont.args.data(), cont.args.size());
-  }
 
   /// The configuration echo stored in a snapshot and verified by
   /// restore_state() (a snapshot only restores into an identically

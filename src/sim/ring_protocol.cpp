@@ -26,7 +26,8 @@ TransportConfig transport_config(const RingSimConfig& config) {
 RingSimulation::RingSimulation(RingSimConfig config)
     : config_(config),
       rng_(rng::mix64(config.seed, 0x70726F746FULL)),
-      transport_(sim_, transport_config(config), config.size, config.seed),
+      transport_(sim_, transport_config(config), config.size, config.seed, &encode_message,
+                 &decode_message),
       liveness_(config.liveness, /*suspicion_ttl=*/0),
       probes_sent_(registry_.counter("ring.probes_sent")),
       repairs_sent_(registry_.counter("ring.repairs_sent")),
@@ -45,21 +46,12 @@ RingSimulation::RingSimulation(RingSimConfig config)
       [this](std::uint32_t to, const Transport<Message>::Envelope& env) {
         handle(static_cast<ids::RingIndex>(to), env.from, env.payload);
       });
-  // With codec + runner installed, every in-flight message and every protocol
-  // callback is a described event: the whole run is snapshottable.
-  transport_.set_snapshot_codec(
-      [](const Message& msg, std::vector<std::uint64_t>& out) { encode_message(msg, out); },
-      [](const std::uint64_t* words, std::size_t count) {
-        return decode_message(words, count);
-      });
-  transport_.set_continuation_runner(
-      [this](const snapshot::Described& cont) { run_continuation(cont); });
-  // Deliveries and codec-path ack timeouts are described-only events on the
-  // simulator's hot path; route their kinds back to the transport.
-  sim_.set_runner([this](std::uint32_t kind, const std::uint64_t* args, std::size_t count) {
-    HOURS_EXPECTS(kind >= 0x100 && kind <= 0x1FF);
-    transport_.run_described(kind, args, count);
-  });
+  // Probe timers, continuations and query starts are described events of
+  // the ring block: live, restored and ack/timeout-settled alike run here.
+  sim_.set_runner(snapshot::kRingProbeTimer,
+                  [this](std::uint32_t kind, const std::uint64_t* args, std::size_t count) {
+                    run_continuation(kind, args, count);
+                  });
   if (liveness_.gossip_enabled()) {
     digests_sent_ = registry_.counter("ring.liveness_digests_sent");
     digest_entries_sent_ = registry_.counter("ring.liveness_digest_entries_sent");
@@ -164,20 +156,21 @@ RingSimulation::Message RingSimulation::decode_message(const std::uint64_t* word
   return msg;
 }
 
-void RingSimulation::run_continuation(const snapshot::Described& cont) {
-  const auto arg = [&cont](std::size_t k) {
-    HOURS_EXPECTS(k < cont.args.size());
-    return static_cast<ids::RingIndex>(cont.args[k]);
+void RingSimulation::run_continuation(std::uint32_t kind, const std::uint64_t* args,
+                                      std::size_t count) {
+  const auto arg = [args, count](std::size_t k) {
+    HOURS_EXPECTS(k < count);
+    return static_cast<ids::RingIndex>(args[k]);
   };
-  const auto tail = [&cont](std::size_t from) {
+  const auto tail = [args, count](std::size_t from) {
     std::vector<ids::RingIndex> out;
-    for (std::size_t k = from; k < cont.args.size(); ++k) {
-      out.push_back(static_cast<ids::RingIndex>(cont.args[k]));
+    for (std::size_t k = from; k < count; ++k) {
+      out.push_back(static_cast<ids::RingIndex>(args[k]));
     }
     return out;
   };
 
-  switch (cont.kind) {
+  switch (kind) {
     case snapshot::kRingProbeTimer:
       probe_cycle(arg(0));
       break;
@@ -219,22 +212,23 @@ void RingSimulation::run_continuation(const snapshot::Described& cont) {
     case snapshot::kRingRepairTimeout: {
       const ids::RingIndex at = arg(0);
       const ids::RingIndex origin = arg(1);
-      const std::uint64_t rid = cont.args[2];
+      HOURS_EXPECTS(count > 2);
+      const std::uint64_t rid = args[2];
       const ids::RingIndex tried = arg(3);
       suspect_peer(at, tried);
       repair_attempt(at, origin, rid, tail(4));
       break;
     }
     case snapshot::kRingQueryStart: {
-      HOURS_EXPECTS(cont.args.size() == 7);
-      process_query(arg(0), decode_message(cont.args.data() + 1, 6));
+      HOURS_EXPECTS(count == 7);
+      process_query(arg(0), decode_message(args + 1, 6));
       break;
     }
     case snapshot::kRingQueryHopTimeout: {
-      HOURS_EXPECTS(cont.args.size() >= 8);
+      HOURS_EXPECTS(count >= 8);
       const ids::RingIndex at = arg(0);
       const ids::RingIndex tried = arg(1);
-      const Message msg = decode_message(cont.args.data() + 2, 6);
+      const Message msg = decode_message(args + 2, 6);
       suspect_peer(at, tried);
       try_query_candidates(at, msg, tail(8));
       break;
@@ -245,20 +239,6 @@ void RingSimulation::run_continuation(const snapshot::Described& cont) {
 }
 
 // -- transport ------------------------------------------------------------------
-
-void RingSimulation::send_expect_ack(ids::RingIndex from, ids::RingIndex to, Message msg,
-                                     std::function<void()> on_ack,
-                                     std::function<void()> on_timeout) {
-  transport_.send_expect_ack(from, to, std::move(msg), std::move(on_ack),
-                             std::move(on_timeout));
-}
-
-void RingSimulation::send_expect_ack(ids::RingIndex from, ids::RingIndex to, Message msg,
-                                     snapshot::Described on_ack,
-                                     snapshot::Described on_timeout) {
-  transport_.send_expect_ack(from, to, std::move(msg), std::move(on_ack),
-                             std::move(on_timeout));
-}
 
 void RingSimulation::handle(ids::RingIndex at, ids::RingIndex from, const Message& msg) {
   Node& node = nodes_[at];
@@ -310,18 +290,11 @@ void RingSimulation::handle(ids::RingIndex at, ids::RingIndex from, const Messag
           ids::clockwise_distance(at, node.cw_succ, config_.size)) {
         break;
       }
-      Message probe;
-      probe.type = Message::Type::kProbe;
-      probes_sent_.inc();
-      HOURS_TRACE_EMIT(trace_, {.at = sim_.now(),
-                                .type = trace::EventType::kProbeSent,
-                                .node = at,
-                                .peer = suggested});
       // The recovery check subsumes the adopt-if-closer logic this handler
       // used to inline, and additionally repairs the ccw side.
-      send_expect_ack(at, suggested, probe,
-                      snapshot::Described{snapshot::kRingRecoveredAck, {at, suggested}},
-                      snapshot::Described{});
+      send_probe(at, suggested,
+                 snapshot::Described{snapshot::kRingRecoveredAck, {at, suggested}},
+                 snapshot::Described{});
       break;
     }
     case Message::Type::kNeighborClaim: {
@@ -360,9 +333,21 @@ void RingSimulation::handle(ids::RingIndex at, ids::RingIndex from, const Messag
 
 // -- probing & recovery ------------------------------------------------------------
 
+void RingSimulation::send_probe(ids::RingIndex from, ids::RingIndex to,
+                                snapshot::Described on_ack, snapshot::Described on_timeout) {
+  Message probe;
+  probe.type = Message::Type::kProbe;
+  probes_sent_.inc();
+  HOURS_TRACE_EMIT(trace_, {.at = sim_.now(),
+                            .type = trace::EventType::kProbeSent,
+                            .node = from,
+                            .peer = to});
+  transport_.send_expect_ack(from, to, probe, std::move(on_ack), std::move(on_timeout));
+}
+
 void RingSimulation::schedule_probe(ids::RingIndex i, Ticks delay) {
-  const snapshot::Described timer{snapshot::kRingProbeTimer, {i}};
-  sim_.schedule(delay, timer, [this, timer] { run_continuation(timer); });
+  const std::uint64_t node = i;
+  sim_.schedule(delay, snapshot::kRingProbeTimer, &node, 1);
 }
 
 void RingSimulation::probe_cycle(ids::RingIndex i) {
@@ -374,37 +359,18 @@ void RingSimulation::probe_cycle(ids::RingIndex i) {
 
   // Probe the clockwise successor; on silence, walk the table for the next
   // responsive sibling (conventional neighborhood recovery).
-  {
-    Message probe;
-    probe.type = Message::Type::kProbe;
-    probes_sent_.inc();
-    const ids::RingIndex succ = node.cw_succ;
-    HOURS_TRACE_EMIT(trace_, {.at = sim_.now(),
-                              .type = trace::EventType::kProbeSent,
-                              .node = i,
-                              .peer = succ});
-    send_expect_ack(i, succ, probe,
-                    snapshot::Described{snapshot::kRingCwProbeAck, {i}},
-                    snapshot::Described{snapshot::kRingCwProbeTimeout, {i, succ}});
-  }
+  send_probe(i, node.cw_succ, snapshot::Described{snapshot::kRingCwProbeAck, {i}},
+             snapshot::Described{snapshot::kRingCwProbeTimeout, {i, node.cw_succ}});
 
   // Probe the counter-clockwise neighbor; on silence, wait one probe period
   // for a NeighborClaim before inferring massive failure (Section 4.3).
-  {
-    Message probe;
-    probe.type = Message::Type::kProbe;
-    probes_sent_.inc();
-    const ids::RingIndex ccw = node.ccw;
-    HOURS_TRACE_EMIT(trace_, {.at = sim_.now(),
-                              .type = trace::EventType::kProbeSent,
-                              .node = i,
-                              .peer = ccw});
-    send_expect_ack(i, ccw, probe,
-                    snapshot::Described{snapshot::kRingCcwProbeAck, {i}},
-                    snapshot::Described{snapshot::kRingCcwProbeTimeout, {i, ccw}});
-  }
+  send_probe(i, node.ccw, snapshot::Described{snapshot::kRingCcwProbeAck, {i}},
+             snapshot::Described{snapshot::kRingCcwProbeTimeout, {i, node.ccw}});
 
-  if (config_.suspicion_refresh && !liveness_.observer_empty(i)) refresh_suspected(i);
+  // Suspicion refresh: a recovered peer (revived, or back in reach after a
+  // partition healed) is re-adopted or triggers active recovery on ack —
+  // what re-merges two self-healed half-rings once a partition lifts.
+  if (!liveness_.observer_empty(i)) refresh_suspected(i);
 
   schedule_probe(i, config_.probe_period);
 }
@@ -444,9 +410,9 @@ void RingSimulation::ccw_probe_timeout(ids::RingIndex i, ids::RingIndex ccw) {
   // until the ring closes.
   self.ccw_suspected = true;
   self.awaiting_claim = true;
-  const snapshot::Described check{snapshot::kRingCcwSilenceCheck, {i}};
+  const std::uint64_t node = i;
   self.awaiting_check_event =
-      sim_.schedule(config_.probe_period, check, [this, check] { run_continuation(check); });
+      sim_.schedule(config_.probe_period, snapshot::kRingCcwSilenceCheck, &node, 1);
 }
 
 void RingSimulation::refresh_suspected(ids::RingIndex i) {
@@ -455,17 +421,8 @@ void RingSimulation::refresh_suspected(ids::RingIndex i) {
   // probe periods, however the set churns in between.
   const ids::RingIndex target = liveness_.next_at_or_after(i, node.refresh_cursor);
   node.refresh_cursor = target + 1;
-
-  Message probe;
-  probe.type = Message::Type::kProbe;
-  probes_sent_.inc();
-  HOURS_TRACE_EMIT(trace_, {.at = sim_.now(),
-                            .type = trace::EventType::kProbeSent,
-                            .node = i,
-                            .peer = target});
-  send_expect_ack(i, target, probe,
-                  snapshot::Described{snapshot::kRingRecoveredAck, {i, target}},
-                  snapshot::Described{});  // still silent: stays suspected
+  send_probe(i, target, snapshot::Described{snapshot::kRingRecoveredAck, {i, target}},
+             snapshot::Described{});  // still silent: stays suspected
 }
 
 void RingSimulation::on_suspect_recovered(ids::RingIndex i, ids::RingIndex peer) {
@@ -483,7 +440,7 @@ void RingSimulation::on_suspect_recovered(ids::RingIndex i, ids::RingIndex peer)
     Message claim;
     claim.type = Message::Type::kNeighborClaim;
     claims_sent_.inc();
-    send_expect_ack(i, peer, claim, snapshot::Described{}, snapshot::Described{});
+    transport_.send_expect_ack(i, peer, claim, snapshot::Described{}, snapshot::Described{});
   }
 
   // Counter-clockwise side: a recovered peer closer than the current ccw
@@ -511,18 +468,10 @@ void RingSimulation::advance_cw_successor(ids::RingIndex i,
   const ids::RingIndex candidate = candidates.front();
   candidates.erase(candidates.begin());
 
-  Message probe;
-  probe.type = Message::Type::kProbe;
-  probes_sent_.inc();
-  HOURS_TRACE_EMIT(trace_, {.at = sim_.now(),
-                            .type = trace::EventType::kProbeSent,
-                            .node = i,
-                            .peer = candidate});
   snapshot::Described timeout{snapshot::kRingAdvanceTimeout, {i, candidate}};
   timeout.args.insert(timeout.args.end(), candidates.begin(), candidates.end());
-  send_expect_ack(i, candidate, probe,
-                  snapshot::Described{snapshot::kRingAdvanceAck, {i, candidate}},
-                  std::move(timeout));
+  send_probe(i, candidate, snapshot::Described{snapshot::kRingAdvanceAck, {i, candidate}},
+             std::move(timeout));
 }
 
 void RingSimulation::advance_ack(ids::RingIndex i, ids::RingIndex candidate) {
@@ -534,7 +483,8 @@ void RingSimulation::advance_ack(ids::RingIndex i, ids::RingIndex candidate) {
   Message claim;
   claim.type = Message::Type::kNeighborClaim;
   claims_sent_.inc();
-  send_expect_ack(i, candidate, claim, snapshot::Described{}, snapshot::Described{});
+  transport_.send_expect_ack(i, candidate, claim, snapshot::Described{},
+                             snapshot::Described{});
 }
 
 void RingSimulation::ccw_silence_check(ids::RingIndex i) {
@@ -592,7 +542,7 @@ void RingSimulation::repair_attempt(ids::RingIndex at, ids::RingIndex origin,
   repair.qid = rid;
   snapshot::Described timeout{snapshot::kRingRepairTimeout, {at, origin, rid, next}};
   timeout.args.insert(timeout.args.end(), remaining.begin(), remaining.end());
-  send_expect_ack(at, next, repair, snapshot::Described{}, std::move(timeout));
+  transport_.send_expect_ack(at, next, repair, snapshot::Described{}, std::move(timeout));
 }
 
 void RingSimulation::attach_repair(ids::RingIndex at, ids::RingIndex origin,
@@ -614,7 +564,7 @@ void RingSimulation::attach_repair(ids::RingIndex at, ids::RingIndex origin,
   claim.type = Message::Type::kNeighborClaim;
   claim.qid = rid;  // lets the originator's acceptance close the trace span
   claims_sent_.inc();
-  send_expect_ack(at, origin, claim, snapshot::Described{}, snapshot::Described{});
+  transport_.send_expect_ack(at, origin, claim, snapshot::Described{}, snapshot::Described{});
 }
 
 bool RingSimulation::adopts_successor(ids::RingIndex i, ids::RingIndex candidate) const {
@@ -686,7 +636,7 @@ std::uint64_t RingSimulation::inject_query(ids::RingIndex from, ids::RingIndex o
   query.od = od;
   snapshot::Described start{snapshot::kRingQueryStart, {from}};
   encode_message(query, start.args);
-  sim_.schedule(0, start, [this, start] { run_continuation(start); });
+  sim_.schedule(0, start);
   return qid;
 }
 
@@ -741,7 +691,7 @@ void RingSimulation::client_attempt(ids::RingIndex at, ids::RingIndex to,
   HOURS_EXPECTS(at < config_.size && to < config_.size);
   Message hop;
   hop.type = Message::Type::kClientHop;
-  send_expect_ack(at, to, hop, std::move(on_ack), std::move(on_timeout));
+  transport_.send_expect_ack(at, to, hop, std::move(on_ack), std::move(on_timeout));
 }
 
 void RingSimulation::process_query(ids::RingIndex at, Message msg) {
@@ -791,7 +741,7 @@ void RingSimulation::try_query_candidates(ids::RingIndex at, Message msg,
   snapshot::Described timeout{snapshot::kRingQueryHopTimeout, {at, next}};
   encode_message(msg, timeout.args);
   timeout.args.insert(timeout.args.end(), candidates.begin(), candidates.end());
-  send_expect_ack(at, next, forwarded, snapshot::Described{}, std::move(timeout));
+  transport_.send_expect_ack(at, next, forwarded, snapshot::Described{}, std::move(timeout));
 }
 
 // -- snapshot (snapshot::Participant) ------------------------------------------------
@@ -1074,13 +1024,12 @@ std::string RingSimulation::restore_state(const snapshot::Json& state) {
   return "";
 }
 
-std::function<void()> RingSimulation::rebuild_event(const snapshot::Described& desc) {
-  if (desc.kind >= 0x100 && desc.kind < 0x200) return transport_.rebuild_event(desc);
-  if (desc.kind >= 0x200 && desc.kind < 0x300) {
-    const snapshot::Described copy = desc;
-    return [this, copy] { run_continuation(copy); };
-  }
-  return nullptr;
+bool RingSimulation::owns(std::uint32_t kind) const {
+  // The ring block, plus the transport block: the transport's state is
+  // part of this section.
+  const std::uint32_t block = snapshot::kind_block(kind);
+  return block == snapshot::kind_block(snapshot::kRingProbeTimer) ||
+         block == snapshot::kind_block(snapshot::kTransportDelivery);
 }
 
 }  // namespace hours::sim

@@ -20,12 +20,13 @@
 // backward mode), so integration tests can show end-to-end service before,
 // during, and after recovery.
 //
-// Every protocol continuation (probe callbacks, repair retries, query hops)
-// is expressed as a snapshot::Described datum dispatched through
-// run_continuation() — the same dispatcher on the live path and after a
-// snapshot restore — making the whole simulation serializable mid-flight
-// (RingSimulation is a snapshot::Participant). The only opaque events are
-// client_attempt() callbacks, which belong to an external query client.
+// Every protocol event and continuation (probe timers and callbacks, repair
+// retries, query starts and hops) is a snapshot::Described datum of the
+// ring block, which the simulation claims on its simulator at
+// construction: run_continuation() is the one dispatcher on the live path
+// and after a snapshot restore, making the whole simulation serializable
+// mid-flight (RingSimulation is a snapshot::Participant). The only closures
+// are client_attempt() callbacks, which belong to an external query client.
 #pragma once
 
 #include <cstdint>
@@ -59,14 +60,6 @@ struct RingSimConfig {
   /// is enough on loss-free links; lossy links need >= 2-3 or false
   /// suspicion keeps churning the ring.
   std::uint32_t probe_failure_threshold = 1;
-  /// Each probe cycle, additionally re-probe one peer from the suspicion
-  /// set (round-robin). A recovered peer — revived, or back in reach after
-  /// a partition healed — is unsuspected on ack; when it invalidates this
-  /// node's ring geometry the node adopts it (clockwise side) or re-runs
-  /// Section 4.3 active recovery (counter-clockwise side). The latter is
-  /// what re-merges two self-healed half-rings after a partition lifts;
-  /// without refresh, disjoint halves never contact each other again.
-  bool suspicion_refresh = true;
   /// Evidence-source selection for the liveness plane: kProbeOnly keeps
   /// today's timeout-only inference bit for bit; kGossip additionally
   /// piggybacks bounded suspicion digests on every transport frame (probes,
@@ -116,8 +109,7 @@ class RingSimulation : public snapshot::Participant {
   [[nodiscard]] std::string section() const override { return "ring"; }
   [[nodiscard]] snapshot::Json save_state(std::string& error) const override;
   [[nodiscard]] std::string restore_state(const snapshot::Json& state) override;
-  [[nodiscard]] std::function<void()> rebuild_event(
-      const snapshot::Described& desc) override;
+  [[nodiscard]] bool owns(std::uint32_t kind) const override;
 
   // -- protocol introspection (tests) ------------------------------------------
   [[nodiscard]] ids::RingIndex cw_successor(ids::RingIndex i) const;
@@ -213,18 +205,17 @@ class RingSimulation : public snapshot::Participant {
   static void encode_message(const Message& msg, std::vector<std::uint64_t>& out);
   static Message decode_message(const std::uint64_t* words, std::size_t count);
 
-  /// Executes one described continuation — the single dispatch point for
-  /// the live path and the restore path.
-  void run_continuation(const snapshot::Described& cont);
+  /// Executes one ring-block event or continuation — the runner this
+  /// simulation claims, for the live path and the restore path alike.
+  void run_continuation(std::uint32_t kind, const std::uint64_t* args, std::size_t count);
 
-  void send_expect_ack(ids::RingIndex from, ids::RingIndex to, Message msg,
-                       std::function<void()> on_ack, std::function<void()> on_timeout);
-  void send_expect_ack(ids::RingIndex from, ids::RingIndex to, Message msg,
-                       snapshot::Described on_ack, snapshot::Described on_timeout);
   void handle(ids::RingIndex at, ids::RingIndex from, const Message& msg);
 
   // Probing and recovery. The *_ack / *_timeout methods are the bodies of
   // continuations; their arguments mirror the continuation args.
+  /// Sends one probe (counted and traced) with its ack/timeout continuations.
+  void send_probe(ids::RingIndex from, ids::RingIndex to, snapshot::Described on_ack,
+                  snapshot::Described on_timeout);
   void schedule_probe(ids::RingIndex i, Ticks delay);
   void probe_cycle(ids::RingIndex i);
   void cw_probe_timeout(ids::RingIndex i, ids::RingIndex succ);

@@ -39,7 +39,6 @@ std::uint64_t Simulator::insert(Ticks at, std::uint64_t id, std::uint32_t kind,
   slot.id = id;
   slot.kind = kind;
   slot.live = true;
-  slot.has_action = action != nullptr;
   slot.action = std::move(action);
   if (count > 0) {
     slot.args.assign(args, args + count);
@@ -208,16 +207,26 @@ std::uint32_t Simulator::find_next() {
   }
 }
 
+void Simulator::set_runner(std::uint32_t kind, Runner runner) {
+  const std::uint32_t block = snapshot::kind_block(kind);
+  HOURS_EXPECTS(block != 0 && block < runners_.size());
+  HOURS_EXPECTS(runners_[block] == nullptr);
+  HOURS_EXPECTS(runner != nullptr);
+  runners_[block] = std::move(runner);
+}
+
+void Simulator::dispatch(std::uint32_t kind, const std::uint64_t* args,
+                         std::size_t count) const {
+  const std::uint32_t block = snapshot::kind_block(kind);
+  const Runner& runner =
+      block < runners_.size() && runners_[block] != nullptr ? runners_[block] : fallback_;
+  HOURS_EXPECTS(runner != nullptr);
+  runner(kind, args, count);
+}
+
 std::uint64_t Simulator::schedule(Ticks delay, Action action) {
   HOURS_EXPECTS(action != nullptr);
   return insert(now_ + delay, next_id_++, snapshot::kOpaque, nullptr, 0, std::move(action));
-}
-
-std::uint64_t Simulator::schedule(Ticks delay, snapshot::Described desc, Action action) {
-  HOURS_EXPECTS(desc.kind != snapshot::kOpaque);
-  HOURS_EXPECTS(action != nullptr);
-  return insert(now_ + delay, next_id_++, desc.kind, desc.args.data(), desc.args.size(),
-                std::move(action));
 }
 
 std::uint64_t Simulator::schedule(Ticks delay, std::uint32_t kind, const std::uint64_t* args,
@@ -242,18 +251,16 @@ void Simulator::cancel(std::uint64_t id) {
 void Simulator::dispatch_and_free(std::uint32_t index) {
   EventSlot& slot = slab_[index];
   slot.live = false;
-  if (slot.has_action) {
+  if (slot.kind == snapshot::kOpaque) {
     Action action = std::move(slot.action);
     slot.action = nullptr;
-    slot.args.clear();
     slab_.release(index);
     action();
     return;
   }
-  HOURS_EXPECTS(runner_ != nullptr);
   // The args words stay in the slot through the call (chunk addresses are
   // stable even if the runner schedules); the slot is recycled after.
-  runner_(slot.kind, slot.args.data(), slot.args.size());
+  dispatch(slot.kind, slot.args.data(), slot.args.size());
   slot.args.clear();
   slab_.release(index);
 }
@@ -304,19 +311,6 @@ std::vector<Simulator::PendingEvent> Simulator::pending_events() const {
   return out;
 }
 
-std::vector<std::uint64_t> Simulator::opaque_event_ids() const {
-  std::vector<std::pair<Ticks, std::uint64_t>> keyed;
-  for (std::uint32_t index = 0; index < slab_.high_water(); ++index) {
-    const EventSlot& slot = slab_[index];
-    if (slot.live && slot.kind == snapshot::kOpaque) keyed.emplace_back(slot.at, slot.id);
-  }
-  std::sort(keyed.begin(), keyed.end());
-  std::vector<std::uint64_t> out;
-  out.reserve(keyed.size());
-  for (const auto& [at, id] : keyed) out.push_back(id);
-  return out;
-}
-
 void Simulator::reset(Ticks now, std::uint64_t next_id) {
   HOURS_EXPECTS(next_id >= 1);
   slab_.clear();
@@ -333,14 +327,12 @@ void Simulator::reset(Ticks now, std::uint64_t next_id) {
   rebase(now);
 }
 
-void Simulator::restore_event(Ticks at, std::uint64_t id, snapshot::Described desc,
-                              Action action) {
+void Simulator::restore_event(Ticks at, std::uint64_t id, const snapshot::Described& desc) {
   HOURS_EXPECTS(at >= now_);
   HOURS_EXPECTS(id >= 1 && id < next_id_);
   HOURS_EXPECTS(index_of_.find(id) == util::FlatIndex::kMissing);
   HOURS_EXPECTS(desc.kind != snapshot::kOpaque);
-  HOURS_EXPECTS(action != nullptr);
-  insert(at, id, desc.kind, desc.args.data(), desc.args.size(), std::move(action));
+  insert(at, id, desc.kind, desc.args.data(), desc.args.size(), nullptr);
 }
 
 }  // namespace hours::sim

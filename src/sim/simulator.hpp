@@ -17,15 +17,19 @@
 // nothing. Exact (at, id) FIFO order is preserved: a level-0 slot holds a
 // single tick and is drained in id order.
 //
-// Events come in two dispatch forms. The closure overloads carry a
-// std::function (required for opaque events and for subsystems whose
-// described form alone cannot identify the handler). The described-only
-// overloads carry just (kind, args) and dispatch through the installed
-// runner — the hot path: no per-event allocation at all. Events scheduled
-// through the legacy closure-only overload are *opaque* (kind 0) and make
-// the queue unserializable while present. restore_event() re-instates a
-// saved event under its ORIGINAL id, so same-instant FIFO tie-breaking
-// after a restore is byte-identical to the uninterrupted run.
+// Events come in two dispatch forms. A *described* event carries just
+// (kind, args) and runs through the runner that owns its kind's 0x100
+// block (event_kinds.hpp): each owner — transport, ring, hierarchy, fault
+// injector — claims its block once, at construction, and every described
+// event of that block reaches the same runner whether it was scheduled
+// live, restored from a snapshot, or dispatched synchronously as a
+// transport ack/timeout continuation. That is the hot path: no per-event
+// allocation at all. A *closure* event carries a std::function and has
+// kind 0 (kOpaque): it executes normally but makes the queue
+// unserializable while present (QueryClient timers, test harnesses).
+// restore_event() re-instates a saved described event under its ORIGINAL
+// id, so same-instant FIFO tie-breaking after a restore is byte-identical
+// to the uninterrupted run.
 #pragma once
 
 #include <array>
@@ -48,9 +52,9 @@ using Ticks = std::uint64_t;
 class Simulator {
  public:
   using Action = std::function<void()>;
-  /// Dispatcher for described-only events: receives the event's kind and
-  /// argument words. The words point into the event's slab slot and are
-  /// valid only for the duration of the call.
+  /// Dispatcher for described events: receives the event's kind and
+  /// argument words. The words are valid only for the duration of the call
+  /// (a queued event's point into its slab slot).
   using Runner =
       std::function<void(std::uint32_t kind, const std::uint64_t* args, std::size_t count)>;
 
@@ -65,26 +69,31 @@ class Simulator {
 
   [[nodiscard]] Ticks now() const noexcept { return now_; }
 
-  /// Installs the dispatcher for described-only events. Must be installed
-  /// before the first runner-dispatched event executes.
-  void set_runner(Runner runner) { runner_ = std::move(runner); }
+  /// Claims `kind`'s 0x100 block: every described event of the block runs
+  /// through `runner`. A block has one owner; claiming it twice is a
+  /// contract violation. The owner must outlive the simulator's use.
+  void set_runner(std::uint32_t kind, Runner runner);
+
+  /// Installs the runner for described events of unclaimed blocks (tests
+  /// and benches with private kinds). Must be installed before the first
+  /// such event executes.
+  void set_runner(Runner runner) { fallback_ = std::move(runner); }
+
+  /// Runs one described event or continuation through its block's runner
+  /// (or the fallback), synchronously.
+  void dispatch(std::uint32_t kind, const std::uint64_t* args, std::size_t count) const;
 
   /// Schedules an opaque `action` to run at now() + delay. Returns an id
   /// usable with cancel(). Opaque events execute normally but block
   /// snapshot save while queued; prefer the described overloads.
   std::uint64_t schedule(Ticks delay, Action action);
 
-  /// Schedules an action together with its data form. `desc.kind` must be a
-  /// registered kind (event_kinds.hpp) and `action` must be derived from
-  /// `desc` alone, so a restored snapshot rebuilds the identical closure.
-  std::uint64_t schedule(Ticks delay, snapshot::Described desc, Action action);
-
-  /// Described-only scheduling: the event is dispatched through the
-  /// installed runner. The hot path — `args` is copied into a reused slab
-  /// slot, no allocation in steady state.
+  /// Described scheduling: the event is dispatched through its block's
+  /// runner. The hot path — `args` is copied into a reused slab slot, no
+  /// allocation in steady state.
   std::uint64_t schedule(Ticks delay, std::uint32_t kind, const std::uint64_t* args,
                          std::size_t count);
-  std::uint64_t schedule(Ticks delay, snapshot::Described desc) {
+  std::uint64_t schedule(Ticks delay, const snapshot::Described& desc) {
     return schedule(delay, desc.kind, desc.args.data(), desc.args.size());
   }
 
@@ -117,17 +126,14 @@ class Simulator {
   /// desc.kind == snapshot::kOpaque. Cold path: flat slab scan + sort.
   [[nodiscard]] std::vector<PendingEvent> pending_events() const;
 
-  /// Ids of queued opaque events (empty = the queue is serializable).
-  [[nodiscard]] std::vector<std::uint64_t> opaque_event_ids() const;
-
   /// Drops every queued event and rewinds/forwards the clock and the id
   /// counter to a saved instant. First step of a restore.
   void reset(Ticks now, std::uint64_t next_id);
 
-  /// Re-instates a saved event under its original id (must be < next_id and
-  /// unused; `at` must not be in the past). The caller supplies the closure
-  /// rebuilt from `desc` by the owning subsystem.
-  void restore_event(Ticks at, std::uint64_t id, snapshot::Described desc, Action action);
+  /// Re-instates a saved described event under its original id (must be <
+  /// next_id and unused; `at` must not be in the past). It runs through
+  /// its block's runner, exactly as the live event would have.
+  void restore_event(Ticks at, std::uint64_t id, const snapshot::Described& desc);
 
  private:
   static constexpr std::uint32_t kNil = 0xFFFFFFFFU;
@@ -147,9 +153,8 @@ class Simulator {
     std::uint8_t home = 0;   ///< wheel level, kHomeAnte, or kHomeOverflow
     std::uint8_t bucket = 0; ///< slot index within the level (levels only)
     bool live = false;
-    bool has_action = false;
     std::vector<std::uint64_t> args;  ///< capacity survives slot reuse
-    Action action;
+    Action action;                    ///< closure events (kind 0) only
   };
 
   struct Level {
@@ -197,7 +202,9 @@ class Simulator {
   /// wheel when the levels drain.
   std::uint32_t overflow_head_ = kNil;
 
-  Runner runner_;
+  /// Runners by 0x100 kind block; kinds past the table fall back.
+  std::array<Runner, 16> runners_;
+  Runner fallback_;
 };
 
 }  // namespace hours::sim

@@ -1,5 +1,7 @@
 #include "sim/snapshotter.hpp"
 
+#include <algorithm>
+
 #include "snapshot/event_kinds.hpp"
 #include "snapshot/snapshot.hpp"
 #include "util/contracts.hpp"
@@ -18,14 +20,15 @@ std::string Snapshotter::save(snapshot::Json& doc) const {
 
   // Opaque events have no wire form; refuse with the full id list so the
   // caller can see exactly which closures block the save.
-  const auto opaque = sim_.opaque_event_ids();
+  const auto pending = sim_.pending_events();
+  std::string opaque;
+  for (const auto& event : pending) {
+    if (event.desc.kind != snapshot::kOpaque) continue;
+    if (!opaque.empty()) opaque += ", ";
+    opaque += std::to_string(event.id);
+  }
   if (!opaque.empty()) {
-    std::string ids;
-    for (const auto id : opaque) {
-      if (!ids.empty()) ids += ", ";
-      ids += std::to_string(id);
-    }
-    return "cannot snapshot: opaque (closure-only) events queued, ids [" + ids + "]";
+    return "cannot snapshot: opaque (closure-only) events queued, ids [" + opaque + "]";
   }
 
   doc = snapshot::make_document();
@@ -35,7 +38,7 @@ std::string Snapshotter::save(snapshot::Json& doc) const {
   sim["now"] = Json(sim_.now());
   sim["next_id"] = Json(sim_.next_id());
   Json events = Json::array();
-  for (const auto& event : sim_.pending_events()) {
+  for (const auto& event : pending) {
     Json row = Json::array();
     row.push(Json(event.at));
     row.push(Json(event.id));
@@ -81,8 +84,7 @@ std::string Snapshotter::restore(const snapshot::Json& doc) {
 
   sim_.reset(now->as_u64(), next_id->as_u64());
 
-  // Participant state first: event closures may capture (pointers into)
-  // restored subsystem state, and a subsystem's restore must not observe a
+  // Participant state first: a subsystem's restore must not observe a
   // half-populated queue.
   for (auto* participant : participants_) {
     const Json* state = sections->find(participant->section());
@@ -98,18 +100,19 @@ std::string Snapshotter::restore(const snapshot::Json& doc) {
     desc.kind = static_cast<std::uint32_t>(fields[2].as_u64());
     for (std::size_t i = 3; i < fields.size(); ++i) desc.args.push_back(fields[i].as_u64());
 
-    Simulator::Action action;
-    for (auto* participant : participants_) {
-      action = participant->rebuild_event(desc);
-      if (action != nullptr) break;
-    }
-    if (action == nullptr) {
-      return "no participant rebuilds event kind " +
+    // Every event runs through the runner its block's owner claimed; an
+    // event no registered participant owns would have nowhere to run.
+    const bool owned = std::any_of(participants_.begin(), participants_.end(),
+                                   [&desc](const snapshot::Participant* participant) {
+                                     return participant->owns(desc.kind);
+                                   });
+    if (!owned) {
+      return "sim.events: event " + std::to_string(fields[1].as_u64()) + " at tick " +
+             std::to_string(fields[0].as_u64()) + ": no participant owns event kind " +
              std::string(snapshot::event_kind_name(desc.kind)) + " (" +
              std::to_string(desc.kind) + ")";
     }
-    sim_.restore_event(fields[0].as_u64(), fields[1].as_u64(), std::move(desc),
-                       std::move(action));
+    sim_.restore_event(fields[0].as_u64(), fields[1].as_u64(), desc);
   }
   return "";
 }

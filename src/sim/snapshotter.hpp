@@ -5,16 +5,18 @@
 // the simulator clock, id counter, and full event queue in described form,
 // plus one section per participant. It fails loudly — with the offending
 // event ids — while any opaque (closure-only) event is queued, because an
-// opaque event cannot be rebuilt on restore.
+// opaque event has no wire form; a participant refuses in turn while its
+// own state holds a closure (a transport's closure-form pending ack).
 //
 // restore() is the exact inverse, into a *freshly constructed* simulation of
 // identical configuration: validate, reset the simulator, hand each section
-// back to its participant, then rebuild every queued event's closure by
-// asking the participants in registration order (first non-null wins) and
-// re-instate it under its original id. A restored run replays byte-for-byte
-// identically to the uninterrupted one — tests/snapshot_replay_test.cpp
-// holds that bar, and the fault-schedule fuzz harness uses it as a
-// divergence oracle.
+// back to its participant, then re-instate every queued event under its
+// original id. Each event runs through the runner its kind's block owner
+// claimed at construction — the one dispatcher the live run used — and an
+// event whose kind no registered participant owns is refused with its id.
+// A restored run replays byte-for-byte identically to the uninterrupted one
+// — tests/snapshot_replay_test.cpp holds that bar, and the fault-schedule
+// fuzz harness uses it as a divergence oracle.
 #pragma once
 
 #include <string>
@@ -31,8 +33,8 @@ class Snapshotter {
   explicit Snapshotter(Simulator& sim) : sim_(sim) {}
 
   /// Registers a participant. Registration ORDER is part of the restore
-  /// contract (sections restore in order; rebuild_event asks in order), so
-  /// save-side and restore-side Snapshotters must register identically.
+  /// contract (sections restore in order), so save-side and restore-side
+  /// Snapshotters must register identically.
   /// The participant must outlive the Snapshotter's use.
   void add(snapshot::Participant& participant);
 

@@ -14,18 +14,17 @@
 // timeout fires, indistinguishable from a crashed peer, which is exactly
 // how a severed link or mid-flight restart looks from the outside.
 //
-// Snapshot integration: with a payload codec installed (set_snapshot_codec)
-// every in-flight message is scheduled in described-ONLY form — (kind,
-// words) copied into a reused slab slot, no per-message allocation — and
-// dispatched through run_described(), which decodes at execution time. The
-// owning simulation's runner must route transport kinds (0x100 range) back
-// to run_described(); snapshot restore rebuilds the same call, so the live
-// and restored paths execute identical code. Ack/timeout callbacks come in
-// two forms: the continuation overload of send_expect_ack() takes
-// snapshot::Described pairs dispatched through the installed continuation
-// runner (serializable), while the legacy closure overload marks its
-// pending entry opaque — it works, but blocks snapshot save while
-// outstanding.
+// Snapshot integration: the payload codec is a constructor argument, and
+// every in-flight message is a described event — (kind, words) copied
+// into a reused slab slot, no per-message allocation — decoded at
+// execution time by run_described(). The transport claims the transport
+// kind block (0x100) on its simulator at construction, so live and
+// restored deliveries and ack timeouts run the same code. Every ack
+// timeout is a one-word described event. Ack/timeout callbacks come in two
+// forms: the continuation overload of send_expect_ack() takes
+// snapshot::Described pairs run through the simulator's dispatcher
+// (serializable), while the closure overload marks its pending entry
+// opaque — it works, but save_state() refuses while it is outstanding.
 //
 // Pending acks live in a slab (util/arena.hpp) found by token through a
 // flat index (util/flat_index.hpp): a slot keeps its callbacks' and
@@ -82,38 +81,37 @@ class Transport {
   /// Invoked for every delivered (non-ack) message at the recipient.
   using Handler = std::function<void(Address to, const Envelope&)>;
 
-  /// Payload <-> u64-word bridges enabling described (snapshottable)
-  /// deliveries. encode appends the payload's words to `out` (append form,
-  /// so the transport can reuse one scratch buffer across transmissions);
-  /// decode must invert exactly what encode appended.
-  using Encode = std::function<void(const Payload&, std::vector<std::uint64_t>& out)>;
-  using Decode = std::function<Payload(const std::uint64_t* words, std::size_t count)>;
+  /// Payload <-> u64-word bridges for the described wire form. encode
+  /// appends the payload's words to `out` (append form, so the transport
+  /// can reuse one scratch buffer across transmissions); decode must invert
+  /// exactly what encode appended.
+  using Encode = void (*)(const Payload&, std::vector<std::uint64_t>& out);
+  using Decode = Payload (*)(const std::uint64_t* words, std::size_t count);
 
+  /// Claims the transport kind block on `sim`, which must not have been
+  /// claimed already; the transport must outlive the simulator's use.
   Transport(Simulator& sim, TransportConfig config, std::uint32_t node_count,
-            std::uint64_t seed)
+            std::uint64_t seed, Encode encode, Decode decode)
       : sim_(sim),
         config_(config),
         alive_(node_count, 1),
         incarnation_(node_count, 0),
-        rng_(seed) {
+        rng_(seed),
+        encode_(encode),
+        decode_(decode) {
     HOURS_EXPECTS(config_.ack_timeout > 2 * config_.latency_max);
     HOURS_EXPECTS(config_.loss_probability >= 0.0 && config_.loss_probability < 1.0);
+    HOURS_EXPECTS(encode_ != nullptr && decode_ != nullptr);
+    sim_.set_runner(snapshot::kTransportDelivery,
+                    [this](std::uint32_t kind, const std::uint64_t* args, std::size_t count) {
+                      run_described(kind, args, count);
+                    });
   }
+  // The simulator's runner points at this transport.
+  Transport(const Transport&) = delete;
+  Transport& operator=(const Transport&) = delete;
 
   void set_handler(Handler handler) { handler_ = std::move(handler); }
-
-  /// Installs the payload codec; from here on every transmission is
-  /// scheduled in described form.
-  void set_snapshot_codec(Encode encode, Decode decode) {
-    encode_ = std::move(encode);
-    decode_ = std::move(decode);
-  }
-
-  /// Installs the dispatcher for continuation-form ack/timeout callbacks
-  /// (the owning protocol's run_continuation).
-  void set_continuation_runner(std::function<void(const snapshot::Described&)> runner) {
-    runner_ = std::move(runner);
-  }
 
   /// Appends the digest words a sender piggybacks on a message to `to`
   /// (liveness gossip; may append nothing). Consulted on every successful
@@ -125,15 +123,14 @@ class Transport {
   using DigestApplier = std::function<void(Address to, Address from,
                                            const std::uint64_t* words, std::size_t count)>;
 
-  /// Installs the piggyback seam. Requires the snapshot codec (digests ride
-  /// the described wire form as a trailing [words..., count] frame appended
-  /// after the payload). Install both hooks before any traffic is sent and
-  /// never change them mid-run: the trailing frame is present on the wire
-  /// exactly when the hooks are installed, so flipping them with messages
-  /// in flight would misparse those messages. With no hooks installed the
-  /// wire format is byte-identical to the pre-digest transport.
+  /// Installs the piggyback seam (digests ride the described wire form as a
+  /// trailing [words..., count] frame appended after the payload). Install
+  /// both hooks before any traffic is sent and never change them mid-run:
+  /// the trailing frame is present on the wire exactly when the hooks are
+  /// installed, so flipping them with messages in flight would misparse
+  /// those messages. With no hooks installed the wire format is
+  /// byte-identical to the pre-digest transport.
   void set_digest_hooks(DigestBuilder build, DigestApplier apply) {
-    HOURS_EXPECTS(encode_ != nullptr && decode_ != nullptr);
     HOURS_EXPECTS(messages_sent_ == 0);
     digest_build_ = std::move(build);
     digest_apply_ = std::move(apply);
@@ -190,9 +187,9 @@ class Transport {
     transmit(to, std::move(env), /*is_ack=*/false);
   }
 
-  /// Sends and expects a transport-level ack; legacy closure form. Exactly
-  /// one of on_ack / on_timeout fires (either may be null). The pending
-  /// entry is opaque: it blocks snapshot save while outstanding.
+  /// Sends and expects a transport-level ack; closure form. Exactly one of
+  /// on_ack / on_timeout fires (either may be null). The pending entry is
+  /// opaque: it blocks snapshot save while outstanding.
   void send_expect_ack(Address from, Address to, Payload payload,
                        std::function<void()> on_ack, std::function<void()> on_timeout) {
     const std::uint32_t slot = pending_.allocate();
@@ -203,11 +200,10 @@ class Transport {
     start_pending(from, to, std::move(payload), slot);
   }
 
-  /// Continuation form: callbacks as described continuations dispatched
-  /// through the installed runner (kind 0 = no-op). Fully snapshottable.
+  /// Continuation form: callbacks as described continuations run through
+  /// the simulator's dispatcher (kind 0 = no-op). Fully snapshottable.
   void send_expect_ack(Address from, Address to, Payload payload, snapshot::Described on_ack,
                        snapshot::Described on_timeout) {
-    HOURS_EXPECTS(runner_ != nullptr);
     const std::uint32_t slot = pending_.allocate();
     Pending& pending = pending_[slot];
     pending.ack_cont = std::move(on_ack);
@@ -332,9 +328,8 @@ class Transport {
   }
 
   /// Executes one transport-owned described event: decodes a delivery at
-  /// execution time or fires an ack timeout. This is the hot-path
-  /// dispatcher — the owning simulation's runner routes transport kinds
-  /// here, and snapshot-restored events call it through rebuild_event().
+  /// execution time or fires an ack timeout. The runner this transport
+  /// claims on its simulator — live and restored events alike.
   void run_described(std::uint32_t kind, const std::uint64_t* args, std::size_t count) {
     if (kind == snapshot::kTransportAckTimeout) {
       HOURS_EXPECTS(count == 1);
@@ -342,7 +337,6 @@ class Transport {
       return;
     }
     HOURS_EXPECTS(kind == snapshot::kTransportDelivery);
-    HOURS_EXPECTS(decode_ != nullptr);
     HOURS_EXPECTS(count >= 5);
     const Address to = static_cast<Address>(args[0]);
     Envelope env;
@@ -363,16 +357,6 @@ class Transport {
     }
     env.payload = decode_(args + 5, payload_words);
     deliver(to, std::move(env), sent_incarnation, is_ack, digest, digest_words);
-  }
-
-  /// Rebuilds the closure for a transport-owned described event; null when
-  /// the kind is not the transport's.
-  [[nodiscard]] Simulator::Action rebuild_event(const snapshot::Described& desc) {
-    if (desc.kind != snapshot::kTransportDelivery &&
-        desc.kind != snapshot::kTransportAckTimeout) {
-      return nullptr;
-    }
-    return [this, desc] { run_described(desc.kind, desc.args.data(), desc.args.size()); };
   }
 
  private:
@@ -398,22 +382,9 @@ class Transport {
     env.payload = std::move(payload);
     transmit(to, std::move(env), /*is_ack=*/false);
 
-    Pending& pending = pending_[slot];
-    pending.token = token;
-    if (pending.opaque) {
-      pending.timeout_event =
-          sim_.schedule(config_.ack_timeout, [this, token] { settle(token, /*acked=*/false); });
-    } else if (encode_) {
-      // Codec installed implies the owning sim routes transport kinds to
-      // run_described(): the timeout rides the described-only hot path.
-      pending.timeout_event =
-          sim_.schedule(config_.ack_timeout, snapshot::kTransportAckTimeout, &token, 1);
-    } else {
-      pending.timeout_event = sim_.schedule(
-          config_.ack_timeout,
-          snapshot::Described{snapshot::kTransportAckTimeout, {token}},
-          [this, token] { settle(token, /*acked=*/false); });
-    }
+    pending_[slot].token = token;
+    pending_[slot].timeout_event =
+        sim_.schedule(config_.ack_timeout, snapshot::kTransportAckTimeout, &token, 1);
     pending_index_.insert(token, slot);
   }
 
@@ -432,7 +403,9 @@ class Transport {
       if (fn) fn();
     } else {
       const snapshot::Described& cont = acked ? pending.ack_cont : pending.timeout_cont;
-      if (cont.kind != snapshot::kOpaque) runner_(cont);
+      if (cont.kind != snapshot::kOpaque) {
+        sim_.dispatch(cont.kind, cont.args.data(), cont.args.size());
+      }
     }
     pending.opaque = false;
     pending.on_ack_fn = nullptr;
@@ -456,10 +429,9 @@ class Transport {
                               .value = static_cast<std::uint64_t>(reason)});
   }
 
-  /// Executes one delivery: the common body behind the live closure and the
-  /// snapshot-restored closure.
+  /// Executes one decoded delivery through the delivery-time gates.
   void deliver(Address to, Envelope env, std::uint32_t sent_incarnation, bool is_ack,
-               const std::uint64_t* digest = nullptr, std::size_t digest_words = 0) {
+               const std::uint64_t* digest, std::size_t digest_words) {
     if (!alive(to)) {  // shut-down servers receive nothing
       drop(to, env.from, trace::DropReason::kDeadRecipient);
       return;
@@ -499,31 +471,23 @@ class Transport {
       drop(to, env.from, trace::DropReason::kLoss);
       return;
     }
-    const std::uint32_t sent_incarnation = incarnation_[to];
     const Ticks latency = draw_latency();
-    if (encode_) {
-      // Described-only hot path: header + payload words into the reused
-      // scratch buffer, copied by the simulator into a reused slab slot.
-      // Decode happens at execution time in run_described().
-      scratch_args_.clear();
-      scratch_args_.push_back(to);
-      scratch_args_.push_back(env.from);
-      scratch_args_.push_back(env.token);
-      scratch_args_.push_back(sent_incarnation);
-      scratch_args_.push_back(is_ack ? 1 : 0);
-      encode_(env.payload, scratch_args_);
-      if (digest_build_ || digest_apply_) {
-        const std::size_t base = scratch_args_.size();
-        if (digest_build_) digest_build_(env.from, to, scratch_args_);
-        scratch_args_.push_back(scratch_args_.size() - base);
-      }
-      sim_.schedule(latency, snapshot::kTransportDelivery, scratch_args_.data(),
-                    scratch_args_.size());
-      return;
+    // Header + payload words into the reused scratch buffer, copied by the
+    // simulator into a reused slab slot; run_described() decodes them.
+    scratch_args_.clear();
+    scratch_args_.push_back(to);
+    scratch_args_.push_back(env.from);
+    scratch_args_.push_back(env.token);
+    scratch_args_.push_back(incarnation_[to]);
+    scratch_args_.push_back(is_ack ? 1 : 0);
+    encode_(env.payload, scratch_args_);
+    if (digest_build_ || digest_apply_) {
+      const std::size_t base = scratch_args_.size();
+      if (digest_build_) digest_build_(env.from, to, scratch_args_);
+      scratch_args_.push_back(scratch_args_.size() - base);
     }
-    sim_.schedule(latency, [this, to, sent_incarnation, env = std::move(env), is_ack]() mutable {
-      deliver(to, std::move(env), sent_incarnation, is_ack);
-    });
+    sim_.schedule(latency, snapshot::kTransportDelivery, scratch_args_.data(),
+                  scratch_args_.size());
   }
 
   Simulator& sim_;
@@ -536,7 +500,6 @@ class Transport {
   Decode decode_;
   DigestBuilder digest_build_;
   DigestApplier digest_apply_;
-  std::function<void(const snapshot::Described&)> runner_;
   LinkFilter link_filter_;
   trace::Tracer* trace_ = nullptr;
   std::uint64_t next_token_ = 1;

@@ -3,16 +3,17 @@
 // The discrete-event engine historically queued opaque std::function
 // closures, which made the event queue unserializable. Every protocol event
 // is now *described*: a (kind, args) pair from the closed registry in
-// event_kinds.hpp, paired at schedule time with the closure that executes
-// it. Crucially the closure is always derived from the description (the
-// protocols route both the live path and the restored path through one
-// continuation dispatcher), so restoring a snapshot cannot behave
-// differently from never having stopped.
+// event_kinds.hpp and nothing else. The simulator runs it through the
+// runner that claimed its kind's block — one dispatcher for the live
+// path, the restored path and transport ack/timeout continuations — so
+// restoring a snapshot cannot behave differently from never having
+// stopped.
 //
-// kind 0 (kOpaque) marks a legacy closure with no data form — e.g. a test
-// harness callback. Opaque events execute normally but make the simulation
-// unsnapshottable while queued; Snapshotter::save() fails loudly listing
-// them rather than writing a snapshot that silently loses work.
+// kind 0 (kOpaque) marks a closure with no data form — e.g. a query
+// client's timers or a test harness callback. Opaque events execute
+// normally but make the simulation unsnapshottable while queued;
+// Snapshotter::save() fails loudly listing them rather than writing a
+// snapshot that silently loses work.
 #pragma once
 
 #include <cstdint>

@@ -1,11 +1,13 @@
 // Closed registry of described-event kinds (see described.hpp).
 //
-// Kinds are grouped by owning subsystem in 0x100 ranges; a subsystem's
-// Participant claims its range in rebuild_event(). The numeric values are
-// part of the snapshot wire format — never renumber an existing kind, add
-// new ones at the end of the owning range and bump kSnapshotVersion
-// (snapshot.hpp) when semantics change. The arg vector layout for every
-// kind is specified in docs/PROTOCOL.md's snapshot appendix.
+// Kinds are grouped by owning subsystem in 0x100 blocks. The owner claims
+// its block's runner on the simulator at construction
+// (Simulator::set_runner(kind, runner)) and reports it through
+// Participant::owns(). The numeric values are part of the snapshot wire
+// format — never renumber an existing kind, add new ones at the end of
+// the owning block and bump kSnapshotVersion (snapshot.hpp) when semantics
+// change. The arg vector layout for every kind is specified in
+// docs/PROTOCOL.md's snapshot appendix.
 #pragma once
 
 #include <cstdint>
@@ -13,7 +15,7 @@
 
 namespace hours::snapshot {
 
-inline constexpr std::uint32_t kOpaque = 0;  ///< legacy closure, unserializable
+inline constexpr std::uint32_t kOpaque = 0;  ///< closure event, unserializable
 
 // -- transport (sim/transport.hpp) ----------------------------------------------------
 inline constexpr std::uint32_t kTransportDelivery = 0x100;    ///< [to, from, token, inc, is_ack, payload...]
@@ -39,6 +41,11 @@ inline constexpr std::uint32_t kHierAttemptTimeout = 0x301;  ///< [at, tried, ms
 
 // -- fault injector (sim/fault_injector.cpp) ------------------------------------------
 inline constexpr std::uint32_t kFaultAction = 0x400;  ///< [index into build_schedule()]
+
+/// The 0x100 block `kind` belongs to; each block has one owning subsystem.
+[[nodiscard]] constexpr std::uint32_t kind_block(std::uint32_t kind) noexcept {
+  return kind >> 8;
+}
 
 /// Stable lowercase name for diagnostics and snapshot validation; empty
 /// view when `kind` is not in the registry (kOpaque included: an opaque

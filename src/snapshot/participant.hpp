@@ -1,10 +1,12 @@
 // Snapshot visitor interface: every stateful subsystem registers one.
 //
-// A Participant owns one named section of the snapshot document plus a
-// range of described-event kinds (event_kinds.hpp). Snapshotter (sim layer)
-// drives the protocol: save() collects each participant's section and the
-// simulator's event queue; restore() hands each section back, then asks
-// participants to rebuild the executable closure for every queued event.
+// A Participant owns one named section of the snapshot document plus the
+// 0x100 blocks of described-event kinds (event_kinds.hpp) whose runners it
+// claimed on the simulator. Snapshotter (sim layer) drives the protocol:
+// save() collects each participant's section and the simulator's event
+// queue; restore() hands each section back, then re-queues every saved
+// event once some participant owns its kind — the event then runs through
+// the same runner as it would have live.
 //
 // Error handling is by string: "" means success, anything else is a
 // human-readable reason (surfaced verbatim by save()/restore() callers).
@@ -12,10 +14,9 @@
 // itself, never crash or half-apply.
 #pragma once
 
-#include <functional>
+#include <cstdint>
 #include <string>
 
-#include "snapshot/described.hpp"
 #include "snapshot/json.hpp"
 
 namespace hours::snapshot {
@@ -34,10 +35,9 @@ class Participant {
   /// Applies a previously saved section. Returns "" on success.
   [[nodiscard]] virtual std::string restore_state(const Json& state) = 0;
 
-  /// Rebuilds the closure for a described event this participant owns;
-  /// null when `desc.kind` is outside its range (the Snapshotter then asks
-  /// the next participant).
-  [[nodiscard]] virtual std::function<void()> rebuild_event(const Described& desc) = 0;
+  /// True when `kind` belongs to a block whose runner this participant
+  /// claimed (a restored event of that kind has somewhere to run).
+  [[nodiscard]] virtual bool owns(std::uint32_t kind) const = 0;
 };
 
 }  // namespace hours::snapshot

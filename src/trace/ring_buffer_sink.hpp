@@ -2,10 +2,9 @@
 //
 // Keeps the most recent `capacity` events for post-run inspection (tests,
 // failure artifacts) and fans each event out to subscribers as it happens —
-// the hook protocol consumers use to *react* to the trace stream. The
-// adaptive attacker (sim/adaptive_attacker.hpp) is the canonical
-// subscriber: it watches recovery_adopt events and re-strikes the adopting
-// neighborhood.
+// a hook for reacting to the trace stream without writing a sink. (The
+// adaptive attacker, sim/adaptive_attacker.hpp, reacts the other way: it
+// is a TraceSink of its own.)
 //
 // Subscribers run synchronously at the emission site, so they may schedule
 // simulator events but must not re-enter the protocol directly.

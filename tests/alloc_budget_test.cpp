@@ -85,15 +85,11 @@ struct Word {
 
 TEST(AllocBudget, TransportClosureSendsAllocateNothing) {
   Simulator sim;
-  Transport<Word> transport{sim, TransportConfig{}, 3, /*seed=*/11};
-  transport.set_handler([](std::uint32_t, const Transport<Word>::Envelope&) {});
-  transport.set_snapshot_codec(
+  Transport<Word> transport{
+      sim, TransportConfig{}, 3, /*seed=*/11,
       [](const Word& w, std::vector<std::uint64_t>& out) { out.push_back(w.value); },
-      [](const std::uint64_t* words, std::size_t) { return Word{words[0]}; });
-  sim.set_runner(
-      [&transport](std::uint32_t kind, const std::uint64_t* args, std::size_t count) {
-        transport.run_described(kind, args, count);
-      });
+      [](const std::uint64_t* words, std::size_t) { return Word{words[0]}; }};
+  transport.set_handler([](std::uint32_t, const Transport<Word>::Envelope&) {});
   transport.set_alive(2, false);  // every send to node 2 times out
 
   struct Outcomes {

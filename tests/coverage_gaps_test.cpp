@@ -62,7 +62,12 @@ TEST(Transport, FixedLatencyConfiguration) {
   cfg.latency_min = 25;
   cfg.latency_max = 25;  // degenerate jitter window
   cfg.ack_timeout = 60;
-  sim::Transport<int> transport{simulator, cfg, 2, 1};
+  sim::Transport<int> transport{
+      simulator, cfg, 2, 1,
+      [](const int& v, std::vector<std::uint64_t>& out) {
+        out.push_back(static_cast<std::uint64_t>(v));
+      },
+      [](const std::uint64_t* words, std::size_t) { return static_cast<int>(words[0]); }};
   sim::Ticks delivered_at = 0;
   transport.set_handler([&](std::uint32_t, const sim::Transport<int>::Envelope&) {
     delivered_at = simulator.now();

@@ -32,6 +32,14 @@ TEST(ContractDeath, OverlayIndexOutOfRange) {
   EXPECT_DEATH((void)ov.forward(0, 9), "precondition");
 }
 
+TEST(ContractDeath, SimulatorKindBlockHasOneOwner) {
+  sim::Simulator simulator;
+  const auto noop = [](std::uint32_t, const std::uint64_t*, std::size_t) {};
+  simulator.set_runner(0x200, noop);
+  EXPECT_DEATH(simulator.set_runner(0x2FF, noop), "precondition");
+  EXPECT_DEATH(simulator.set_runner(0x0FF, noop), "precondition");  // block 0 holds kOpaque
+}
+
 TEST(ContractDeath, ForwardFromDeadEntrance) {
   overlay::Overlay ov{8, enhanced()};
   ov.kill(3);

@@ -2,6 +2,7 @@
 // expanded deterministically onto the event simulators.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "sim/fault_injector.hpp"
@@ -33,6 +34,30 @@ TEST(FaultInjector, CrashAndTimedRecovery) {
   sim.run(1);  // t=500: recovery
   EXPECT_TRUE(ring.alive(3));
   EXPECT_FALSE(injector.held_down(3));
+  EXPECT_EQ(injector.stats().kills, 1U);
+  EXPECT_EQ(injector.stats().revivals, 1U);
+}
+
+TEST(FaultInjector, AddedPlanSharesRefcountsAndBlocksSave) {
+  // A plan added at t=50 overlaps the armed one: [100, 500) and
+  // [250, 850) hold node 3 down as their union, and the injector, whose
+  // section echoes one plan, refuses to save from then on.
+  RingSimulation ring{small_ring()};
+  FaultInjector injector{make_fault_target(ring), FaultPlan{}.crash(3, 100, 500)};
+  injector.arm();
+  std::string error;
+  (void)injector.save_state(error);
+  EXPECT_EQ(error, "");
+
+  auto& sim = ring.simulator();
+  sim.run(50);
+  injector.add(FaultPlan{}.crash(3, 200, 800));
+  (void)injector.save_state(error);
+  EXPECT_NE(error, "");
+  sim.run(750);  // t=800: past the first window, inside the second
+  EXPECT_FALSE(ring.alive(3));
+  sim.run(100);  // t=900
+  EXPECT_TRUE(ring.alive(3));
   EXPECT_EQ(injector.stats().kills, 1U);
   EXPECT_EQ(injector.stats().revivals, 1U);
 }

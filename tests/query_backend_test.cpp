@@ -128,6 +128,52 @@ TEST(EventBackend, ScheduledFaultWindowOpensAndCloses) {
   EXPECT_EQ(faults.revivals, 1U);
 }
 
+TEST(EventBackend, OverlappingPlansHoldANodeDownForTheirUnion) {
+  // Two plans crash one node over overlapping windows, [1s, 10s) and
+  // [2s, 4s). One injector arms both against the same refcounts, so the
+  // node stays down until the longer window ends — the union, exactly as
+  // two overlapping windows of one plan would hold it.
+  Fixture f;
+  auto& event = f.sys.use_event_backend();
+  const auto victim = event.node_id("a.green");
+  ASSERT_TRUE(victim.has_value());
+  ASSERT_TRUE(f.sys.schedule_faults(sim::FaultPlan{}.crash(*victim, 1'000, 10'000)).ok());
+  ASSERT_TRUE(f.sys.schedule_faults(sim::FaultPlan{}.crash(*victim, 2'000, 4'000)).ok());
+
+  f.sys.advance(5);
+  EXPECT_FALSE(event.simulation()->alive_id(*victim));
+  EXPECT_EQ(event.fault_stats().kills, 1U);
+  EXPECT_EQ(event.fault_stats().revivals, 0U);
+
+  f.sys.advance(6);  // 11 s: past the longer window
+  EXPECT_TRUE(event.simulation()->alive_id(*victim));
+  EXPECT_EQ(event.fault_stats().revivals, 1U);
+}
+
+TEST(EventBackend, OverlappingPlansKeepALinkCutForTheirUnion) {
+  // The link variant: both plans cut root <-> red, over [1s, 10s) and
+  // [2s, 4s). One link filter serves both, so at 5 s the root's first
+  // attempt at red still meets silence and the client retransmits; the
+  // link reopens only when the longer cut lifts.
+  Fixture f;
+  auto& event = f.sys.use_event_backend();
+  const auto red = event.node_id("red");
+  ASSERT_TRUE(red.has_value());
+  ASSERT_TRUE(f.sys.schedule_faults(sim::FaultPlan{}.cut_link(0, *red, 1'000, 10'000)).ok());
+  ASSERT_TRUE(f.sys.schedule_faults(sim::FaultPlan{}.cut_link(0, *red, 2'000, 4'000)).ok());
+
+  f.sys.advance(5);
+  EXPECT_EQ(event.fault_stats().link_cuts, 2U);  // one per direction
+  EXPECT_EQ(event.fault_stats().link_heals, 0U);
+  EXPECT_GT(f.sys.query("red").retransmissions, 0U);
+
+  f.sys.advance(20);  // past the longer cut and the suspicion it left
+  EXPECT_EQ(event.fault_stats().link_heals, 2U);
+  const auto healed = f.sys.query("red");
+  EXPECT_TRUE(healed.delivered);
+  EXPECT_EQ(healed.retransmissions, 0U);
+}
+
 TEST(EventBackend, ClockContinuesAcrossBackendSwaps) {
   Fixture f;
   f.sys.advance(7);  // graph logical clock

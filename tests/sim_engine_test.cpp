@@ -154,16 +154,16 @@ TEST(Simulator, MaxEventsGuardsAgainstRunaway) {
 
 TEST(Simulator, DescribedEventsAreInspectable) {
   Simulator sim;
-  sim.schedule(10, snapshot::Described{snapshot::kFaultAction, {7}}, [] {});
+  sim.schedule(10, snapshot::Described{snapshot::kFaultAction, {7}});
   sim.schedule(5, [] {});  // opaque
   const auto pending = sim.pending_events();
   ASSERT_EQ(pending.size(), 2U);
   EXPECT_EQ(pending[0].at, 5U);
+  EXPECT_EQ(pending[0].id, 2U);  // the opaque event keeps its id
   EXPECT_EQ(pending[0].desc.kind, snapshot::kOpaque);
   EXPECT_EQ(pending[1].at, 10U);
   EXPECT_EQ(pending[1].desc.kind, snapshot::kFaultAction);
   EXPECT_EQ(pending[1].desc.args, (std::vector<std::uint64_t>{7}));
-  EXPECT_EQ(sim.opaque_event_ids(), (std::vector<std::uint64_t>{2}));
 }
 
 TEST(Simulator, RestoreUnderOriginalIdsKeepsFifoOrder) {
@@ -173,7 +173,7 @@ TEST(Simulator, RestoreUnderOriginalIdsKeepsFifoOrder) {
   Simulator original;
   std::vector<int> order;
   for (std::uint64_t i = 0; i < 3; ++i) {
-    original.schedule(50, snapshot::Described{snapshot::kFaultAction, {i}}, [] {});
+    original.schedule(50, snapshot::Described{snapshot::kFaultAction, {i}});
   }
   const auto saved = original.pending_events();
   const auto saved_next_id = original.next_id();
@@ -181,10 +181,13 @@ TEST(Simulator, RestoreUnderOriginalIdsKeepsFifoOrder) {
   ASSERT_EQ(saved.size(), 3U);
 
   Simulator restored;
+  restored.set_runner(snapshot::kFaultAction,
+                      [&order](std::uint32_t, const std::uint64_t* args, std::size_t) {
+                        order.push_back(static_cast<int>(args[0]));
+                      });
   restored.reset(saved_now, saved_next_id);
   for (auto it = saved.rbegin(); it != saved.rend(); ++it) {  // reversed on purpose
-    const auto tag = static_cast<int>(it->desc.args[0]);
-    restored.restore_event(it->at, it->id, it->desc, [&order, tag] { order.push_back(tag); });
+    restored.restore_event(it->at, it->id, it->desc);
   }
   restored.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
@@ -195,21 +198,42 @@ TEST(Simulator, RestoreUnderOriginalIdsKeepsFifoOrder) {
 
 TEST(Simulator, CancelSurvivesRestore) {
   Simulator original;
-  const auto keep = original.schedule(10, snapshot::Described{snapshot::kFaultAction, {0}}, [] {});
-  const auto drop = original.schedule(20, snapshot::Described{snapshot::kFaultAction, {1}}, [] {});
+  const auto keep = original.schedule(10, snapshot::Described{snapshot::kFaultAction, {0}});
+  const auto drop = original.schedule(20, snapshot::Described{snapshot::kFaultAction, {1}});
   const auto saved = original.pending_events();
 
   Simulator restored;
-  restored.reset(original.now(), original.next_id());
   std::vector<std::uint64_t> ran;
-  for (const auto& event : saved) {
-    const auto tag = event.desc.args[0];
-    restored.restore_event(event.at, event.id, event.desc, [&ran, tag] { ran.push_back(tag); });
-  }
+  restored.set_runner(snapshot::kFaultAction,
+                      [&ran](std::uint32_t, const std::uint64_t* args, std::size_t) {
+                        ran.push_back(args[0]);
+                      });
+  restored.reset(original.now(), original.next_id());
+  for (const auto& event : saved) restored.restore_event(event.at, event.id, event.desc);
   restored.cancel(drop);  // cancellation works on restored ids too
   restored.run();
   EXPECT_EQ(ran, (std::vector<std::uint64_t>{0}));
   (void)keep;
+}
+
+TEST(Simulator, EachKindBlockRunsThroughItsOwnerOrTheFallback) {
+  Simulator sim;
+  std::vector<std::uint32_t> owner;
+  std::vector<std::uint32_t> fallback;
+  sim.set_runner(0x300, [&owner](std::uint32_t kind, const std::uint64_t*, std::size_t) {
+    owner.push_back(kind);
+  });
+  sim.set_runner([&fallback](std::uint32_t kind, const std::uint64_t*, std::size_t) {
+    fallback.push_back(kind);
+  });
+  const std::uint64_t word = 0;
+  sim.schedule(1, 0x301, &word, 1);   // the claimed block
+  sim.schedule(2, 0x200, &word, 1);   // an unclaimed block
+  sim.schedule(3, 0x1234, &word, 1);  // past the runner table
+  sim.dispatch(0x3FF, &word, 1);      // a synchronous continuation
+  sim.run();
+  EXPECT_EQ(owner, (std::vector<std::uint32_t>{0x3FF, 0x301}));
+  EXPECT_EQ(fallback, (std::vector<std::uint32_t>{0x200, 0x1234}));
 }
 
 TEST(Simulator, ResetDropsQueueAndRewindsClock) {

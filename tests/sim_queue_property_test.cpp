@@ -37,6 +37,7 @@
 #include "rng/xoshiro256.hpp"
 #include "sim/simulator.hpp"
 #include "snapshot/described.hpp"
+#include "snapshot/event_kinds.hpp"
 
 namespace hours::sim {
 namespace {
@@ -48,11 +49,11 @@ std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
 }
 
 /// Event kinds private to this test (any nonzero kind is restorable).
-constexpr std::uint32_t kKindDescribed = 7;      ///< described + closure
-constexpr std::uint32_t kKindRunnerOnly = 9;     ///< described-only, runner path
+constexpr std::uint32_t kKindClaimed = 0x700;  ///< a claimed block's runner
+constexpr std::uint32_t kKindRunnerOnly = 9;   ///< an unclaimed block: the fallback
 
-/// Execution log entry: (execution instant, event id). Runner-dispatched
-/// events carry their id as args[0] so both paths log identically.
+/// Execution log entry: (execution instant, event id). Described events
+/// carry their id as args[0] so every path logs identically.
 using Log = std::vector<std::pair<Ticks, std::uint64_t>>;
 
 /// Reference model: the std::map<(at, id)> queue the wheel replaced, with
@@ -120,11 +121,14 @@ class RefModel {
 class Lockstep {
  public:
   Lockstep() {
+    sim_.set_runner(kKindClaimed,
+                    [this](std::uint32_t kind, const std::uint64_t* args, std::size_t count) {
+                      ASSERT_EQ(kind, kKindClaimed);
+                      run_described(args, count);
+                    });
     sim_.set_runner([this](std::uint32_t kind, const std::uint64_t* args, std::size_t count) {
       ASSERT_EQ(kind, kKindRunnerOnly);
-      ASSERT_GE(count, 3U);
-      wheel_log_.emplace_back(sim_.now(), args[0]);
-      if (args[1] != 0) schedule_child(args[2]);
+      run_described(args, count);
     });
   }
 
@@ -138,11 +142,11 @@ class Lockstep {
       case 0:  // opaque closure
         sim_.schedule(delay, make_action(id, chain, child_delay));
         break;
-      case 1:  // described + closure
-        desc.kind = kKindDescribed;
-        sim_.schedule(delay, desc, make_action(id, chain, child_delay));
+      case 1:  // described, dispatched through its claimed block's runner
+        desc.kind = kKindClaimed;
+        sim_.schedule(delay, desc);
         break;
-      default:  // described-only, dispatched through the runner
+      default:  // described, dispatched through the fallback runner
         desc.kind = kKindRunnerOnly;
         sim_.schedule(delay, desc);
         break;
@@ -169,8 +173,12 @@ class Lockstep {
   /// verify the queue reads back identically. No-op while opaque events are
   /// queued (they are unserializable by design).
   void snapshot_roundtrip(rng::Xoshiro256& g) {
-    if (!sim_.opaque_event_ids().empty()) return;
     const auto before = sim_.pending_events();
+    if (std::any_of(before.begin(), before.end(), [](const Simulator::PendingEvent& event) {
+          return event.desc.kind == snapshot::kOpaque;
+        })) {
+      return;
+    }
     const Ticks now = sim_.now();
     // A deadline-clamped, max_events-truncated run can leave now() past
     // still-pending events (matching the replaced queue exactly); the real
@@ -187,10 +195,7 @@ class Lockstep {
     ASSERT_EQ(sim_.pending(), 0U);
     for (const auto& event : shuffled) {
       ASSERT_GE(event.desc.args.size(), 3U);
-      const bool chain = event.desc.args[1] != 0;
-      const Ticks child_delay = event.desc.args[2];
-      sim_.restore_event(event.at, event.id, event.desc,
-                         make_action(event.id, chain, child_delay));
+      sim_.restore_event(event.at, event.id, event.desc);
     }
 
     const auto after = sim_.pending_events();
@@ -218,6 +223,12 @@ class Lockstep {
   [[nodiscard]] Simulator& sim() { return sim_; }
 
  private:
+  void run_described(const std::uint64_t* args, std::size_t count) {
+    ASSERT_GE(count, 3U);
+    wheel_log_.emplace_back(sim_.now(), args[0]);
+    if (args[1] != 0) schedule_child(args[2]);
+  }
+
   Simulator::Action make_action(std::uint64_t id, bool chain, Ticks child_delay) {
     return [this, id, chain, child_delay] {
       wheel_log_.emplace_back(sim_.now(), id);

@@ -25,8 +25,10 @@
 #include "rng/xoshiro256.hpp"
 #include "sim/fault_injector.hpp"
 #include "sim/hierarchy_protocol.hpp"
+#include "sim/query_client.hpp"
 #include "sim/ring_protocol.hpp"
 #include "sim/snapshotter.hpp"
+#include "snapshot/event_kinds.hpp"
 #include "snapshot/json.hpp"
 #include "snapshot/snapshot.hpp"
 #include "trace/event.hpp"
@@ -338,6 +340,57 @@ TEST(SnapshotReplay, OpaqueEventsBlockSaveWithIds) {
   ASSERT_NE(error, "");
   EXPECT_NE(error.find("opaque"), std::string::npos);
   EXPECT_NE(error.find(std::to_string(id)), std::string::npos);
+}
+
+TEST(SnapshotReplay, RestoreWithoutTheInjectorNamesTheUnownedFaultAction) {
+  // Saved mid-schedule, the queue still holds fault actions. Restored into
+  // a ring with no injector registered, nothing owns their kind: restore
+  // refuses with the first such event's id and kind instead of queueing an
+  // event that has no runner.
+  const RingRun r = oracle_case(8);
+  const ContinuousResult continuous = run_continuous(r, 2'500);
+  snapshot::Json doc;
+  std::string error;
+  ASSERT_TRUE(snapshot::parse_json(continuous.at_pause, doc, &error)) << error;
+  std::string first_fault_id;
+  for (const auto& row : doc["sections"]["sim"]["events"].items()) {
+    if (row.items()[2].as_u64() == snapshot::kFaultAction) {
+      first_fault_id = std::to_string(row.items()[1].as_u64());
+      break;
+    }
+  }
+  ASSERT_FALSE(first_fault_id.empty()) << "the pause must leave fault actions queued";
+
+  RingSimulation ring{r.config};
+  Snapshotter snap{ring.simulator()};
+  snap.add(ring);
+  const std::string refused = snap.restore(doc);
+  EXPECT_NE(refused.find("no participant owns event kind fault_action"), std::string::npos)
+      << refused;
+  EXPECT_NE(refused.find("event " + first_fault_id + " "), std::string::npos) << refused;
+}
+
+TEST(SnapshotReplay, ClientHopInFlightBlocksSave) {
+  // A QueryClient hop rides the transport's closure form. With no deadline
+  // the client queues no closure event while the hop is in flight (its
+  // timeout is a described transport event); the save is refused by the
+  // transport's closure pending entry instead.
+  HierarchySimConfig config;
+  config.fanout = {3, 3};
+  HierarchySimulation hierarchy{config};
+  QueryClientConfig client_config;
+  client_config.deadline = 0;
+  QueryClient client{make_query_network(hierarchy), client_config};
+  Snapshotter snap{hierarchy.simulator()};
+  snap.add(hierarchy);
+
+  const std::uint64_t qid = client.submit(0, hierarchy.id_of({1, 2}));
+  hierarchy.simulator().run(/*limit=*/5);  // the first hop is sent, not yet delivered
+  ASSERT_EQ(client.outcome(qid).status, QueryStatus::kPending);
+  std::string out;
+  const std::string error = snap.save_string(out);
+  EXPECT_NE(error.find("hier: pending ack token"), std::string::npos) << error;
+  EXPECT_NE(error.find("closure callbacks"), std::string::npos) << error;
 }
 
 TEST(SnapshotReplay, SnapshotFileRoundTripsThroughDisk) {

@@ -16,11 +16,21 @@ struct Payload {
   std::string text;
 };
 
+// The test payload rides the described wire form one character per word.
+void encode_text(const Payload& payload, std::vector<std::uint64_t>& out) {
+  for (const char c : payload.text) out.push_back(static_cast<unsigned char>(c));
+}
+Payload decode_text(const std::uint64_t* words, std::size_t count) {
+  Payload payload;
+  for (std::size_t i = 0; i < count; ++i) payload.text.push_back(static_cast<char>(words[i]));
+  return payload;
+}
+
 struct Fixture {
   Simulator sim;
   TransportConfig cfg;
   // 4 nodes, default timing.
-  Transport<Payload> transport{sim, cfg, 4, /*seed=*/7};
+  Transport<Payload> transport{sim, cfg, 4, /*seed=*/7, &encode_text, &decode_text};
   std::vector<std::pair<std::uint32_t, std::string>> received;
 
   Fixture() {
@@ -87,7 +97,7 @@ TEST(Transport, TotalLossAlwaysTimesOut) {
   Simulator sim;
   TransportConfig cfg;
   cfg.loss_probability = 0.95;
-  Transport<Payload> transport{sim, cfg, 2, 7};
+  Transport<Payload> transport{sim, cfg, 2, 7, &encode_text, &decode_text};
   transport.set_handler([](std::uint32_t, const Transport<Payload>::Envelope&) {});
   int timeouts = 0;
   int acks = 0;
@@ -124,7 +134,7 @@ struct RaceFixture {
   Transport<Payload> transport;
   std::vector<std::uint32_t> received;
 
-  RaceFixture() : transport{sim, make_cfg(), 4, /*seed=*/7} {
+  RaceFixture() : transport{sim, make_cfg(), 4, /*seed=*/7, &encode_text, &decode_text} {
     transport.set_handler([this](std::uint32_t to, const Transport<Payload>::Envelope&) {
       received.push_back(to);
     });
@@ -313,16 +323,17 @@ TEST(TransportPending, ThousandsOutstandingSettleOnceAndSaveInTokenOrder) {
   Simulator sim;
   TransportConfig cfg;
   cfg.loss_probability = 0.1;
-  Transport<Payload> transport{sim, cfg, 8, /*seed=*/23};
+  Transport<Payload> transport{sim, cfg, 8, /*seed=*/23, &encode_text, &decode_text};
   transport.set_handler([](std::uint32_t, const Transport<Payload>::Envelope&) {});
   constexpr std::uint32_t kAcked = 1;
   constexpr std::uint32_t kTimedOut = 2;
   std::vector<int> fired;
   std::uint64_t timeouts = 0;
-  transport.set_continuation_runner([&](const snapshot::Described& cont) {
-    ASSERT_EQ(cont.args.size(), 1U);
-    ++fired[cont.args[0]];
-    if (cont.kind == kTimedOut) ++timeouts;
+  // The continuation kinds sit in no claimed block: the fallback runs them.
+  sim.set_runner([&](std::uint32_t kind, const std::uint64_t* args, std::size_t count) {
+    ASSERT_EQ(count, 1U);
+    ++fired[args[0]];
+    if (kind == kTimedOut) ++timeouts;
   });
   rng::Xoshiro256 rng{0x70CE75ULL};
   const auto send = [&](std::size_t count) {
@@ -361,37 +372,42 @@ TEST(TransportPending, ThousandsOutstandingSettleOnceAndSaveInTokenOrder) {
   for (std::size_t i = 0; i < fired.size(); ++i) ASSERT_EQ(fired[i], 1) << "send " << i;
 }
 
+/// A transport on its own simulator (each transport claims its simulator's
+/// transport block), with a no-op runner for the continuation kinds.
+struct StandaloneTransport {
+  Simulator sim;
+  Transport<Payload> transport{sim, TransportConfig{}, 4, /*seed=*/5, &encode_text,
+                               &decode_text};
+  StandaloneTransport() {
+    sim.set_runner([](std::uint32_t, const std::uint64_t*, std::size_t) {});
+  }
+};
+
 TEST(TransportPending, RestoreRebuildsTheTableAndRejectsBadTokens) {
   // A restored pending table saves back to the same document; a pending
   // entry with token 0 or a token listed twice is refused.
-  const auto make = [](Simulator& sim) {
-    Transport<Payload> transport{sim, TransportConfig{}, 4, /*seed=*/5};
-    transport.set_continuation_runner([](const snapshot::Described&) {});
-    return transport;
-  };
-  Simulator sim;
-  Transport<Payload> transport = make(sim);
+  StandaloneTransport original;
   for (std::uint64_t i = 0; i < 40; ++i) {
-    transport.send_expect_ack(0, 1 + static_cast<std::uint32_t>(i % 3), {"x"},
-                              snapshot::Described{1, {i}}, snapshot::Described{2, {i, i}});
+    original.transport.send_expect_ack(0, 1 + static_cast<std::uint32_t>(i % 3), {"x"},
+                                       snapshot::Described{1, {i}},
+                                       snapshot::Described{2, {i, i}});
   }
-  sim.run(/*limit=*/30);  // some acks landed: the live slots are no longer a prefix
+  original.sim.run(/*limit=*/30);  // some acks landed: the live slots are no longer a prefix
   std::string error;
-  const snapshot::Json saved = transport.save_state(error);
+  const snapshot::Json saved = original.transport.save_state(error);
   ASSERT_TRUE(error.empty()) << error;
   ASSERT_GT(saved.find("pending")->items().size(), 0U);
 
-  Simulator other_sim;
-  Transport<Payload> restored = make(other_sim);
-  ASSERT_EQ(restored.restore_state(saved), "");
-  EXPECT_EQ(restored.save_state(error), saved);
+  StandaloneTransport restored;
+  ASSERT_EQ(restored.transport.restore_state(saved), "");
+  EXPECT_EQ(restored.transport.save_state(error), saved);
 
   snapshot::Json repeated = saved;
   repeated["pending"].push(repeated["pending"].items().front());
-  EXPECT_NE(make(other_sim).restore_state(repeated), "");
+  EXPECT_NE(StandaloneTransport{}.transport.restore_state(repeated), "");
   snapshot::Json zero = saved;
   zero["pending"].items().front().items().front() = snapshot::Json(std::uint64_t{0});
-  EXPECT_NE(make(other_sim).restore_state(zero), "");
+  EXPECT_NE(StandaloneTransport{}.transport.restore_state(zero), "");
 }
 
 }  // namespace
