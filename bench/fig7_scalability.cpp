@@ -7,8 +7,8 @@
 //     tables, the original instantaneous measurement;
 //   * event mode — a sim::HierarchySimulation ring of N siblings driven at
 //     message level: every hop is a scheduled transport delivery with an
-//     ack/timeout, liveness is learned from silence, and the timer-wheel
-//     arena core is what makes the 1M-node point feasible. The event rows
+//     ack/timeout, liveness is learned from silence, and the slab-backed
+//     event queue is what makes the 1M-node point feasible. The event rows
 //     also reproduce the Figure 4 delivery shape by killing a fraction of
 //     the ring and measuring delivered ratio among attempts to alive
 //     destinations. Each event point runs 5 times on fresh simulations;

@@ -1,12 +1,12 @@
 // google-benchmark microbenchmarks for the hot primitives: SHA-1 identifier
 // derivation and hierarchy admission, routing-table generation (jump
 // sampler vs naive O(N) Bernoulli), greedy forwarding, Chord routing, the
-// trace emission path, and the timer-wheel event core.
+// trace emission path, and the simulator's event queue.
 // The BM_ForwardTraced* group bounds the cost the tracing subsystem adds to
 // a hot protocol op: with no tracer attached the emission site must be
 // within noise (<= 2%) of the untraced BM_ForwardEager loop. The BM_Sim*
-// group reports events/sec through the arena-backed wheel (items/sec in the
-// benchmark output) plus peak RSS, the scale metrics ISSUE-level runs track.
+// group reports events/sec through the simulator's event heap (items/sec in
+// the benchmark output) plus peak RSS.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -222,11 +222,13 @@ void BM_TraceEmit(benchmark::State& state) {
 }
 BENCHMARK(BM_TraceEmit);
 
-/// Steady-state timer-wheel churn at `n` live events: each iteration
-/// schedules one described event at a random future instant and dispatches
-/// the earliest pending one, so the slab stays at ~n occupancy and the
-/// wheel's insert + find-next + dispatch path dominates. Items/sec in the
-/// report is events/sec through the arena core.
+/// Steady-state event-queue churn at `n` live events: each iteration
+/// schedules one described event at a random instant up to 2^17 ticks out
+/// and dispatches the earliest pending one, so the queue stays at ~n events
+/// and its insert + pop + dispatch path dominates. Items/sec in the report
+/// is events/sec through the simulator. Workloads queue at most a few
+/// hundred events (a 10,000-node ring up to ~16,000); the 8-16,384 points
+/// cover them, the range beyond is the stress end.
 void BM_SimWheelChurn(benchmark::State& state) {
   const auto n = static_cast<std::uint64_t>(state.range(0));
   sim::Simulator sim;
@@ -248,11 +250,11 @@ void BM_SimWheelChurn(benchmark::State& state) {
   state.counters["peak_rss_mb"] =
       static_cast<double>(hours::bench::peak_rss_bytes()) / (1024.0 * 1024.0);
 }
-BENCHMARK(BM_SimWheelChurn)->Range(1024, 1 << 20);
+BENCHMARK(BM_SimWheelChurn)->Arg(8)->Arg(64)->Arg(512)->Arg(16384)->Range(1024, 1 << 20);
 
 /// A full message-level query between random siblings of a single-overlay
 /// hierarchy: transport deliveries, acks and continuations all ride the
-/// wheel. Items/sec is simulator events/sec at protocol granularity.
+/// event queue. Items/sec is simulator events/sec at protocol granularity.
 void BM_SimHierQuery(benchmark::State& state) {
   const auto n = static_cast<std::uint32_t>(state.range(0));
   sim::TreeTopology topology;

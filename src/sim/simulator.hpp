@@ -5,17 +5,15 @@
 // given seed. The engine knows nothing about networks or nodes; it executes
 // events at simulated instants.
 //
-// The event store is a hierarchical timer wheel over a slab arena
-// (util/arena.hpp): six levels of 64 slots whose granularity grows by 64x
-// per level, with per-level occupancy bitmaps, intrusive doubly-linked
-// per-slot lists, and an overflow list beyond the ~2^36-tick horizon.
-// Scheduling and cancellation are O(1); finding the next event cascades a
-// slot down one level at a time (amortized O(levels) per event). Event
-// payloads live in reused slab slots, and ids map to slots through a flat
-// open-addressing index (util/flat_index.hpp), so once the slab and the
-// index have grown to a run's peak, schedule, cancel and dispatch allocate
-// nothing. Exact (at, id) FIFO order is preserved: a level-0 slot holds a
-// single tick and is drained in id order.
+// The event store is a binary min-heap of (at, id, slot) entries over a
+// slab arena (util/arena.hpp). Each slab slot records its entry's heap
+// position, so cancel() removes an event outright, with no tombstone left
+// behind, and the next event is always the heap's front. Event payloads
+// live in reused slab slots, and ids map to slots through a flat
+// open-addressing index (util/flat_index.hpp), so once the slab, the heap
+// and the index have grown to a run's peak, schedule, cancel and dispatch
+// allocate nothing. Ordering by (at, id) is exact FIFO among events due at
+// the same instant.
 //
 // Events come in two dispatch forms. A *described* event carries just
 // (kind, args) and runs through the runner that owns its kind's 0x100
@@ -65,8 +63,6 @@ class Simulator {
     snapshot::Described desc;
   };
 
-  Simulator();
-
   [[nodiscard]] Ticks now() const noexcept { return now_; }
 
   /// Claims `kind`'s 0x100 block: every described event of the block runs
@@ -115,7 +111,7 @@ class Simulator {
   /// unaffected by reset()). Scale benches derive events/sec from deltas.
   [[nodiscard]] std::uint64_t executed_total() const noexcept { return executed_total_; }
 
-  [[nodiscard]] std::size_t pending() const noexcept { return slab_.live(); }
+  [[nodiscard]] std::size_t pending() const noexcept { return heap_.size(); }
 
   // -- snapshot support ---------------------------------------------------------
   /// The id the next scheduled event will receive (saved, so a restore can
@@ -123,7 +119,7 @@ class Simulator {
   [[nodiscard]] std::uint64_t next_id() const noexcept { return next_id_; }
 
   /// Every queued event in execution order. Opaque events appear with
-  /// desc.kind == snapshot::kOpaque. Cold path: flat slab scan + sort.
+  /// desc.kind == snapshot::kOpaque. Cold path: heap walk + sort.
   [[nodiscard]] std::vector<PendingEvent> pending_events() const;
 
   /// Drops every queued event and rewinds/forwards the clock and the id
@@ -136,54 +132,37 @@ class Simulator {
   void restore_event(Ticks at, std::uint64_t id, const snapshot::Described& desc);
 
  private:
-  static constexpr std::uint32_t kNil = 0xFFFFFFFFU;
-  static constexpr int kLevelBits = 6;
-  static constexpr std::uint32_t kSlots = 1U << kLevelBits;  // 64
-  static constexpr int kLevels = 6;
-  /// Sentinels for EventSlot::home beyond the wheel levels.
-  static constexpr std::uint8_t kHomeAnte = 0xFE;      ///< antechamber list
-  static constexpr std::uint8_t kHomeOverflow = 0xFF;  ///< beyond the horizon
-
   struct EventSlot {
-    Ticks at = 0;
-    std::uint64_t id = 0;
     std::uint32_t kind = snapshot::kOpaque;
-    std::uint32_t prev = kNil;  ///< intrusive links within the home list
-    std::uint32_t next = kNil;
-    std::uint8_t home = 0;   ///< wheel level, kHomeAnte, or kHomeOverflow
-    std::uint8_t bucket = 0; ///< slot index within the level (levels only)
-    bool live = false;
+    std::uint32_t heap_pos = 0;       ///< index of this event's entry in heap_
     std::vector<std::uint64_t> args;  ///< capacity survives slot reuse
     Action action;                    ///< closure events (kind 0) only
   };
 
-  struct Level {
-    std::uint64_t occupied = 0;                 ///< bit b set = heads[b] non-empty
-    std::array<std::uint32_t, kSlots> heads{};  ///< slot list heads
-    /// Window start in units of this level's granularity: events here have
-    /// (at >> shift) in [base, base + 64). Windows are NESTED across levels
-    /// (window L is contained in one slot span of window L+1), which is
-    /// what makes "lowest occupied level holds the global minimum" true.
-    std::uint64_t base = 0;
+  /// One queued event in heap order: its sort key and its slab slot.
+  struct HeapEntry {
+    Ticks at = 0;
+    std::uint64_t id = 0;
+    std::uint32_t slot = 0;
   };
 
-  [[nodiscard]] static int level_shift(int level) noexcept { return kLevelBits * level; }
+  [[nodiscard]] static bool before(const HeapEntry& a, const HeapEntry& b) noexcept {
+    return a.at < b.at || (a.at == b.at && a.id < b.id);
+  }
 
   std::uint64_t insert(Ticks at, std::uint64_t id, std::uint32_t kind,
                        const std::uint64_t* args, std::size_t count, Action action);
-  void place(std::uint32_t index);       ///< link a filled slot into its home
-  void unlink(std::uint32_t index);      ///< remove from its home list
   void dispatch_and_free(std::uint32_t index);
 
-  /// Re-anchors every window to contain `at` (queue must be empty).
-  void rebase(Ticks at);
-
-  /// Index of the next event in (at, id) order, cascading wheel slots as
-  /// needed; kNil when the queue is empty. Does not unlink.
-  [[nodiscard]] std::uint32_t find_next();
-
-  /// Min-(at,id) scan of one linked list; kNil for an empty list.
-  [[nodiscard]] std::uint32_t list_min(std::uint32_t head) const;
+  /// Writes `entry` at heap position `pos` and records the position in its
+  /// slot.
+  void seat(std::uint32_t pos, const HeapEntry& entry);
+  /// Moves the hole at `pos` toward the root until `entry` fits there.
+  void sift_up(std::uint32_t pos, HeapEntry entry);
+  /// Moves the hole at `pos` toward the leaves until `entry` fits there.
+  void sift_down(std::uint32_t pos, HeapEntry entry);
+  /// Removes the entry at heap position `pos`.
+  void remove_at(std::uint32_t pos);
 
   Ticks now_ = 0;
   std::uint64_t next_id_ = 1;
@@ -191,16 +170,8 @@ class Simulator {
   std::uint64_t executed_total_ = 0;
 
   util::Slab<EventSlot> slab_;
-  util::FlatIndex index_of_;  ///< id -> slab index (ids start at 1)
-
-  std::array<Level, kLevels> levels_;
-  /// Events earlier than window 0's start (scheduled after a deadline-
-  /// bounded run left the windows anchored ahead of now). Always drained
-  /// before the wheel; normally empty.
-  std::uint32_t ante_head_ = kNil;
-  /// Events beyond the top window (~2^36 ticks out). Refilled into the
-  /// wheel when the levels drain.
-  std::uint32_t overflow_head_ = kNil;
+  util::FlatIndex index_of_;     ///< id -> slab index (ids start at 1)
+  std::vector<HeapEntry> heap_;  ///< min-heap on (at, id); front() runs next
 
   /// Runners by 0x100 kind block; kinds past the table fall back.
   std::array<Runner, 16> runners_;

@@ -2,11 +2,9 @@
 //
 // Instrumented code holds a `Tracer*` (null by default) and emits through
 // HOURS_TRACE_EMIT. The disabled path costs one null-pointer test per
-// potential event — and compiling with -DHOURS_TRACE_DISABLED removes even
-// that, turning every emission site into `(void)0` (the no-op path is thus
-// checkable at compile time; bench/micro_overlay_ops measures the runtime
-// side). Sinks are not owned by the tracer and must outlive it; everything
-// is single-threaded, like the simulator it instruments.
+// potential event (bench/micro_overlay_ops measures it). Sinks are not
+// owned by the tracer and must outlive it; everything is single-threaded,
+// like the simulator it instruments.
 #pragma once
 
 #include <cstdint>
@@ -68,17 +66,9 @@ class Tracer {
 //   HOURS_TRACE_EMIT(trace_, {.at = sim_.now(),
 //                             .type = trace::EventType::kProbeSent,
 //                             .node = i, .peer = succ});
-#ifdef HOURS_TRACE_DISABLED
-// The arguments are named inside unevaluated sizeof operands: the compiler
-// type-checks the emission site and sees every parameter "used" (so -Werror
-// builds stay clean) but generates no code at all.
-#define HOURS_TRACE_EMIT(tracer, ...) \
-  ((void)sizeof(tracer), (void)sizeof(::hours::trace::Event __VA_ARGS__))
-#else
 #define HOURS_TRACE_EMIT(tracer, ...)                                \
   do {                                                               \
     if (::hours::trace::emitting(tracer)) {                          \
       (tracer)->emit(::hours::trace::Event __VA_ARGS__);             \
     }                                                                \
   } while (false)
-#endif

@@ -6,11 +6,11 @@
 // compares outside it: gtest itself allocates, so no gtest macro runs
 // inside a region.
 //
-// Once the simulator's slab and id index, and the transport's pending
-// table, have grown to a run's peak, scheduling, cancelling, dispatching
-// and acked sends must allocate nothing; a client-driven query on the
-// hierarchy engine, a graph-engine lookup and a facade admission stay under
-// per-call budgets.
+// Once the simulator's slab, id index and event heap, and the transport's
+// pending table, have grown to a run's peak, scheduling, cancelling,
+// dispatching and acked sends must allocate nothing; a client-driven query
+// on the hierarchy engine, a graph-engine lookup and a facade admission
+// stay under per-call budgets.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -18,6 +18,7 @@
 #include <cstdlib>
 #include <new>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "hours/hours.hpp"
@@ -75,6 +76,36 @@ TEST(AllocBudget, SimulatorScheduleRunAndCancelAllocateNothing) {
 
   EXPECT_EQ(during, 0U);
   EXPECT_EQ(ran, 64U + 10'000U);
+  EXPECT_EQ(sim.pending(), 0U);
+}
+
+TEST(AllocBudget, SimulatorDeepQueueBurstAllocatesNothing) {
+  // 1,000 queued three-word events with delays 1-1,000; a shuffled 600 are
+  // cancelled and the other 400 run. The second, identical burst must
+  // reuse the queue's storage, not regrow it: neither a cancelled event
+  // left behind nor a queue that shrank as it drained would pass.
+  Simulator sim;
+  std::uint64_t ran = 0;
+  sim.set_runner([&ran](std::uint32_t, const std::uint64_t*, std::size_t) { ++ran; });
+  const std::uint64_t args[3] = {1, 2, 3};
+  std::vector<std::uint64_t> ids(1'000);
+  const auto burst = [&] {
+    rng::Xoshiro256 rng{25};
+    for (std::uint64_t& id : ids) id = sim.schedule(1 + rng.below(1'000), kKind, args, 3);
+    for (std::size_t i = ids.size(); i > 1; --i) {
+      std::swap(ids[i - 1], ids[static_cast<std::size_t>(rng.below(i))]);
+    }
+    for (std::size_t i = 0; i < 600; ++i) sim.cancel(ids[i]);
+    sim.run();
+  };
+  burst();  // warm-up: the slab, the argument buffers, the index, the queue
+
+  const std::uint64_t before = allocations();
+  burst();
+  const std::uint64_t during = allocations() - before;
+
+  EXPECT_EQ(during, 0U);
+  EXPECT_EQ(ran, 2U * 400U);
   EXPECT_EQ(sim.pending(), 0U);
 }
 

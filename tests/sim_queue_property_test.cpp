@@ -1,17 +1,19 @@
-// Property-based equivalence fuzz for the timer-wheel event queue.
+// Property-based equivalence fuzz for the simulator's event queue.
 //
-// The wheel (sim/simulator.hpp) must be observationally identical to the
-// std::map<(at, id)> queue it replaced. Each seed drives the Simulator and
-// an in-test reference model with the same randomized operation stream —
-// schedules across every delay class the wheel treats differently (same
-// instant, level 0..4, beyond the overflow horizon), antechamber inserts
-// (near events scheduled while the windows sit anchored at a far event),
-// cancels of live and stale ids, deadline- and max_events-bounded runs,
-// events that schedule children mid-dispatch, bursts of 1,000-5,000
-// schedules at once and cancel storms that take most of a burst back in
-// random order (so the id index grows several times and drains again;
-// util_test's FlatIndex case covers long probe runs) — and asserts
-// identical execution order, clocks, pending counts, and truncation flags.
+// The binary heap (sim/simulator.hpp) must be observationally identical to
+// the std::map<(at, id)> queue the engine started with. Each seed drives
+// the Simulator and an in-test reference model with the same randomized
+// operation stream — schedules with delays from the same instant up to
+// 2^40 ticks out (same-instant ties decide FIFO order; far delays put
+// events deep in the heap and keep them there across runs), near inserts
+// after a deadline-bounded run stopped ahead of the queue's front, cancels
+// of live and stale ids (each removing an entry from the middle of the
+// heap), deadline- and max_events-bounded runs, events that schedule
+// children mid-dispatch, bursts of 1,000-5,000 schedules at once and
+// cancel storms that take most of a burst back in random order (so the
+// id index and the heap grow several times and drain again; util_test's
+// FlatIndex case covers long probe runs) — and asserts identical execution
+// order, clocks, pending counts, and truncation flags.
 //
 // On a sampled subset of seeds the snapshot oracle interposes: pending
 // events are captured, the queue is reset, and every event is re-instated
@@ -56,8 +58,8 @@ constexpr std::uint32_t kKindRunnerOnly = 9;   ///< an unclaimed block: the fall
 /// carry their id as args[0] so every path logs identically.
 using Log = std::vector<std::pair<Ticks, std::uint64_t>>;
 
-/// Reference model: the std::map<(at, id)> queue the wheel replaced, with
-/// the original run() semantics (deadline break, max_events truncation
+/// Reference model: the std::map<(at, id)> queue the engine started with,
+/// with the original run() semantics (deadline break, max_events truncation
 /// flag, clamp-to-deadline on drain).
 class RefModel {
  public:
@@ -254,17 +256,17 @@ class Lockstep {
   std::vector<std::uint64_t> known_ids_;
 };
 
-/// Delay classes chosen to exercise every wheel home: same-tick collisions,
-/// each level, and the overflow list past the ~2^36-tick horizon.
+/// Delay classes from same-instant collisions (FIFO ties) up to ~2^40
+/// ticks, so the heap holds near and far events at once.
 Ticks random_delay(rng::Xoshiro256& g) {
   switch (g.below(8)) {
     case 0: return g.below(4);                                // same-instant FIFO
-    case 1: return g.below(64);                               // level 0
-    case 2: return g.below(4096);                             // level 1
-    case 3: return g.below(262'144);                          // level 2
-    case 4: return g.below(1ULL << 24);                       // level 3/4
-    case 5: return g.below(1ULL << 32);                       // level 4/5
-    case 6: return (1ULL << 36) + g.below(1ULL << 40);        // overflow
+    case 1: return g.below(64);                               // < 2^6
+    case 2: return g.below(4096);                             // < 2^12
+    case 3: return g.below(262'144);                          // < 2^18
+    case 4: return g.below(1ULL << 24);                       // < 2^24
+    case 5: return g.below(1ULL << 32);                       // < 2^32
+    case 6: return (1ULL << 36) + g.below(1ULL << 40);        // >= 2^36
     default: return g.below(1024);
   }
 }
@@ -318,9 +320,9 @@ void run_seed(std::uint64_t seed, bool oracle) {
       pair.check_state();
     } else if (op < 7) {
       // Mixed run shapes: unbounded, deadline-bounded (often breaking mid
-      // queue, which leaves the windows anchored ahead of now and forces
-      // later near inserts through the antechamber), and tiny max_events
-      // caps that must raise truncated() identically on both sides.
+      // queue, so later near inserts land ahead of events already queued),
+      // and tiny max_events caps that must raise truncated() identically
+      // on both sides.
       const std::uint64_t shape = g.below(4);
       if (shape == 0) {
         pair.run(0, 1 + g.below(8));
