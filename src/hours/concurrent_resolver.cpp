@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 #include <map>
-#include <tuple>
 #include <utility>
 
 #include "util/contracts.hpp"
@@ -56,14 +55,63 @@ void ConcurrentResolver::size_shards(std::size_t capacity, unsigned shard_count)
 std::vector<ConcurrentResolver::Node*> ConcurrentResolver::linked_nodes() const {
   std::vector<Node*> nodes;
   for (const auto& shard : shards_) {
-    for (std::size_t b = 0; b <= bucket_mask_; ++b) {
-      for (Node* node = shard->buckets[b].load(std::memory_order_relaxed); node != nullptr;
-           node = node->next.load(std::memory_order_relaxed)) {
-        nodes.push_back(node);
-      }
-    }
+    for (const HeapEntry& entry : shard->heap) nodes.push_back(entry.node);
   }
   return nodes;
+}
+
+bool ConcurrentResolver::Shard::before(const HeapEntry& a, const HeapEntry& b) {
+  return a.expires_at < b.expires_at ||
+         (a.expires_at == b.expires_at && a.node->name < b.node->name);
+}
+
+void ConcurrentResolver::Shard::seat(std::size_t pos, const HeapEntry& entry) {
+  heap[pos] = entry;
+  entry.node->heap_pos = pos;
+}
+
+void ConcurrentResolver::Shard::sift_up(std::size_t pos, HeapEntry entry) {
+  while (pos > 0) {
+    const std::size_t parent = (pos - 1) / 2;
+    if (!before(entry, heap[parent])) break;
+    seat(pos, heap[parent]);
+    pos = parent;
+  }
+  seat(pos, entry);
+}
+
+void ConcurrentResolver::Shard::sift_down(std::size_t pos, HeapEntry entry) {
+  const std::size_t count = heap.size();
+  while (true) {
+    std::size_t child = 2 * pos + 1;
+    if (child >= count) break;
+    if (child + 1 < count && before(heap[child + 1], heap[child])) ++child;
+    if (!before(heap[child], entry)) break;
+    seat(pos, heap[child]);
+    pos = child;
+  }
+  seat(pos, entry);
+}
+
+void ConcurrentResolver::Shard::push(Node* node) {
+  heap.emplace_back();
+  sift_up(heap.size() - 1, HeapEntry{node->expires_at, node});
+}
+
+void ConcurrentResolver::Shard::refill(std::size_t pos, HeapEntry entry) {
+  // The entry may belong above the hole (when the hole is not on its own
+  // root path) or below it.
+  if (pos > 0 && before(entry, heap[(pos - 1) / 2])) {
+    sift_up(pos, entry);
+  } else {
+    sift_down(pos, entry);
+  }
+}
+
+void ConcurrentResolver::Shard::remove_at(std::size_t pos) {
+  const HeapEntry last = heap.back();
+  heap.pop_back();
+  if (pos < heap.size()) refill(pos, last);
 }
 
 bool ConcurrentResolver::probe(const Shard& shard, std::uint64_t hash, std::string_view name,
@@ -97,8 +145,10 @@ void ConcurrentResolver::publish(Shard& shard, std::uint64_t hash, std::string_v
   std::lock_guard<std::mutex> lock{shard.writer};
   std::atomic<Node*>* link = link_of(shard, hash, name);
   if (Node* old = link->load(std::memory_order_relaxed); old != nullptr) {
-    // An overwrite never evicts: the replacement takes the old node's place.
+    // An overwrite never evicts: the replacement takes the old node's place
+    // in its chain and in the heap.
     fresh->next.store(old->next.load(std::memory_order_relaxed), std::memory_order_relaxed);
+    shard.refill(old->heap_pos, HeapEntry{fresh->expires_at, fresh.get()});
     link->store(fresh.release(), std::memory_order_seq_cst);
     std::lock_guard<std::mutex> rcu_lock{rcu_writer_mutex_};
     rcu_.retire([old] { delete old; });
@@ -108,39 +158,25 @@ void ConcurrentResolver::publish(Shard& shard, std::uint64_t hash, std::string_v
   if (shard.size.load(std::memory_order_relaxed) >= shard_capacity_) evict(shard, now);
   std::atomic<Node*>& head = shard.buckets[bucket_of(hash)];
   fresh->next.store(head.load(std::memory_order_relaxed), std::memory_order_relaxed);
+  shard.push(fresh.get());
   head.store(fresh.release(), std::memory_order_seq_cst);
   shard.size.fetch_add(1, std::memory_order_relaxed);
 }
 
 void ConcurrentResolver::evict(Shard& shard, std::uint64_t now) {
-  // One pass unlinks every expired node and finds the smallest
-  // (expires_at, name) among the rest, dropped only when nothing had
-  // expired (so no unlink moved the link that points at it).
+  // Every expired node precedes every live one in heap order, so popping
+  // while the front has expired drops exactly the expired nodes; when none
+  // has, the front is the smallest (expires_at, name) and one pop drops it.
+  HOURS_ASSERT(!shard.heap.empty());  // only a full shard evicts
   std::lock_guard<std::mutex> rcu_lock{rcu_writer_mutex_};
+  const bool expired = shard.heap.front().expires_at <= now;
   std::size_t dropped = 0;
-  std::atomic<Node*>* victim_link = nullptr;
-  Node* victim = nullptr;
-  for (std::size_t b = 0; b <= bucket_mask_; ++b) {
-    std::atomic<Node*>* link = &shard.buckets[b];
-    while (Node* node = link->load(std::memory_order_relaxed)) {
-      if (node->expires_at <= now) {
-        unlink(*link, node);
-        ++dropped;
-        continue;
-      }
-      if (victim == nullptr ||
-          std::tie(node->expires_at, node->name) < std::tie(victim->expires_at, victim->name)) {
-        victim_link = link;
-        victim = node;
-      }
-      link = &node->next;
-    }
-  }
-  if (dropped == 0) {
-    HOURS_ASSERT(victim != nullptr);  // only a full shard evicts
-    unlink(*victim_link, victim);
-    dropped = 1;
-  }
+  do {
+    Node* victim = shard.heap.front().node;
+    shard.remove_at(0);
+    unlink(*link_of(shard, victim->hash, victim->name), victim);
+    ++dropped;
+  } while (expired && !shard.heap.empty() && shard.heap.front().expires_at <= now);
   shard.size.fetch_sub(dropped, std::memory_order_relaxed);
   shard.evictions.fetch_add(dropped, std::memory_order_relaxed);
   rcu_.advance_and_reclaim();
@@ -153,6 +189,7 @@ void ConcurrentResolver::drop_expired(Shard& shard, std::uint64_t hash, std::str
   Node* node = link->load(std::memory_order_relaxed);
   if (node == nullptr || node->expires_at > now) return;
   std::lock_guard<std::mutex> rcu_lock{rcu_writer_mutex_};
+  shard.remove_at(node->heap_pos);
   unlink(*link, node);
   shard.size.fetch_sub(1, std::memory_order_relaxed);
   rcu_.advance_and_reclaim();

@@ -10,7 +10,7 @@
 //   * Each shard is a chained hash table whose bucket array is sized once
 //     from the shard capacity (a power of two, at most kMaxBuckets). A
 //     cached answer is one immutable Node {name, expires_at, records, next};
-//     only `next` ever changes after the node is linked.
+//     only `next` and the writers' heap position change after it is linked.
 //   * The read path (cache hit) takes NO lock: a jobs::RcuDomain read guard
 //     (two atomic stores) pins every node, the probe walks one bucket chain
 //     and copies the records out, and the guard drops.
@@ -20,7 +20,14 @@
 //     old `next`), an eviction or a drop stores the node's `next` over the
 //     link that pointed at it. Unlinked nodes are retired to the RCU domain;
 //     until they are reclaimed their `next` stays valid, so a reader parked
-//     on one walks on into the live chain.
+//     on one walks on into the live chain. A reclaim reads only the reader
+//     slots some thread has claimed.
+//   * Under the same mutex each shard keeps a binary min-heap of its linked
+//     nodes ordered by (expires_at, name), and each node records its heap
+//     position (a field only writers touch). A fresh publish pushes, an
+//     overwrite seats the new node in the old one's heap slot and re-sifts,
+//     a drop removes its node by position, and an eviction pops the front:
+//     O(log n) each, with no scan of the shard. Readers never see the heap.
 //   * The miss path funnels into the single-threaded HoursSystem under one
 //     authority mutex — concurrency lives in front of the hierarchy, never
 //     inside one query. resolve_batch() amortizes that mutex: probe all
@@ -113,7 +120,8 @@ class ConcurrentResolver {
   [[nodiscard]] std::string from_json(const snapshot::Json& state);
 
  private:
-  /// One cached answer. Immutable once linked, except `next`.
+  /// One cached answer. Immutable once linked, except `next` and the
+  /// writer-only `heap_pos`.
   struct Node {
     Node(std::uint64_t name_hash, std::string_view node_name, std::uint64_t expiry,
          std::vector<store::Record> answer)
@@ -124,20 +132,47 @@ class ConcurrentResolver {
     const std::string name;
     const std::vector<store::Record> records;
     std::atomic<Node*> next{nullptr};
+    std::size_t heap_pos = 0;  ///< index of this node's entry in its shard's heap
+  };
+
+  /// A linked node in heap order. It carries the node's expiry, so only
+  /// expiry ties read the names.
+  struct HeapEntry {
+    std::uint64_t expires_at = 0;
+    Node* node = nullptr;
   };
 
   struct Shard {
     explicit Shard(std::size_t bucket_count)
         : buckets(std::make_unique<std::atomic<Node*>[]>(bucket_count)) {}
 
-    std::mutex writer;  ///< serializes link/unlink
+    // Heap upkeep; the caller holds `writer`.
+    /// Adds `node`'s entry.
+    void push(Node* node);
+    /// Fills the hole at `pos` with `entry`, sifting it up or down.
+    void refill(std::size_t pos, HeapEntry entry);
+    /// Removes the entry at heap position `pos`.
+    void remove_at(std::size_t pos);
+
+    std::mutex writer;  ///< serializes link/unlink and guards `heap`
     std::unique_ptr<std::atomic<Node*>[]> buckets;  ///< readers walk under an RCU guard
+    /// Min-heap of every linked node on (expires_at, name); grows on demand.
+    std::vector<HeapEntry> heap;
     std::atomic<std::size_t> size{0};
     std::atomic<std::uint64_t> hits{0};
     std::atomic<std::uint64_t> misses{0};
     std::atomic<std::uint64_t> failures{0};
     std::atomic<std::uint64_t> evictions{0};
     std::atomic<std::uint64_t> refusals{0};
+
+   private:
+    /// Heap order: (expires_at, name), a strict order since names are unique.
+    [[nodiscard]] static bool before(const HeapEntry& a, const HeapEntry& b);
+    /// Writes `entry` at heap position `pos` and records the position in
+    /// its node.
+    void seat(std::size_t pos, const HeapEntry& entry);
+    void sift_up(std::size_t pos, HeapEntry entry);
+    void sift_down(std::size_t pos, HeapEntry entry);
   };
 
   /// Bucket arrays never exceed this, however large `capacity` is: chains
@@ -161,7 +196,8 @@ class ConcurrentResolver {
   void publish(Shard& shard, std::uint64_t hash, std::string_view name, std::uint64_t expires_at,
                std::vector<store::Record> records, std::uint64_t now);
   /// The eviction policy on one shard: drop every expired node, else the one
-  /// with the smallest (expires_at, name). Caller holds `shard.writer`.
+  /// with the smallest (expires_at, name), popping them off the heap's
+  /// front. Caller holds `shard.writer`.
   void evict(Shard& shard, std::uint64_t now);
   /// Unlinks `name`'s node if it has expired at `now`, counting no eviction.
   void drop_expired(Shard& shard, std::uint64_t hash, std::string_view name, std::uint64_t now);
@@ -177,7 +213,8 @@ class ConcurrentResolver {
   /// Frees every linked node, then splits `capacity` over `shard_count`
   /// empty shards. No other call may run concurrently.
   void size_shards(std::size_t capacity, unsigned shard_count);
-  /// Every node linked in any shard. No writer may run concurrently.
+  /// Every node linked in any shard, read off the heaps. No writer may run
+  /// concurrently.
   [[nodiscard]] std::vector<Node*> linked_nodes() const;
 
   HoursSystem& system_;

@@ -15,7 +15,20 @@
 //
 // Slots are claimed per (thread, domain) on first use and held for the
 // thread's lifetime; kMaxReaders bounds the number of distinct reader
-// threads per domain (plenty for a serving front-end's thread pool).
+// threads per domain (plenty for a serving front-end's thread pool). A
+// thread claims the lowest unclaimed slot by one seq_cst CAS on a claim
+// counter and never gives it back, so the claimed slots are always the
+// prefix [0, claimed_), and a reclaim reads only that prefix.
+//
+// Why the prefix is enough. advance_and_reclaim bumps the epoch, then loads
+// the claim counter, then the claimed slots, every step seq_cst; a reader
+// claims its slot before its guard first loads the epoch, also seq_cst. All
+// of these lie in one total order. If the writer's load of the counter does
+// not see a reader's claim, that claim, and so the reader's epoch load,
+// come after the writer's bump: the reader announces the advanced epoch,
+// and every pointer it then loads is read after the unlinks that preceded
+// the bump, so it can never reach an object this reclaim frees. A claim the
+// load does see has its slot read, and announce-then-verify covers it.
 #pragma once
 
 #include <atomic>
@@ -74,12 +87,15 @@ class RcuDomain {
   }
 
   /// Writer side, caller-serialized: advance the epoch and free every
-  /// retired object no announced reader can still see.
+  /// retired object no announced reader can still see. Only the slots
+  /// claimed when the counter is loaded, after the advance, are read (the
+  /// header says why a later claim cannot hold a retired object).
   void advance_and_reclaim() {
     epoch_.fetch_add(1, std::memory_order_seq_cst);
+    const std::size_t claimed = claimed_.load(std::memory_order_seq_cst);
     std::uint64_t min_active = kIdle;
-    for (const auto& slot : slots_) {
-      const std::uint64_t announced = slot.load(std::memory_order_seq_cst);
+    for (std::size_t i = 0; i < claimed; ++i) {
+      const std::uint64_t announced = slots_[i].load(std::memory_order_seq_cst);
       if (announced < min_active) min_active = announced;
     }
     std::size_t kept = 0;
@@ -104,23 +120,22 @@ class RcuDomain {
     return counter;
   }
 
-  /// The calling thread's slot in this domain, claimed on first use. The
-  /// cache key includes the domain's globally unique id, so a new domain
-  /// reusing a dead one's address can never inherit stale slot claims.
+  /// The calling thread's slot in this domain, claimed on first use: the
+  /// lowest unclaimed one. The cache key includes the domain's globally
+  /// unique id, so a new domain reusing a dead one's address can never
+  /// inherit stale slot claims.
   std::atomic<std::uint64_t>* reader_slot() {
     thread_local std::vector<std::pair<std::uint64_t, std::atomic<std::uint64_t>*>> cache;
     for (const auto& [id, slot] : cache) {
       if (id == id_) return slot;
     }
-    for (std::size_t i = 0; i < kMaxReaders; ++i) {
-      bool expected = false;
-      if (claimed_[i].compare_exchange_strong(expected, true, std::memory_order_acq_rel)) {
-        cache.emplace_back(id_, &slots_[i]);
-        return &slots_[i];
-      }
-    }
-    HOURS_ASSERT(false && "RcuDomain: more than kMaxReaders distinct reader threads");
-    return nullptr;  // unreachable
+    std::size_t index = claimed_.load(std::memory_order_seq_cst);
+    do {
+      HOURS_ASSERT(index < kMaxReaders &&
+                   "RcuDomain: more than kMaxReaders distinct reader threads");
+    } while (!claimed_.compare_exchange_weak(index, index + 1, std::memory_order_seq_cst));
+    cache.emplace_back(id_, &slots_[index]);
+    return &slots_[index];
   }
 
   struct Retired {
@@ -131,7 +146,7 @@ class RcuDomain {
   const std::uint64_t id_;
   std::atomic<std::uint64_t> epoch_{1};
   std::atomic<std::uint64_t> slots_[kMaxReaders];
-  std::atomic<bool> claimed_[kMaxReaders] = {};
+  std::atomic<std::size_t> claimed_{0};  ///< slots [0, claimed_) are claimed
   std::vector<Retired> retired_;  // writer-side only
 };
 

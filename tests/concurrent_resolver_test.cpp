@@ -10,6 +10,7 @@
 // `unit` label runs under the TSan CI job).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -376,12 +377,12 @@ void run_eviction_seed(std::uint64_t seed, StaleTotals& stale) {
   // unbounded pair pins the capped bucket array and never evicts.
   DifferentialPair tight{2 + g.below(6)};
   DifferentialPair roomy{std::size_t{1} << 40};
+  NegativeCacheDefenseConfig defense;  // armed on even seeds
+  defense.enabled = true;
+  defense.distinct_miss_threshold = 2;
+  defense.window = 5;
+  defense.flag_ttl = 20;
   if (seed % 2 == 0) {
-    NegativeCacheDefenseConfig defense;
-    defense.enabled = true;
-    defense.distinct_miss_threshold = 2;
-    defense.window = 5;
-    defense.flag_ttl = 20;
     for (auto* pair : {&tight, &roomy}) pair->arm(defense);
   }
 
@@ -447,6 +448,71 @@ void run_eviction_seed(std::uint64_t seed, StaleTotals& stale) {
     stale.failures += pair->oracle.stale_failures();
     stale.refusals += pair->oracle.stale_refusals();
   }
+
+  // A deep heap: 40..200 slots and 400 names that only insert() installs,
+  // so the eviction heap is 6-8 levels deep and overwrites and drops land on
+  // interior positions. Those names are never admitted, so resolving one
+  // fails (as for ghost.green) and drops it once expired. The clock, which
+  // every call takes from its caller, now and then steps back. Its own
+  // generator leaves the two pairs' streams above unchanged.
+  rng::Xoshiro256 dg{rng::mix64(0xDEE9, seed)};
+  DifferentialPair deep{40 + dg.below(161)};
+  if (seed % 2 == 0) deep.arm(defense);
+  std::vector<std::string> deep_names;
+  for (int i = 0; i < 400; ++i) {
+    deep_names.push_back("d" + std::to_string(i) + ".z" + std::to_string(i % 8));
+  }
+  std::vector<bool> deep_alive(hosts.size(), true);
+  constexpr std::uint64_t kDeepTtls[] = {5, 40, 100, 250};
+  std::uint64_t clock = 1'000;
+  for (std::uint64_t step = 0; step < 2'000; ++step) {
+    // A slow clock, so the heap fills with live entries, now and then past
+    // most TTLs, now and then back.
+    const std::uint64_t move = dg.below(200);
+    if (move == 0) {
+      clock += 100 + dg.below(200);
+    } else if (move < 7) {
+      clock -= std::min<std::uint64_t>(clock, dg.below(20));
+    } else {
+      clock += dg.below(2);
+    }
+    const std::uint64_t kind = dg.below(10);
+    if (kind < 6) {
+      const bool host = dg.below(8) == 0;
+      const auto& name = host ? hosts[dg.below(hosts.size())] : deep_names[dg.below(400)];
+      const std::vector<store::Record> records{
+          store::Record{"A", name + "#" + std::to_string(step), kDeepTtls[dg.below(4)]}};
+      deep.oracle.insert(name, clock, records);
+      deep.subject.insert(name, clock, records);
+    } else if (kind == 6) {
+      const std::size_t h = dg.below(hosts.size());
+      deep_alive[h] = !deep_alive[h];
+      deep.set_alive(hosts[h], deep_alive[h]);
+    } else {
+      const bool host = dg.below(2) == 0;
+      const auto& name = host ? hosts[dg.below(hosts.size())] : deep_names[dg.below(400)];
+      const auto want = deep.oracle.resolve(name, clock);
+      const auto got = deep.subject.resolve(name, clock);
+      ASSERT_EQ(got.answered, want.answered) << "deep step " << step << " " << name;
+      ASSERT_EQ(got.from_cache, want.from_cache) << "deep step " << step << " " << name;
+      ASSERT_EQ(got.hops, want.hops) << "deep step " << step << " " << name;
+      ASSERT_EQ(got.records, want.records) << "deep step " << step << " " << name;
+    }
+    SCOPED_TRACE("after deep step " + std::to_string(step));
+    expect_same_state(deep);
+    if (::testing::Test::HasFailure()) return;
+  }
+  EXPECT_GT(deep.oracle.stats().evictions, 0U);
+  for (const auto& name : deep_names) {
+    std::vector<store::Record> got;
+    const auto* want = deep.oracle.peek(name, clock);
+    ASSERT_EQ(deep.subject.peek(name, clock, &got), want != nullptr) << name;
+    if (want != nullptr) {
+      EXPECT_EQ(got, *want) << name;
+    }
+  }
+  stale.failures += deep.oracle.stale_failures();
+  stale.refusals += deep.oracle.stale_refusals();
 }
 
 TEST(ConcurrentResolver, MatchesResolverUnderEvictionPressure) {

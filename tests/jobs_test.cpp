@@ -2,7 +2,8 @@
 // behind ConcurrentResolver's lock-free reads. Every `unit`-labelled test
 // also runs under the TSan CI job, so these cases run their threads for
 // real: sweeps at several widths, a failing sweep that must still run
-// every task, and RCU readers racing a writer that retires what they read.
+// every task, a reader whose slot was claimed after a reclaim, and RCU
+// readers racing a writer that retires what they read.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -81,6 +82,40 @@ TEST(Rcu, ReadersPinRetiredObjectsUntilExit) {
   }
   domain.retire([] {});
   domain.advance_and_reclaim();  // reader gone: both entries reclaimable
+  EXPECT_TRUE(freed);
+  EXPECT_EQ(domain.pending_reclaims(), 0U);
+}
+
+TEST(Rcu, ReaderOnALateClaimedSlotPinsRetiredObjects) {
+  // A reclaim reads only the claimed slots. Thread A claims slot 0 and
+  // leaves; a reclaim runs; only then does thread B claim slot 1, past
+  // every claim that reclaim saw, and hold a guard. A scan bounded by the
+  // claims of an earlier reclaim would skip B and free X under it.
+  RcuDomain domain;
+  std::thread([&domain] { RcuDomain::ReadGuard guard{domain}; }).join();
+  domain.retire([] {});
+  domain.advance_and_reclaim();
+  EXPECT_EQ(domain.pending_reclaims(), 0U);
+
+  std::atomic<bool> entered{false};
+  std::atomic<bool> release{false};
+  std::thread late([&] {
+    RcuDomain::ReadGuard guard{domain};
+    entered.store(true, std::memory_order_release);
+    while (!release.load(std::memory_order_acquire)) std::this_thread::yield();
+  });
+  while (!entered.load(std::memory_order_acquire)) std::this_thread::yield();
+  bool freed = false;
+  domain.retire([&freed] { freed = true; });
+  domain.advance_and_reclaim();
+  EXPECT_FALSE(freed);
+  EXPECT_EQ(domain.pending_reclaims(), 1U);
+  domain.advance_and_reclaim();  // still pinned while B's guard lives
+  EXPECT_FALSE(freed);
+  EXPECT_EQ(domain.pending_reclaims(), 1U);
+  release.store(true, std::memory_order_release);
+  late.join();
+  domain.advance_and_reclaim();
   EXPECT_TRUE(freed);
   EXPECT_EQ(domain.pending_reclaims(), 0U);
 }

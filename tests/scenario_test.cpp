@@ -107,6 +107,13 @@ TEST(ScenarioValidate, RejectCorpusNamesTheOffendingPath) {
        "$.system.branching[1]"},
       {kHierarchyBase, "\"backend\": \"event\"", "\"backend\": \"oracle\"",
        "$.system.backend"},
+      {kRingBase, "\"size\": 8", "\"size\": 8, \"k\": 0", "$.system.k: 0 outside"},
+      {kRingBase, "\"size\": 8", "\"size\": 8, \"q\": 4294967296",
+       "$.system.q: 4294967296 outside"},
+      {kHierarchyBase, "\"branching\": [3, 3]", "\"branching\": [3, 3], \"k\": 4294967297",
+       "$.system.k: 4294967297 outside"},
+      {kHierarchyBase, "\"branching\": [3, 3]", "\"branching\": [3, 3], \"q\": 0",
+       "$.system.q: 0 outside"},
       // Workload clause.
       {kRingBase, "\"horizon\": 20000,", "", "$.workload.horizon: required field missing"},
       {kRingBase, "\"window\": 2000", "\"window\": 0", "$.workload.window"},
