@@ -21,66 +21,99 @@ constexpr std::uint32_t kEagerTableLimit = 20'000;
 }  // namespace
 
 struct NamedHierarchy::TreeNode {
-  using LabelEntry = std::pair<std::uint64_t, TreeNode*>;  // (label hash, owned child)
+  /// One slot of the label table: an owned child and its label's FNV-1a
+  /// hash, or an empty slot (null node).
+  struct LabelSlot {
+    std::uint64_t hash = 0;
+    TreeNode* node = nullptr;
+  };
 
+  // A resolve reads only the fields before `parent`, all in a node's first
+  // 64 bytes: its cached index and label, and above the leaf its epoch and
+  // label table.
+
+  /// This node's ring index in its primary parent, valid while
+  /// `index_stamp` equals that parent's `member_epoch`. A resolve caches
+  /// it, and topology_snapshot stamps every owned child in one walk.
+  mutable std::uint32_t ring_index = 0;
+  mutable std::uint16_t index_stamp = 0;
+  /// Bumped by every change to `members`, which can shift ring indices; a
+  /// child's cached index counts only while its stamp matches. 0 is never
+  /// an epoch, so a fresh stamp (0) never matches.
+  std::uint16_t member_epoch = 1;
   /// This node's own label ("" for the root). Full names are rebuilt from
   /// the primary-parent chain (full_name), which no query path needs.
   std::string label;
-  ids::Identifier id;
-  /// This node's ring index in its primary parent, cached by index_of and
-  /// valid while `index_stamp` equals that parent's `member_epoch`.
-  mutable std::uint32_t ring_index = 0;
-  TreeNode* parent = nullptr;                   // primary parent
-  std::vector<TreeNode*> secondary_parents;     // mesh parents (Section 7)
-
-  std::vector<std::unique_ptr<TreeNode>> owned;  // primary children, admission order
-  /// `owned` keyed by label hash, sorted by hash; labels that share a hash
-  /// sit adjacent and are told apart by comparing the labels themselves.
-  std::vector<LabelEntry> by_label;
-  /// Owned plus mesh alias children, always sorted by identifier: a
-  /// member's position is its ring index (Section 3.2).
-  std::vector<TreeNode*> members;
-  std::unique_ptr<overlay::Overlay> child_overlay;
-  /// Bumped by every change to `members`, which can shift ring indices; a
-  /// child's cached index counts only while its stamp matches. 0 is never
-  /// an epoch, so a fresh stamp (0) never matches. 16 bits each: with the
-  /// two flags they fill what was padding, so a node's size does not grow.
-  std::uint16_t member_epoch = 1;
-  mutable std::uint16_t index_stamp = 0;
+  /// `owned` keyed by label hash: open addressing with linear probing over
+  /// `slot_mask + 1` slots (a power of two, at most 7/8 full; null before
+  /// the first child). A lookup reads from the hash's home slot to a hash
+  /// match, one or two lines of this table, and compares labels only on a
+  /// match, so labels that share a hash are told apart.
+  std::unique_ptr<LabelSlot[]> slots;
+  std::uint32_t slot_mask = 0;
   bool alive = true;
   // Membership changes invalidate the overlay (expensive: routing tables);
   // it regenerates on the next routed visit, so a topology walk never
   // forces a table build.
   bool overlay_dirty = true;
+  TreeNode* parent = nullptr;  // primary parent
+
+  ids::Identifier id;
+  std::vector<TreeNode*> secondary_parents;      // mesh parents (Section 7)
+  std::vector<std::unique_ptr<TreeNode>> owned;  // primary children, admission order
+  /// Owned plus mesh alias children, always sorted by identifier: a
+  /// member's position is its ring index (Section 3.2).
+  std::vector<TreeNode*> members;
+  std::unique_ptr<overlay::Overlay> child_overlay;
 
   [[nodiscard]] std::uint32_t member_count() const noexcept {
     return static_cast<std::uint32_t>(members.size());
   }
 
-  /// The owned child labelled `wanted`, or null: O(log fanout).
-  [[nodiscard]] TreeNode* child(std::string_view wanted) const {
-    const std::uint64_t h = util::fnv1a(wanted);
-    for (auto it = std::ranges::lower_bound(by_label, h, {}, &LabelEntry::first);
-         it != by_label.end() && it->first == h; ++it) {
-      if (it->second->label == wanted) return it->second;
-    }
-    return nullptr;
+  /// The home slot of label hash `h`: the high half of a Fibonacci
+  /// multiply, since FNV-1a's low bits depend only on the labels' low bits.
+  [[nodiscard]] std::uint32_t home(std::uint64_t h) const noexcept {
+    return static_cast<std::uint32_t>((h * 0x9E3779B97F4A7C15ULL) >> 32) & slot_mask;
   }
 
-  /// Ring index of `member` (owned or alias). For an owned child whose
-  /// cached index is current this reads the child alone; otherwise it is a
-  /// binary search on identifier, and an owned child caches the result.
-  [[nodiscard]] std::uint32_t index_of(const TreeNode* member) const {
-    const bool owned_child = member->parent == this;
-    if (owned_child && member->index_stamp == member_epoch) return member->ring_index;
-    const auto it = std::ranges::lower_bound(members, member->id, {}, &TreeNode::id);
-    HOURS_ASSERT(it != members.end() && *it == member);
-    const auto index = static_cast<std::uint32_t>(it - members.begin());
-    if (owned_child) {
-      member->ring_index = index;
-      member->index_stamp = member_epoch;
+  /// The owned child labelled `wanted`, or null. The probe ends at an
+  /// empty slot: the table is never full.
+  [[nodiscard]] TreeNode* child(std::string_view wanted) const {
+    if (!slots) return nullptr;
+    const std::uint64_t h = util::fnv1a(wanted);
+    for (std::uint32_t i = home(h);; i = (i + 1) & slot_mask) {
+      const LabelSlot& slot = slots[i];
+      if (slot.node == nullptr) return nullptr;
+      if (slot.hash == h && slot.node->label == wanted) return slot.node;
     }
+  }
+
+  /// Ring index of `member` (owned or alias): owned_index for an owned
+  /// child, else a binary search on identifier.
+  [[nodiscard]] std::uint32_t index_of(const TreeNode* member) const {
+    return member->parent == this ? owned_index(*member) : search(*member);
+  }
+
+  /// Ring index of the owned child `member`: its cached index while the
+  /// stamp is current, which reads the child alone; else a binary search
+  /// on identifier, cached.
+  [[nodiscard]] std::uint32_t owned_index(const TreeNode& member) const {
+    if (member.index_stamp == member_epoch) return member.ring_index;
+    const std::uint32_t index = search(member);
+    stamp(member, index);
     return index;
+  }
+
+  [[nodiscard]] std::uint32_t search(const TreeNode& member) const {
+    const auto it = std::ranges::lower_bound(members, member.id, {}, &TreeNode::id);
+    HOURS_ASSERT(it != members.end() && *it == &member);
+    return static_cast<std::uint32_t>(it - members.begin());
+  }
+
+  /// Caches `index` as the owned child `member`'s current ring index.
+  void stamp(const TreeNode& member, std::uint32_t index) const {
+    member.ring_index = index;
+    member.index_stamp = member_epoch;
   }
 
   void insert_member(TreeNode* member) {
@@ -105,17 +138,50 @@ struct NamedHierarchy::TreeNode {
     member_epoch = 1;
   }
 
+  /// Puts (h, node) in the first empty slot from h's home on.
+  void place(std::uint64_t h, TreeNode* node) {
+    std::uint32_t i = home(h);
+    while (slots[i].node != nullptr) i = (i + 1) & slot_mask;
+    slots[i] = {h, node};
+  }
+
+  /// Doubles the label table (4 slots at first) and re-places its entries.
+  void grow_slots() {
+    const std::uint32_t old_capacity = slots ? slot_mask + 1 : 0;
+    const std::uint32_t capacity = old_capacity == 0 ? 4 : 2 * old_capacity;
+    const auto old = std::exchange(slots, std::make_unique<LabelSlot[]>(capacity));
+    slot_mask = capacity - 1;
+    for (std::uint32_t i = 0; i < old_capacity; ++i) {
+      if (old[i].node != nullptr) place(old[i].hash, old[i].node);
+    }
+  }
+
+  /// Empties `node`'s slot by backward shift: each later entry of the
+  /// probe run moves into the hole unless its home lies after the hole, so
+  /// every remaining entry stays reachable from its home.
+  void unplace(const TreeNode* node) {
+    std::uint32_t hole = home(util::fnv1a(node->label));
+    while (slots[hole].node != node) hole = (hole + 1) & slot_mask;
+    for (std::uint32_t at = (hole + 1) & slot_mask; slots[at].node != nullptr;
+         at = (at + 1) & slot_mask) {
+      if (((at - home(slots[at].hash)) & slot_mask) >= ((at - hole) & slot_mask)) {
+        slots[hole] = slots[at];
+        hole = at;
+      }
+    }
+    slots[hole] = {};
+  }
+
   void adopt(std::unique_ptr<TreeNode> node) {
-    const std::uint64_t h = util::fnv1a(node->label);
-    by_label.emplace(std::ranges::upper_bound(by_label, h, {}, &LabelEntry::first), h,
-                     node.get());
+    if ((owned.size() + 1) * 8 > (std::size_t{slot_mask} + 1) * 7) grow_slots();
+    place(util::fnv1a(node->label), node.get());
     insert_member(node.get());
     owned.push_back(std::move(node));
   }
 
   /// Unlinks and destroys the owned child `node` with its subtree.
   void disown(const TreeNode* node) {
-    std::erase_if(by_label, [node](const LabelEntry& e) { return e.second == node; });
+    unplace(node);
     erase_member(node);
     const auto it = std::ranges::find_if(owned, [node](const auto& c) { return c.get() == node; });
     HOURS_ASSERT(it != owned.end());
@@ -278,15 +344,17 @@ util::Result<naming::Name> NamedHierarchy::remove(const naming::Name& name) {
 }
 
 util::Result<NodePath> NamedHierarchy::resolve(const naming::Name& name) {
-  TreeNode* node = find_by_name(name);
-  if (node == nullptr) {
-    return util::Error{util::Error::Code::kNotFound, "no such node: " + name.to_string()};
-  }
+  // find_by_name's descent, reading each index from the child just found:
+  // a node reached through a label table is an owned child.
   NodePath path(name.depth());
-  TreeNode* walk = node;
-  for (std::size_t i = name.depth(); i-- > 0;) {
-    path[i] = walk->parent->index_of(walk);
-    walk = walk->parent;
+  const TreeNode* node = root_.get();
+  for (std::size_t lvl = 1; lvl <= name.depth(); ++lvl) {
+    const TreeNode* next = node->child(name.label(lvl));
+    if (next == nullptr) {
+      return util::Error{util::Error::Code::kNotFound, "no such node: " + name.to_string()};
+    }
+    path[lvl - 1] = node->owned_index(*next);
+    node = next;
   }
   return path;
 }
@@ -409,8 +477,22 @@ NamedHierarchy::TopologySnapshot NamedHierarchy::topology_snapshot() {
   std::vector<TreeNode*> order{root_.get()};
   order.reserve(node_count_ + 1);
   snap.child_counts.reserve(node_count_ + 1);
+  // order[i] (i > 0) is member `index` of order[via]: members are appended
+  // parent by parent, so `via` advances past each parent's count. Stamping
+  // the owned ones here means a resolve after the mirror build never
+  // searches for a ring index.
+  std::size_t via = 0;
+  std::uint32_t index = 0;
   for (std::size_t i = 0; i < order.size(); ++i) {
     TreeNode* node = order[i];
+    if (i > 0) {
+      while (index == snap.child_counts[via]) {
+        ++via;
+        index = 0;
+      }
+      if (node->parent == order[via]) order[via]->stamp(*node, index);
+      ++index;
+    }
     snap.child_counts.push_back(node->member_count());
     if (!node->alive) snap.dead.push_back(static_cast<std::uint32_t>(i));
     for (TreeNode* member : node->members) order.push_back(member);

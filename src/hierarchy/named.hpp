@@ -15,11 +15,15 @@
 // top-down paths — resolve_paths() enumerates them, and HoursSystem retries
 // queries across them.
 //
-// Every sibling set keeps a label index and its identifier-sorted member
-// view current through membership changes, so resolving a name costs
-// O(depth * log fanout) and never re-sorts. Membership changes mark the
-// affected overlays dirty; they are re-generated on next access, mirroring
-// the paper's periodic routing-table regeneration (Section 7, "Overlay
+// Every sibling set keeps a label table (open addressing on the label
+// hash) and its identifier-sorted member view current through membership
+// changes, so finding a name reads one or two lines of each ancestor's
+// table plus the node on the path, and never re-sorts. Each node caches
+// its ring index, stamped with its parent's membership epoch:
+// topology_snapshot() stamps every node, and a stale stamp falls back to a
+// binary search on identifier. Membership changes mark the affected
+// overlays dirty; they are re-generated on next access, mirroring the
+// paper's periodic routing-table regeneration (Section 7, "Overlay
 // Maintenance"). Ring indices may shift when membership changes, so
 // NodePaths should be re-resolved from names afterwards.
 #pragma once
@@ -96,7 +100,8 @@ class NamedHierarchy final : public HierarchyModel {
   /// member count, `dead` lists the BFS ids currently marked dead. Mesh
   /// alias children appear once per parent (each membership is a distinct
   /// simulation node), matching the path-enumeration the event backend used
-  /// to perform — but without materializing any NodePath or name.
+  /// to perform — but without materializing any NodePath or name. The walk
+  /// also stamps each node's cached ring index in its primary parent.
   struct TopologySnapshot {
     std::vector<std::uint32_t> child_counts;
     std::vector<std::uint32_t> dead;

@@ -76,9 +76,10 @@ void EventBackend::settle(std::uint64_t qid) {
   }
 }
 
-QueryResult EventBackend::run_client_query(std::uint32_t start_id, std::uint32_t dest_id,
+QueryResult EventBackend::run_client_query(std::uint32_t start_id, Resolved dest_node,
                                            const naming::Name& dest, bool from_cache) {
-  const std::uint64_t qid = client_->submit(start_id, dest_id);
+  const std::uint64_t qid = client_->submit(
+      start_id, static_cast<std::uint32_t>(dest_node.id), std::move(dest_node.path));
   settle(qid);
   const sim::ClientQueryOutcome out = client_->outcome(qid);
   if (out.status != sim::QueryStatus::kPending) client_->release(qid);
@@ -110,27 +111,30 @@ QueryResult EventBackend::run_client_query(std::uint32_t start_id, std::uint32_t
   return result;
 }
 
-std::int64_t EventBackend::resolve_id(const naming::Name& name) {
+EventBackend::Resolved EventBackend::resolve(const naming::Name& name) {
   ensure_built();
   // The primary path's id; a mesh alias node also exists under secondary
   // parents with other ids, but liveness mirroring and query addressing use
   // the primary membership (docs/PROTOCOL.md §7).
-  const auto path = system_.hierarchy().resolve(name);
-  return path.ok() ? sim_->find_id(path.value()) : -1;
+  auto path = system_.hierarchy().resolve(name);
+  if (!path.ok()) return {};
+  Resolved out;
+  out.id = sim_->find_id(path.value());
+  out.path = std::move(path).value();
+  return out;
 }
 
 QueryResult EventBackend::execute(const naming::Name& dest, bool /*record_path*/) {
   ensure_built();
-  const std::int64_t dest_id = resolve_id(dest);
-  if (dest_id < 0) return failed(util::Error::Code::kNotFound);
+  Resolved dest_node = resolve(dest);
+  if (dest_node.id < 0) return failed(util::Error::Code::kNotFound);
 
   // Entry-point selection: the client checks whether its entry answers at
   // all (one RTT) before handing over custody — the root first, then the
   // bootstrap cache (Section 7) when the root is down. Forwarding liveness
   // beyond the entry point stays silence-inferred.
   if (sim_->alive_id(0)) {
-    return run_client_query(/*start_id=*/0, static_cast<std::uint32_t>(dest_id), dest,
-                            /*from_cache=*/false);
+    return run_client_query(/*start_id=*/0, std::move(dest_node), dest, /*from_cache=*/false);
   }
 
   cache_bootstrap_queries_.inc();
@@ -140,8 +144,8 @@ QueryResult EventBackend::execute(const naming::Name& dest, bool /*record_path*/
     const std::int64_t cached_id = resolve_id(parsed.value());
     if (cached_id < 0) continue;
     if (!sim_->alive_id(static_cast<std::uint32_t>(cached_id))) continue;
-    return run_client_query(static_cast<std::uint32_t>(cached_id),
-                            static_cast<std::uint32_t>(dest_id), dest, /*from_cache=*/true);
+    return run_client_query(static_cast<std::uint32_t>(cached_id), std::move(dest_node), dest,
+                            /*from_cache=*/true);
   }
   return failed(util::Error::Code::kDead);  // no usable entry point
 }
@@ -151,13 +155,13 @@ QueryResult EventBackend::execute_from(const naming::Name& start, const naming::
   ensure_built();
   const std::int64_t start_id = resolve_id(start);
   if (start_id < 0) return failed(util::Error::Code::kNotFound);
-  const std::int64_t dest_id = resolve_id(dest);
-  if (dest_id < 0) return failed(util::Error::Code::kNotFound);
+  Resolved dest_node = resolve(dest);
+  if (dest_node.id < 0) return failed(util::Error::Code::kNotFound);
   if (!sim_->alive_id(static_cast<std::uint32_t>(start_id))) {
     return failed(util::Error::Code::kDead);
   }
-  return run_client_query(static_cast<std::uint32_t>(start_id),
-                          static_cast<std::uint32_t>(dest_id), dest, /*from_cache=*/false);
+  return run_client_query(static_cast<std::uint32_t>(start_id), std::move(dest_node), dest,
+                          /*from_cache=*/false);
 }
 
 void EventBackend::on_set_alive(const naming::Name& name, bool alive) {

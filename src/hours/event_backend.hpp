@@ -105,9 +105,13 @@ class EventBackend final : public QueryBackend {
   /// the first plan), so every plan shares its down and link refcounts.
   void arm(const sim::FaultPlan& plan);
 
-  /// The simulator node id `name` maps to (its primary path), or -1 when
-  /// the name is not admitted.
-  [[nodiscard]] std::int64_t resolve_id(const naming::Name& name);
+  /// The simulator node `name` maps to, through its primary path.
+  struct Resolved {
+    std::int64_t id = -1;  ///< -1 when the name is not admitted
+    hierarchy::NodePath path;
+  };
+  [[nodiscard]] Resolved resolve(const naming::Name& name);
+  [[nodiscard]] std::int64_t resolve_id(const naming::Name& name) { return resolve(name).id; }
 
   /// Runs the simulator one event at a time until `qid` settles, so events
   /// scheduled past the settlement instant (fault windows, other timers)
@@ -116,8 +120,8 @@ class EventBackend final : public QueryBackend {
 
   /// Submits one client query, settles it and releases it from the client
   /// (QueryClient::release), so the client holds no per-query state
-  /// between facade queries.
-  [[nodiscard]] QueryResult run_client_query(std::uint32_t start_id, std::uint32_t dest_id,
+  /// between facade queries. The destination's path is the client's route.
+  [[nodiscard]] QueryResult run_client_query(std::uint32_t start_id, Resolved dest_node,
                                              const naming::Name& dest, bool from_cache);
 
   HoursSystem& system_;

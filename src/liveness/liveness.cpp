@@ -17,6 +17,17 @@ std::vector<NodeId> LivenessView::active_in(NodeId observer, NodeId lo, NodeId h
   return peers;
 }
 
+Ticks LivenessView::active_set(NodeId observer, Ticks now, std::vector<NodeId>& out) const {
+  out.clear();
+  Ticks until = kNeverExpires;
+  for_each_observer(observer, [&](NodeId peer, const Entry& entry) {
+    if (!active(entry, now)) return;
+    out.push_back(peer);
+    until = std::min(until, entry.expiry);
+  });
+  return until;
+}
+
 std::vector<DigestEntry> LivenessView::build_digest(NodeId observer, Ticks now) const {
   std::vector<DigestEntry> digest;
   for_each_observer(observer, [&](NodeId peer, const Entry& entry) {

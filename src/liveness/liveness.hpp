@@ -25,8 +25,10 @@
 // digest_horizon bounds how far (in sim-time) it can propagate.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "util/contracts.hpp"
@@ -80,6 +82,23 @@ struct DigestEntry {
   Ticks since = 0;
 };
 
+/// Peers one observer suspects at one instant, ascending, borrowed from
+/// their owner. A query client hands its own to candidate generation,
+/// which leaves them out as it pushes instead of filtering afterwards.
+struct SuspectSet {
+  std::span<const NodeId> peers;
+
+  [[nodiscard]] bool contains(NodeId peer) const {
+    return !peers.empty() && std::binary_search(peers.begin(), peers.end(), peer);
+  }
+  /// The members in [lo, hi): a generator pushing ids of one range
+  /// searches only these, usually none.
+  [[nodiscard]] SuspectSet within(NodeId lo, NodeId hi) const {
+    const auto first = std::lower_bound(peers.begin(), peers.end(), lo);
+    return {{first, std::lower_bound(first, peers.end(), hi)}};
+  }
+};
+
 class LivenessView {
  public:
   explicit LivenessView(Config config = {}, Ticks suspicion_ttl = 0)
@@ -128,6 +147,12 @@ class LivenessView {
   /// a candidate list against this set equals one is_suspected per entry.
   [[nodiscard]] std::vector<NodeId> active_in(NodeId observer, NodeId lo, NodeId hi,
                                               Ticks now) const;
+
+  /// Overwrites `out` with every peer `observer` suspects at `now`,
+  /// ascending, and returns when that set next changes by itself: the
+  /// earliest expiry among its rows (kNeverExpires when none expires).
+  /// Before then only suspect, adopt and clear change it.
+  Ticks active_set(NodeId observer, Ticks now, std::vector<NodeId>& out) const;
 
   /// Erases one row (proof of life); returns whether it existed.
   bool clear(NodeId observer, NodeId peer) {

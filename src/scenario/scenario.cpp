@@ -65,11 +65,12 @@ std::string get_u64(const Json::Object& obj, const std::string& path, std::strin
   return "";
 }
 
-/// An optional overlay parameter (`k` or `q`): a u64 in [1, 2^32 - 1], kept
-/// in `*out` when absent. OverlayParams::validate aborts on 0, and a cast
+/// An optional positive u32 parameter (the overlay's `k` and `q`, the
+/// ring's `probe_failure_threshold`): a u64 in [1, 2^32 - 1], kept in
+/// `*out` when absent. OverlayParams::validate aborts on 0, and a cast
 /// would wrap anything wider.
-std::string get_overlay_param(const Json::Object& obj, const std::string& path,
-                              std::string_view key, std::uint32_t* out) {
+std::string get_positive_u32(const Json::Object& obj, const std::string& path,
+                             std::string_view key, std::uint32_t* out) {
   std::uint64_t v = *out;
   if (auto e = get_u64(obj, path, key, false, &v); !e.empty()) return e;
   if (v == 0 || v > std::numeric_limits<std::uint32_t>::max()) {
@@ -229,8 +230,8 @@ std::string parse_system(const Json::Object& top, Scenario& sc) {
     }
     sc.ring.size = static_cast<std::uint32_t>(size);
     if (auto e = parse_design(*sys, path, &sc.ring.params.design); !e.empty()) return e;
-    if (auto e = get_overlay_param(*sys, path, "k", &sc.ring.params.k); !e.empty()) return e;
-    if (auto e = get_overlay_param(*sys, path, "q", &sc.ring.params.q); !e.empty()) return e;
+    if (auto e = get_positive_u32(*sys, path, "k", &sc.ring.params.k); !e.empty()) return e;
+    if (auto e = get_positive_u32(*sys, path, "q", &sc.ring.params.q); !e.empty()) return e;
     std::uint64_t seed = 0;
     if (sys->find("seed") != sys->end()) {
       if (auto e = get_u64(*sys, path, "seed", false, &seed); !e.empty()) return e;
@@ -239,9 +240,11 @@ std::string parse_system(const Json::Object& top, Scenario& sc) {
     if (auto e = get_u64(*sys, path, "probe_period", false, &sc.ring.probe_period); !e.empty()) {
       return e;
     }
-    std::uint64_t v = sc.ring.probe_failure_threshold;
-    if (auto e = get_u64(*sys, path, "probe_failure_threshold", false, &v); !e.empty()) return e;
-    sc.ring.probe_failure_threshold = static_cast<std::uint32_t>(v);
+    if (auto e = get_positive_u32(*sys, path, "probe_failure_threshold",
+                                  &sc.ring.probe_failure_threshold);
+        !e.empty()) {
+      return e;
+    }
     if (auto e = get_u64(*sys, path, "client_deadline", false, &sc.ring.client_deadline);
         !e.empty()) {
       return e;
@@ -292,10 +295,10 @@ std::string parse_system(const Json::Object& top, Scenario& sc) {
       sc.hierarchy.branching.push_back(fanout);
     }
     if (auto e = parse_design(*sys, path, &sc.hierarchy.params.design); !e.empty()) return e;
-    if (auto e = get_overlay_param(*sys, path, "k", &sc.hierarchy.params.k); !e.empty()) {
+    if (auto e = get_positive_u32(*sys, path, "k", &sc.hierarchy.params.k); !e.empty()) {
       return e;
     }
-    if (auto e = get_overlay_param(*sys, path, "q", &sc.hierarchy.params.q); !e.empty()) {
+    if (auto e = get_positive_u32(*sys, path, "q", &sc.hierarchy.params.q); !e.empty()) {
       return e;
     }
     if (auto e = get_u64(*sys, path, "record_ttl", false, &sc.hierarchy.record_ttl);

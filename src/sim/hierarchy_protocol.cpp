@@ -347,16 +347,24 @@ void HierarchySimulation::apply_digest_words(std::uint32_t at, std::uint32_t fro
 
 std::vector<std::uint32_t> HierarchySimulation::route_candidates(
     std::uint32_t at, const hierarchy::NodePath& dest, bool& backward) const {
-  HOURS_EXPECTS(at < node_count());
   std::vector<std::uint32_t> out;
+  route_candidates(at, dest, backward, {}, out);
+  return out;
+}
+
+void HierarchySimulation::route_candidates(std::uint32_t at, const hierarchy::NodePath& dest,
+                                           bool& backward, liveness::SuspectSet drop,
+                                           std::vector<std::uint32_t>& out) const {
+  HOURS_EXPECTS(at < node_count());
+  out.clear();
   const std::size_t level = level_[at];
-  // One read of `at`'s suspicion rows per plan.
-  const auto suspects = liveness_.active_in(at, 0, ~std::uint32_t{0}, sim_.now());
+  // One read of `at`'s suspicion rows per plan. An offer `at` suspects is
+  // skipped; one in `drop` is kept but not listed.
+  const auto rows = liveness_.active_in(at, 0, ~std::uint32_t{0}, sim_.now());
+  const liveness::SuspectSet suspects{rows};
   auto push = [&](std::uint32_t id) {
-    if (!suspects.empty() && std::binary_search(suspects.begin(), suspects.end(), id)) {
-      return false;
-    }
-    out.push_back(id);
+    if (suspects.contains(id)) return false;
+    if (!drop.contains(id)) out.push_back(id);
     return true;
   };
 
@@ -370,22 +378,35 @@ std::vector<std::uint32_t> HierarchySimulation::route_candidates(
     const std::uint32_t count = child_count_[at];
     HOURS_EXPECTS(dest[level] < count);
     const std::uint32_t past_on_path = first + dest[level] + 1;
-    out.reserve(count);
+    out.resize(count);
+    std::uint32_t* write = out.data();
     for (const auto& [top, bottom] :
          {std::pair{past_on_path, first}, std::pair{first + count, past_on_path}}) {
+      const auto skipped = suspects.within(bottom, top).peers;
+      const auto dropped = drop.within(bottom, top).peers;
+      if (skipped.empty() && dropped.empty()) {
+        for (std::uint32_t id = top; id-- > bottom;) *write++ = id;
+        continue;
+      }
+      // The ids descend and both sets ascend: a merge from each set's top.
+      auto next_skipped = skipped.rbegin();
+      auto next_dropped = dropped.rbegin();
       for (std::uint32_t id = top; id-- > bottom;) {
-        if (suspects.empty() || !std::binary_search(suspects.begin(), suspects.end(), id)) {
-          out.push_back(id);
-        }
+        const bool skip = next_skipped != skipped.rend() && *next_skipped == id;
+        const bool omit = next_dropped != dropped.rend() && *next_dropped == id;
+        next_skipped += skip ? 1 : 0;
+        next_dropped += omit ? 1 : 0;
+        if (!skip && !omit) *write++ = id;
       }
     }
-    return out;
+    out.resize(static_cast<std::size_t>(write - out.data()));
+    return;
   }
 
   if (level == 0 || level > dest.size() || !upward_prefix(at, 1, dest)) {
     // Unrelated position (bootstrap start below/aside): climb.
     if (level > 0) push(parent_[at]);
-    return out;
+    return;
   }
 
   // Algorithm 3: overlay forwarding toward OD = dest[level-1] among
@@ -412,7 +433,6 @@ std::vector<std::uint32_t> HierarchySimulation::route_candidates(
             kind == overlay::Offer::kNephew ? first_child_[od_id] + index : sibling_id(at, index);
         return push(id) ? overlay::Verdict::kKeep : overlay::Verdict::kSkip;
       });
-  return out;
 }
 
 trace::EventType HierarchySimulation::hop_kind(std::uint32_t at, std::uint32_t next,

@@ -196,6 +196,14 @@ class HierarchySimulation : public snapshot::Participant {
                                                             const hierarchy::NodePath& dest,
                                                             bool& backward) const;
 
+  /// The same list for a query client, planned in one pass: overwrites
+  /// `out`, keeping its capacity, and leaves out the peers in `drop`, the
+  /// client's own suspects, as it pushes. A dropped peer still counts as a
+  /// kept offer, so the list is route_candidates' with those peers erased,
+  /// in the same order, and `backward` flips exactly as there.
+  void route_candidates(std::uint32_t at, const hierarchy::NodePath& dest, bool& backward,
+                        liveness::SuspectSet drop, std::vector<std::uint32_t>& out) const;
+
   /// One custody-transfer attempt from `at` to `to` on behalf of an external
   /// query client; exactly one of the callbacks fires. The receiving node
   /// acks (if alive) but takes no forwarding action of its own.

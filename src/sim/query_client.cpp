@@ -16,8 +16,10 @@ QueryNetwork make_query_network(RingSimulation& ring) {
                         std::function<void()> on_timeout) {
     ring.client_attempt(from, to, std::move(on_ack), std::move(on_timeout));
   };
-  net.candidates = [&ring](std::uint32_t at, std::uint32_t dest, bool& backward) {
-    return ring.route_candidates(at, dest, backward);
+  net.candidates = [&ring](std::uint32_t at, std::uint32_t dest,
+                           const std::vector<std::uint32_t>& /*route*/, bool& backward,
+                           liveness::SuspectSet drop, std::vector<std::uint32_t>& out) {
+    ring.route_candidates(at, dest, backward, drop, out);
   };
   net.is_destination = [](std::uint32_t at, std::uint32_t dest) { return at == dest; };
   net.same_overlay = [](std::uint32_t, std::uint32_t) { return true; };
@@ -32,8 +34,13 @@ QueryNetwork make_query_network(HierarchySimulation& hierarchy) {
                              std::function<void()> on_ack, std::function<void()> on_timeout) {
     hierarchy.client_attempt(from, to, std::move(on_ack), std::move(on_timeout));
   };
-  net.candidates = [&hierarchy](std::uint32_t at, std::uint32_t dest, bool& backward) {
-    return hierarchy.route_candidates(at, hierarchy.path_of(dest), backward);
+  net.route_of = [&hierarchy](std::uint32_t dest, std::vector<std::uint32_t>& route) {
+    route = hierarchy.path_of(dest);
+  };
+  net.candidates = [&hierarchy](std::uint32_t at, std::uint32_t /*dest*/,
+                                const std::vector<std::uint32_t>& route, bool& backward,
+                                liveness::SuspectSet drop, std::vector<std::uint32_t>& out) {
+    hierarchy.route_candidates(at, route, backward, drop, out);
   };
   net.is_destination = [](std::uint32_t at, std::uint32_t dest) { return at == dest; };
   net.same_overlay = [&hierarchy](std::uint32_t a, std::uint32_t b) {
@@ -81,9 +88,16 @@ bool QueryClient::suspected(std::uint32_t node) const {
 
 void QueryClient::suspect(std::uint32_t node) {
   liveness_.suspect(0, node, network_.sim->now());
+  suspects_until_ = 0;
   HOURS_TRACE_EMIT(trace_, {.at = network_.sim->now(),
                             .type = trace::EventType::kSuspect,
                             .peer = node});
+}
+
+liveness::SuspectSet QueryClient::plan_suspects() {
+  const Ticks now = network_.sim->now();
+  if (now >= suspects_until_) suspects_until_ = liveness_.active_set(0, now, suspects_);
+  return {suspects_};
 }
 
 QueryClientStats QueryClient::stats() const noexcept {
@@ -98,11 +112,19 @@ QueryClientStats QueryClient::stats() const noexcept {
 }
 
 std::uint64_t QueryClient::submit(std::uint32_t start, std::uint32_t dest) {
+  std::vector<std::uint32_t> route;
+  if (network_.route_of) network_.route_of(dest, route);
+  return submit(start, dest, std::move(route));
+}
+
+std::uint64_t QueryClient::submit(std::uint32_t start, std::uint32_t dest,
+                                  std::vector<std::uint32_t> route) {
   HOURS_EXPECTS(start < network_.node_count && dest < network_.node_count);
   const std::uint64_t qid = next_qid_++;
   QueryState state;
   state.dest = dest;
   state.at = start;
+  state.route = std::move(route);
   state.out.issued_at = network_.sim->now();
   submitted_.inc();
   HOURS_TRACE_EMIT(trace_, {.at = network_.sim->now(),
@@ -140,7 +162,9 @@ void QueryClient::complete(std::uint64_t qid, QueryStatus status) {
   HOURS_EXPECTS(q.out.status == QueryStatus::kPending);
   q.out.status = status;
   q.out.completed_at = network_.sim->now();
-  // Only a pending query reads its try-list; a settled one keeps its outcome.
+  // Only a pending query reads its route and try-list; a settled one keeps
+  // its outcome.
+  std::vector<std::uint32_t>().swap(q.route);
   std::vector<std::uint32_t>().swap(q.candidates);
   if (q.deadline_event != 0) {
     network_.sim->cancel(q.deadline_event);
@@ -193,23 +217,13 @@ void QueryClient::advance(std::uint64_t qid) {
       return;
     }
     ++q.replans;
+    // One pass: the network leaves the client's suspects out as it pushes,
+    // into the query's own try-list.
     bool backward = q.backward;
-    auto candidates = network_.candidates(q.at, q.dest, backward);
+    network_.candidates(q.at, q.dest, q.route, backward, plan_suspects(), q.candidates);
     q.backward = backward;
-    if (!candidates.empty()) {
-      // One read of the client's view over the list's id span.
-      const auto [lo, hi] = std::minmax_element(candidates.begin(), candidates.end());
-      const auto suspects = liveness_.active_in(0, *lo, *hi, network_.sim->now());
-      if (!suspects.empty()) {
-        candidates.erase(std::remove_if(candidates.begin(), candidates.end(),
-                                        [&suspects](std::uint32_t c) {
-                                          return std::binary_search(suspects.begin(),
-                                                                    suspects.end(), c);
-                                        }),
-                         candidates.end());
-      }
-    }
-    if (candidates.empty()) {
+    q.next_candidate = 0;
+    if (q.candidates.empty()) {
       if (!q.backward) {
         q.backward = true;  // client-side suspicion emptied the greedy list
         continue;
@@ -217,8 +231,6 @@ void QueryClient::advance(std::uint64_t qid) {
       complete(qid, QueryStatus::kNoRoute);
       return;
     }
-    q.candidates = std::move(candidates);
-    q.next_candidate = 0;
   }
 
   q.current = q.candidates[q.next_candidate++];
@@ -242,7 +254,7 @@ void QueryClient::on_ack(std::uint64_t qid) {
   if (found == nullptr) return;
   QueryState& q = *found;
   const std::uint32_t hopped_to = q.current;
-  liveness_.clear(0, hopped_to);  // proof of life
+  if (liveness_.clear(0, hopped_to)) suspects_until_ = 0;  // proof of life
   q.backward = q.backward && network_.same_overlay(q.at, hopped_to);
   q.at = hopped_to;
   ++q.out.hops;

@@ -23,6 +23,12 @@
 // buffer, and read the target from the query: a hop attempt allocates no
 // closure. The try-list is consumed through a cursor, not by erasing its
 // head.
+//
+// One pass per plan: the destination's route (QueryNetwork::route_of) is
+// derived once per query, and the network's generator writes the try-list
+// into the query's own vector, leaving the client's suspects out as it
+// pushes. The suspect set is a sorted copy of the client's view, rebuilt
+// only when a suspicion is added or cleared or its earliest row expires.
 #pragma once
 
 #include <cstdint>
@@ -49,10 +55,16 @@ struct QueryNetwork {
   std::function<void(std::uint32_t from, std::uint32_t to, std::function<void()> on_ack,
                      std::function<void()> on_timeout)>
       attempt;
-  /// Ordered next-hop candidates `at` offers toward `dest`; may flip
-  /// `backward` (Algorithm 3 line 14).
-  std::function<std::vector<std::uint32_t>(std::uint32_t at, std::uint32_t dest,
-                                           bool& backward)>
+  /// What `candidates` needs to know of `dest`, derived once per query
+  /// (the hierarchy: dest's path). Optional: without it `route` is empty.
+  std::function<void(std::uint32_t dest, std::vector<std::uint32_t>& route)> route_of;
+  /// Overwrites `out` with the ordered next-hop candidates `at` offers
+  /// toward `dest` (`route` is route_of's), minus the client's suspects in
+  /// `drop`; may flip `backward` (Algorithm 3 line 14) exactly as it would
+  /// with `drop` empty.
+  std::function<void(std::uint32_t at, std::uint32_t dest,
+                     const std::vector<std::uint32_t>& route, bool& backward,
+                     liveness::SuspectSet drop, std::vector<std::uint32_t>& out)>
       candidates;
   std::function<bool(std::uint32_t at, std::uint32_t dest)> is_destination;
   /// Whether a hop from `a` to `b` stays in one overlay; a hop that leaves
@@ -117,6 +129,10 @@ class QueryClient {
   /// Starts a query whose custody begins at `start`; returns its id. The
   /// simulation must then be run for the outcome to settle.
   std::uint64_t submit(std::uint32_t start, std::uint32_t dest);
+  /// The same, for a caller that already holds QueryNetwork::route_of(dest)
+  /// (EventBackend resolves the destination's path from its name).
+  std::uint64_t submit(std::uint32_t start, std::uint32_t dest,
+                       std::vector<std::uint32_t> route);
 
   /// The query's outcome; kPending until it settles. `qid` must be a
   /// submitted query that has not been released. One map lookup over the
@@ -152,6 +168,7 @@ class QueryClient {
     std::uint32_t dest = 0;
     std::uint32_t at = 0;  ///< current custody holder
     bool backward = false;
+    std::vector<std::uint32_t> route;       ///< QueryNetwork::route_of(dest)
     std::vector<std::uint32_t> candidates;  ///< the try-list planned at `at`
     std::size_t next_candidate = 0;         ///< candidates[next_candidate..] remain
     std::uint32_t current = 0;              ///< target of the outstanding attempt
@@ -171,6 +188,8 @@ class QueryClient {
   void on_timeout(std::uint64_t qid);
   void complete(std::uint64_t qid, QueryStatus status);
   void suspect(std::uint32_t node);
+  /// The peers the client suspects now, for candidate planning.
+  [[nodiscard]] liveness::SuspectSet plan_suspects();
   [[nodiscard]] std::uint32_t hop_budget() const noexcept;
 
   QueryNetwork network_;
@@ -181,6 +200,11 @@ class QueryClient {
   /// Unified liveness plane (DESIGN.md §11); the client is the sole
   /// observer, so every row is keyed under observer 0.
   liveness::LivenessView liveness_;
+  /// liveness_'s active set as of the last plan, valid until
+  /// `suspects_until_` unless a suspicion is added or cleared first (both
+  /// reset it to 0), so most plans read no map row.
+  std::vector<std::uint32_t> suspects_;
+  Ticks suspects_until_ = 0;
 
   trace::Registry registry_;
   trace::Tracer* trace_ = nullptr;

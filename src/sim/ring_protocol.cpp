@@ -662,14 +662,22 @@ void RingSimulation::finish_query(std::uint64_t qid, bool delivered, std::uint32
 std::vector<ids::RingIndex> RingSimulation::route_candidates(ids::RingIndex at,
                                                              ids::RingIndex od,
                                                              bool& backward) const {
+  std::vector<ids::RingIndex> candidates;
+  route_candidates(at, od, backward, {}, candidates);
+  return candidates;
+}
+
+void RingSimulation::route_candidates(ids::RingIndex at, ids::RingIndex od, bool& backward,
+                                      liveness::SuspectSet drop,
+                                      std::vector<ids::RingIndex>& out) const {
   HOURS_EXPECTS(at < config_.size && od < config_.size);
   const Node& node = nodes_[at];
-  std::vector<ids::RingIndex> candidates;
+  out.clear();
   if (backward) {
     // Backward mode steps to the counter-clockwise neighbor ring
     // maintenance keeps, without re-running rule 1 (docs/PROTOCOL.md §7).
-    if (!liveness_.contains(at, node.ccw)) candidates.push_back(node.ccw);
-    return candidates;
+    if (!liveness_.contains(at, node.ccw) && !drop.contains(node.ccw)) out.push_back(node.ccw);
+    return;
   }
   overlay::offer_candidates(
       {.table = node.table,
@@ -679,10 +687,9 @@ std::vector<ids::RingIndex> RingSimulation::route_candidates(ids::RingIndex at,
        .backward_from = node.ccw},
       backward, [&](overlay::Offer, ids::RingIndex sibling) {
         if (liveness_.contains(at, sibling)) return overlay::Verdict::kSkip;
-        candidates.push_back(sibling);
+        if (!drop.contains(sibling)) out.push_back(sibling);
         return overlay::Verdict::kKeep;
       });
-  return candidates;
 }
 
 void RingSimulation::client_attempt(ids::RingIndex at, ids::RingIndex to,

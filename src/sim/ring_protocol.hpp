@@ -158,6 +158,14 @@ class RingSimulation : public snapshot::Participant {
                                                              ids::RingIndex od,
                                                              bool& backward) const;
 
+  /// The same list for a query client, planned in one pass: overwrites
+  /// `out` and leaves out the peers in `drop`, the client's own suspects.
+  /// A dropped peer still counts as a kept offer, so the list is
+  /// route_candidates' with those peers erased and `backward` flips
+  /// exactly as there.
+  void route_candidates(ids::RingIndex at, ids::RingIndex od, bool& backward,
+                        liveness::SuspectSet drop, std::vector<ids::RingIndex>& out) const;
+
   /// One custody-transfer attempt from `at` to `to` on behalf of an external
   /// query client: rides the transport's ack/timeout primitive, so exactly
   /// one of the callbacks fires. The receiving node takes no protocol action.

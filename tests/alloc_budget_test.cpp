@@ -197,10 +197,12 @@ TEST(AllocBudget, ClientDrivenQueriesStayUnderBudget) {
   EXPECT_GT(delivered, 3'000U);
   EXPECT_GT(client.stats().retransmissions, 0U);
   EXPECT_GT(client.stats().failovers, 0U);
-  // Recorded in a RelWithDebInfo build with g++ 12: 12.8 allocations per
-  // query; 42.3 when each scheduled event, pending ack and hop-attempt
-  // callback allocated.
-  EXPECT_LT(per_query, 20.0) << per_query << " allocations per query";
+  // Recorded in a RelWithDebInfo build with g++ 12: 3.51 allocations per
+  // query; 12.8 when every replan rebuilt the destination's path and a
+  // fresh candidate list, and the client filtered a copy of it through a
+  // fresh suspect vector; 42.3 when each scheduled event, pending ack and
+  // hop-attempt callback allocated.
+  EXPECT_LT(per_query, 3.9) << per_query << " allocations per query";
 }
 
 TEST(AllocBudget, GraphLookupStaysUnderBudget) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
@@ -178,6 +179,128 @@ TEST(NamedHierarchy, CachedIndexSurvivesEpochWrap) {
   EXPECT_EQ(h.resolve(keep).value(), (NodePath{0, 1}));
   EXPECT_EQ(h.resolve(temp).value(), (NodePath{0, 0}));
   EXPECT_EQ(h.name_of(NodePath{0, 1}).value(), keep);
+}
+
+/// `<prefix><i>.<parent>`, built by appends: g++ 12's optimizer reports
+/// -Wrestrict on a `"x" + std::to_string(i) + ...` initializer.
+naming::Name numbered(std::string label, int i, std::string_view parent) {
+  label += std::to_string(i);
+  label += '.';
+  label += parent;
+  return name(label);
+}
+
+/// `names`' ring indices among themselves: their ranks by identifier.
+std::vector<std::uint32_t> ranks_by_identifier(const std::vector<naming::Name>& names) {
+  std::vector<std::uint32_t> order(names.size());
+  for (std::uint32_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::ranges::sort(order, {}, [&names](std::uint32_t i) {
+    return ids::Identifier::from_name(names[i].to_string());
+  });
+  std::vector<std::uint32_t> rank(names.size());
+  for (std::uint32_t r = 0; r < order.size(); ++r) rank[order[r]] = r;
+  return rank;
+}
+
+TEST(NamedHierarchy, SnapshotStampsGiveWayToLaterAdmissions) {
+  // topology_snapshot() stamps every node's ring index. A sibling admitted
+  // afterwards whose identifier sorts before all the others shifts each of
+  // their indices by one: a resolve must return the shifted index, for the
+  // siblings and on the path to their children, not the stamped one.
+  NamedHierarchy h{params()};
+  ASSERT_TRUE(h.admit(name("z")).ok());
+  std::vector<naming::Name> kids;
+  for (int i = 0; i < 12; ++i) {
+    kids.push_back(numbered("k", i, "z"));
+    ASSERT_TRUE(h.admit(kids.back()).ok());
+  }
+  const auto grandchild = name("g.k5.z");
+  ASSERT_TRUE(h.admit(grandchild).ok());
+  const auto rank = ranks_by_identifier(kids);
+  (void)h.topology_snapshot();
+  for (std::size_t i = 0; i < kids.size(); ++i) {
+    ASSERT_EQ(h.resolve(kids[i]).value(), (NodePath{0, rank[i]})) << kids[i].to_string();
+  }
+
+  ids::Identifier lowest = ids::Identifier::from_name(kids[0].to_string());
+  for (const auto& kid : kids) lowest = std::min(lowest, ids::Identifier::from_name(kid.to_string()));
+  naming::Name first;
+  for (int i = 0; first.is_root(); ++i) {
+    const auto candidate = numbered("f", i, "z");
+    if (ids::Identifier::from_name(candidate.to_string()) < lowest) first = candidate;
+  }
+  ASSERT_TRUE(h.admit(first).ok());
+
+  EXPECT_EQ(h.resolve(first).value(), (NodePath{0, 0}));
+  for (std::size_t i = 0; i < kids.size(); ++i) {
+    EXPECT_EQ(h.resolve(kids[i]).value(), (NodePath{0, rank[i] + 1})) << kids[i].to_string();
+  }
+  EXPECT_EQ(h.resolve(grandchild).value(), (NodePath{0, rank[5] + 1, 0}));
+  EXPECT_EQ(h.name_of(NodePath{0, rank[5] + 1}).value(), kids[5]);
+}
+
+TEST(NamedHierarchy, ReadmittedLabelResolvesToTheNewNode) {
+  // Removing children empties their label slots, and later slots of the
+  // same probe run shift back; a re-admitted label must then find the new
+  // node, never the freed one (which the ASan build would also report). The
+  // old nodes were dead and had a child: the new ones are alive and have
+  // none.
+  NamedHierarchy h{params()};
+  ASSERT_TRUE(h.admit(name("z")).ok());
+  std::vector<naming::Name> kids;
+  for (int i = 0; i < 64; ++i) {
+    kids.push_back(numbered("c", i, "z"));
+    ASSERT_TRUE(h.admit(kids.back()).ok());
+  }
+  std::vector<naming::Name> kept;
+  std::vector<naming::Name> gone;
+  for (std::size_t i = 0; i < kids.size(); ++i) (i % 3 == 0 ? gone : kept).push_back(kids[i]);
+  for (const auto& n : gone) {
+    ASSERT_TRUE(h.admit(n.child("x")).ok());
+    ASSERT_TRUE(h.set_alive(n, false).ok());
+    ASSERT_TRUE(h.remove(n).ok());
+  }
+  (void)h.topology_snapshot();
+
+  const auto check = [&h](const std::vector<naming::Name>& present) {
+    const auto rank = ranks_by_identifier(present);
+    for (std::size_t i = 0; i < present.size(); ++i) {
+      EXPECT_EQ(h.resolve(present[i]).value(), (NodePath{0, rank[i]})) << present[i].to_string();
+      EXPECT_TRUE(h.is_alive(present[i]).value()) << present[i].to_string();
+    }
+  };
+  for (const auto& n : gone) EXPECT_FALSE(h.resolve(n).ok()) << n.to_string();
+  check(kept);
+
+  for (const auto& n : gone) ASSERT_TRUE(h.admit(n).ok()) << n.to_string();
+  for (const auto& n : gone) {
+    EXPECT_FALSE(h.resolve(n.child("x")).ok()) << n.to_string();
+    EXPECT_FALSE(h.admit(n).ok()) << n.to_string();  // present again: a duplicate
+  }
+  check(kids);
+  EXPECT_EQ(h.node_count(), 1 + kids.size());
+}
+
+TEST(NamedHierarchy, TwentyThousandChildrenAdmitInUnderASecond) {
+  // Admission may not walk the siblings: 20,000 children under one parent
+  // would then cost 2 * 10^8 node visits. The time bound holds in optimized
+  // builds without sanitizers; every build checks the indices.
+  NamedHierarchy h{params()};
+  ASSERT_TRUE(h.admit(name("wide")).ok());
+  std::vector<naming::Name> kids;
+  kids.reserve(20'000);
+  for (int i = 0; i < 20'000; ++i) kids.push_back(numbered("h", i, "wide"));
+  const auto start = std::chrono::steady_clock::now();
+  for (const auto& kid : kids) ASSERT_TRUE(h.admit(kid).ok());
+  const std::chrono::duration<double> took = std::chrono::steady_clock::now() - start;
+#if defined(NDEBUG) && !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
+  EXPECT_LT(took.count(), 1.0);
+#endif
+  const auto rank = ranks_by_identifier(kids);
+  for (std::size_t i = 0; i < kids.size(); i += 97) {
+    EXPECT_EQ(h.resolve(kids[i]).value(), (NodePath{0, rank[i]})) << kids[i].to_string();
+  }
+  EXPECT_EQ(h.child_count(NodePath{0}), 20'000U);
 }
 
 // Differential check of the label and identifier indexes: seeded random

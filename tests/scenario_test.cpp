@@ -114,6 +114,10 @@ TEST(ScenarioValidate, RejectCorpusNamesTheOffendingPath) {
        "$.system.k: 4294967297 outside"},
       {kHierarchyBase, "\"branching\": [3, 3]", "\"branching\": [3, 3], \"q\": 0",
        "$.system.q: 0 outside"},
+      {kRingBase, "\"size\": 8", "\"size\": 8, \"probe_failure_threshold\": 0",
+       "$.system.probe_failure_threshold: 0 outside [1, 4294967295]"},
+      {kRingBase, "\"size\": 8", "\"size\": 8, \"probe_failure_threshold\": 4294967297",
+       "$.system.probe_failure_threshold: 4294967297 outside [1, 4294967295]"},
       // Workload clause.
       {kRingBase, "\"horizon\": 20000,", "", "$.workload.horizon: required field missing"},
       {kRingBase, "\"window\": 2000", "\"window\": 0", "$.workload.window"},
