@@ -17,6 +17,7 @@
 #include "sim/fault_injector.hpp"
 #include "sim/query_client.hpp"
 #include "sim/ring_protocol.hpp"
+#include "snapshot/event_kinds.hpp"
 #include "trace/jsonl_sink.hpp"
 #include "trace/sink.hpp"
 #include "util/contracts.hpp"
@@ -205,50 +206,58 @@ RunOutcome run_ring(const Scenario& sc, const RunOptions& options,
 
   auto& sim = ring.simulator();
 
-  // Repair traffic + connectivity at every window boundary. Sampled
-  // unconditionally (cheap); emitted only when the document asks.
-  auto samples = std::make_shared<std::vector<TrafficSample>>();
-  std::function<void()> sample = [&, samples]() {
-    TrafficSample s;
-    s.at = sim.now();
-    s.repairs = ring.repairs_sent();
-    s.claims = ring.claims_sent();
-    s.link_dropped = ring.messages_link_dropped();
-    s.connected = ring.ring_connected();
-    samples->push_back(s);
-    if (sim.now() + sc.window <= sc.horizon) sim.schedule(sc.window, sample);
-  };
-  sim.schedule(0, sample);
-
+  // The two self-rescheduling workload events, sample and submit, form the
+  // scenario block of the ring's simulator: no arguments, state in this frame.
+  std::vector<TrafficSample> samples;
   const std::uint64_t scale = options.quick ? 2 : 1;
   auto dest_samplers = make_samplers(sc, cfg.size);
-  auto workload_rng = std::make_shared<rng::Xoshiro256>(sc.seed);
-  auto qids = std::make_shared<std::vector<std::uint64_t>>();
+  rng::Xoshiro256 workload_rng{sc.seed};
+  std::vector<std::uint64_t> qids;
   const Ticks tail = ccfg.deadline + 2'000;
   const Ticks issue_until = sc.horizon > tail ? sc.horizon - tail : 0;
-  std::function<void()> issue = [&, workload_rng, qids]() {
+  sim.set_runner(snapshot::kScenarioSample, [&](std::uint32_t kind, const std::uint64_t*,
+                                              std::size_t) {
+    if (kind == snapshot::kScenarioSample) {
+      // Repair traffic + connectivity at every window boundary. Sampled
+      // unconditionally (cheap); emitted only when the document asks.
+      TrafficSample s;
+      s.at = sim.now();
+      s.repairs = ring.repairs_sent();
+      s.claims = ring.claims_sent();
+      s.link_dropped = ring.messages_link_dropped();
+      s.connected = ring.ring_connected();
+      samples.push_back(s);
+      if (sim.now() + sc.window <= sc.horizon) {
+        sim.schedule(sc.window, snapshot::kScenarioSample, nullptr, 0);
+      }
+      return;
+    }
+    HOURS_ASSERT(kind == snapshot::kScenarioSubmit);
     const std::size_t phase = phase_at(sc.phases, sim.now());
-    auto src = static_cast<ids::RingIndex>(workload_rng->below(cfg.size));
+    auto src = static_cast<ids::RingIndex>(workload_rng.below(cfg.size));
     if (sc.alive_sources) {
       for (std::uint32_t tries = 0; !ring.alive(src) && tries < cfg.size; ++tries) {
-        src = static_cast<ids::RingIndex>(workload_rng->below(cfg.size));
+        src = static_cast<ids::RingIndex>(workload_rng.below(cfg.size));
       }
     }
     const auto dest = static_cast<ids::RingIndex>(
-        dest_samplers[phase] == nullptr ? workload_rng->below(cfg.size)
+        dest_samplers[phase] == nullptr ? workload_rng.below(cfg.size)
                                         : dest_samplers[phase]->next());
-    qids->push_back(client.submit(src, dest));
+    qids.push_back(client.submit(src, dest));
     const Ticks interval = sc.phases[phase].interval * scale;
-    if (sim.now() + interval <= issue_until) sim.schedule(interval, issue);
-  };
-  if (sc.start <= issue_until) sim.schedule(sc.start, issue);
+    if (sim.now() + interval <= issue_until) {
+      sim.schedule(interval, snapshot::kScenarioSubmit, nullptr, 0);
+    }
+  });
+  sim.schedule(0, snapshot::kScenarioSample, nullptr, 0);
+  if (sc.start <= issue_until) sim.schedule(sc.start, snapshot::kScenarioSubmit, nullptr, 0);
   sim.run(sc.horizon);
   HOURS_ASSERT(!sim.truncated());  // a silent event cap would skew availability
   tracer.flush();
 
   std::uint64_t unsettled = 0;
   metrics::Timeline timeline{sc.window};
-  for (const auto qid : *qids) {
+  for (const auto qid : qids) {
     const auto& out = client.outcome(qid);
     if (out.status == QueryStatus::kPending) {
       ++unsettled;
@@ -258,7 +267,7 @@ RunOutcome run_ring(const Scenario& sc, const RunOptions& options,
   }
 
   bool split_observed = false;
-  for (const auto& s : *samples) {
+  for (const auto& s : samples) {
     if (!s.connected) split_observed = true;
   }
   const bool remerged = ring.ring_connected();
@@ -302,9 +311,9 @@ RunOutcome run_ring(const Scenario& sc, const RunOptions& options,
     std::map<std::uint64_t, metrics::Timeline::Window> delivery;
     for (const auto& w : timeline.windows()) delivery[w.start] = w;
     json.key("traffic").begin_array();
-    for (std::size_t i = 0; i + 1 < samples->size(); ++i) {
-      const TrafficSample& a = (*samples)[i];
-      const TrafficSample& b = (*samples)[i + 1];
+    for (std::size_t i = 0; i + 1 < samples.size(); ++i) {
+      const TrafficSample& a = samples[i];
+      const TrafficSample& b = samples[i + 1];
       const metrics::Timeline::Window w =
           delivery.count(a.at) != 0 ? delivery[a.at] : metrics::Timeline::Window{};
       json.begin_object();

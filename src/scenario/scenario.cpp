@@ -240,6 +240,7 @@ std::string parse_system(const Json::Object& top, Scenario& sc) {
     if (auto e = get_u64(*sys, path, "probe_period", false, &sc.ring.probe_period); !e.empty()) {
       return e;
     }
+    if (sc.ring.probe_period == 0) return err(path + ".probe_period", "must be >= 1");
     if (auto e = get_positive_u32(*sys, path, "probe_failure_threshold",
                                   &sc.ring.probe_failure_threshold);
         !e.empty()) {
@@ -794,6 +795,61 @@ std::string parse_metrics(const Json::Object& top, Scenario& sc) {
   return "";
 }
 
+std::uint64_t saturating_add(std::uint64_t a, std::uint64_t b) {
+  return a > std::numeric_limits<std::uint64_t>::max() - b
+             ? std::numeric_limits<std::uint64_t>::max()
+             : a + b;
+}
+
+std::uint64_t saturating_mul(std::uint64_t a, std::uint64_t b) {
+  return b != 0 && a > std::numeric_limits<std::uint64_t>::max() / b
+             ? std::numeric_limits<std::uint64_t>::max()
+             : a * b;
+}
+
+std::string over(const std::string& path, const std::string& measure, std::uint64_t value,
+                 std::uint64_t bound) {
+  return err(path, measure + " comes to " + std::to_string(value) + ", over the bound of " +
+                       std::to_string(bound));
+}
+
+/// The work bounds (scenario.hpp), each located at the field that crosses
+/// it. Counts are upper bounds of the full-size run.
+std::string check_work(const Scenario& sc) {
+  const bool ring = sc.kind == SystemKind::kRing;
+  std::uint64_t queries = 0;
+  std::uint64_t from = 0;
+  for (std::size_t i = 0; i < sc.phases.size(); ++i) {
+    const Phase& p = sc.phases[i];
+    const std::uint64_t span = p.until - from;
+    from = p.until;
+    queries = saturating_add(queries, ring ? span / p.interval + 1 : saturating_mul(span, p.rate));
+    if (queries > kMaxIssuedQueries) {
+      return over("$.workload.phases[" + std::to_string(i) + (ring ? "].interval" : "].rate"),
+                  "issued queries", queries, kMaxIssuedQueries);
+    }
+  }
+  if (sc.attacker.kind == AttackerKind::kCacheBusting) {
+    queries = saturating_add(
+        queries, saturating_mul(sc.attacker.until - sc.attacker.from, sc.attacker.rate));
+    if (queries > kMaxIssuedQueries) {
+      return over("$.attacker.rate", "issued queries", queries, kMaxIssuedQueries);
+    }
+  }
+  if (sc.horizon / sc.window > kMaxWindows) {
+    return over("$.workload.window", "horizon / window", sc.horizon / sc.window, kMaxWindows);
+  }
+  if (ring) {
+    const std::uint64_t rounds =
+        saturating_mul(sc.ring.size, sc.horizon / sc.ring.probe_period + 1);
+    if (rounds > kMaxProbeRounds) {
+      return over("$.system.probe_period", "probe rounds (size x horizon / probe_period)",
+                  rounds, kMaxProbeRounds);
+    }
+  }
+  return "";
+}
+
 }  // namespace
 
 std::string Expectation::describe() const {
@@ -874,7 +930,7 @@ std::string parse(const snapshot::Json& doc, Scenario& out) {
   if (auto e = parse_attacker(top, out); !e.empty()) return e;
   if (auto e = parse_liveness(top, out); !e.empty()) return e;
   if (auto e = parse_metrics(top, out); !e.empty()) return e;
-  return "";
+  return check_work(out);
 }
 
 std::string validate(const snapshot::Json& doc) {

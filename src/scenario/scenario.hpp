@@ -197,10 +197,20 @@ struct Scenario {
   MetricsSpec metrics;
 };
 
-/// Validates `doc` against the scenario schema and fills `out`. Returns ""
-/// on success, else one actionable error naming the offending path
-/// ("$.workload.phases[2].rate: expected u64"). Unknown keys anywhere in
-/// the document are rejected.
+/// Work bounds: a document whose full-size run would issue more queries
+/// (the workload phases plus a cache-busting attacker), sample more
+/// windows (horizon / window) or run more ring probe rounds (size x horizon
+/// / probe_period) than these is rejected, so every accepted document runs
+/// in bounded time. The shipped library peaks at about 10.6k queries, 70
+/// windows and 4,480 probe rounds.
+inline constexpr std::uint64_t kMaxIssuedQueries = 2'000'000;
+inline constexpr std::uint64_t kMaxWindows = 10'000;
+inline constexpr std::uint64_t kMaxProbeRounds = 1'000'000;
+
+/// Validates `doc` against the scenario schema and the work bounds, and
+/// fills `out`. Returns "" on success, else one actionable error naming the
+/// offending path ("$.workload.phases[2].rate: expected u64"). Unknown keys
+/// anywhere in the document are rejected.
 [[nodiscard]] std::string parse(const snapshot::Json& doc, Scenario& out);
 
 /// Validation without retaining the result — the --validate-only entry.

@@ -4,6 +4,7 @@
 
 #include "ids/ring.hpp"
 #include "sim/ring_protocol.hpp"
+#include "snapshot/event_kinds.hpp"
 #include "util/contracts.hpp"
 
 namespace hours::sim {
@@ -12,6 +13,25 @@ AdaptiveAttacker::AdaptiveAttacker(RingSimulation& ring, AdaptiveAttackerConfig 
     : ring_(ring), config_(config) {
   HOURS_EXPECTS(config_.neighborhood >= 1);
   HOURS_EXPECTS(config_.strike_duration > 0);
+  // A strike kills its live targets and schedules the revive of just those.
+  ring_.simulator().set_runner(snapshot::kAttackerStrike, [this](std::uint32_t kind,
+                                                                 const std::uint64_t* args,
+                                                                 std::size_t count) {
+    std::vector<std::uint64_t> downed;
+    for (std::size_t i = 0; i < count; ++i) {
+      const auto node = static_cast<std::uint32_t>(args[i]);
+      if (kind == snapshot::kAttackerRevive) {
+        ring_.revive(node);
+      } else if (ring_.alive(node)) {
+        ring_.kill(node);
+        downed.push_back(node);
+      }
+    }
+    if (kind == snapshot::kAttackerStrike) {
+      ring_.simulator().schedule(config_.strike_duration, snapshot::kAttackerRevive,
+                                 downed.data(), downed.size());
+    }
+  });
 }
 
 void AdaptiveAttacker::on_event(const trace::Event& event) {
@@ -42,22 +62,11 @@ void AdaptiveAttacker::on_event(const trace::Event& event) {
   ++strikes_;
   launched_any_ = true;
   last_launch_at_ = sim.now();
-  strike_sets_.push_back(targets);
-
   // Strike after the reaction delay; never synchronously from inside the
   // protocol handler that emitted the event.
-  sim.schedule(config_.reaction_delay, [this, targets = std::move(targets)] {
-    std::vector<std::uint32_t> downed;
-    for (const auto node : targets) {
-      if (ring_.alive(node)) {
-        ring_.kill(node);
-        downed.push_back(node);
-      }
-    }
-    ring_.simulator().schedule(config_.strike_duration, [this, downed = std::move(downed)] {
-      for (const auto node : downed) ring_.revive(node);
-    });
-  });
+  const std::vector<std::uint64_t> words(targets.begin(), targets.end());
+  sim.schedule(config_.reaction_delay, snapshot::kAttackerStrike, words.data(), words.size());
+  strike_sets_.push_back(std::move(targets));
 }
 
 }  // namespace hours::sim

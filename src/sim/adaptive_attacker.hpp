@@ -10,7 +10,8 @@
 //
 // Deliberately restricted to information a real observer could have: it
 // sees only emitted events (no routing tables, no liveness oracle) and acts
-// through scheduled kill/revive, after a configurable reaction delay.
+// through scheduled kill/revive (events of its kind block, 0x600), after a
+// configurable reaction delay.
 // Budgeted (max_strikes) and rate-limited (cooldown) so the comparison
 // bench can hold total firepower equal between the static and adaptive
 // forms. Attaching it to the Tracer is the whole integration — it is also
@@ -44,7 +45,9 @@ struct AdaptiveAttackerConfig {
 
 class AdaptiveAttacker final : public trace::TraceSink {
  public:
-  /// The ring must outlive the attacker; attach with tracer.add_sink(&a).
+  /// Claims the attacker kind block on the ring's simulator. The ring must
+  /// outlive the attacker, and the attacker the simulator's use; attach
+  /// with tracer.add_sink(&a).
   AdaptiveAttacker(RingSimulation& ring, AdaptiveAttackerConfig config);
 
   AdaptiveAttacker(const AdaptiveAttacker&) = delete;
@@ -62,8 +65,6 @@ class AdaptiveAttacker final : public trace::TraceSink {
   }
 
  private:
-  void launch(std::vector<std::uint32_t> targets);
-
   RingSimulation& ring_;
   AdaptiveAttackerConfig config_;
   std::uint64_t adoptions_seen_ = 0;

@@ -456,12 +456,12 @@ trace::EventType HierarchySimulation::hop_kind(std::uint32_t at, std::uint32_t n
 }
 
 void HierarchySimulation::client_attempt(std::uint32_t at, std::uint32_t to,
-                                         std::function<void()> on_ack,
-                                         std::function<void()> on_timeout) {
+                                         snapshot::DescribedView on_ack,
+                                         snapshot::DescribedView on_timeout) {
   HOURS_EXPECTS(at < node_count() && to < node_count());
   Message hop;
   hop.client_hop = true;
-  transport_.send_expect_ack(at, to, hop, std::move(on_ack), std::move(on_timeout));
+  transport_.send_expect_ack(at, to, hop, on_ack, on_timeout);
 }
 
 void HierarchySimulation::handle(std::uint32_t at, const Message& msg) {
@@ -491,8 +491,7 @@ void HierarchySimulation::handle(std::uint32_t at, const Message& msg) {
       Message forwarded = msg;
       forwarded.hops += 1;
       if (forwarded.hops <= 4 * node_count() + 64) {
-        transport_.send_expect_ack(at, sibling_id(at, pick), forwarded,
-                                   snapshot::Described{}, snapshot::Described{});
+        transport_.send_expect_ack(at, sibling_id(at, pick), forwarded, {}, {});
         return;
       }
     }
@@ -541,8 +540,7 @@ void HierarchySimulation::try_candidates(std::uint32_t at, Message msg,
   snapshot::Described timeout{snapshot::kHierAttemptTimeout, {at, next}};
   encode_message(msg, timeout.args);
   for (const auto candidate : candidates) timeout.args.push_back(candidate);
-  transport_.send_expect_ack(at, next, forwarded, /*on_ack=*/snapshot::Described{},
-                             /*on_timeout=*/std::move(timeout));
+  transport_.send_expect_ack(at, next, forwarded, /*on_ack=*/{}, /*on_timeout=*/timeout);
 }
 
 void HierarchySimulation::attempt_timeout(std::uint32_t at, std::uint32_t next, Message msg,
@@ -693,7 +691,7 @@ snapshot::Json HierarchySimulation::save_state(std::string& error) const {
   out["queries"] = std::move(queries);
 
   out["registry"] = snapshot::registry_to_json(registry_);
-  out["transport"] = transport_.save_state(error);
+  out["transport"] = transport_.save_state(*this, error);
   return out;
 }
 
@@ -778,7 +776,7 @@ std::string HierarchySimulation::restore_state(const snapshot::Json& state) {
   if (std::string err = snapshot::registry_from_json(registry_, *registry); !err.empty()) {
     return "hier.registry: " + err;
   }
-  if (std::string err = transport_.restore_state(*transport); !err.empty()) {
+  if (std::string err = transport_.restore_state(*this, *transport); !err.empty()) {
     return "hier.transport: " + err;
   }
   return "";

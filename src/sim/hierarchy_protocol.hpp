@@ -205,14 +205,14 @@ class HierarchySimulation : public snapshot::Participant {
                         liveness::SuspectSet drop, std::vector<std::uint32_t>& out) const;
 
   /// One custody-transfer attempt from `at` to `to` on behalf of an external
-  /// query client; exactly one of the callbacks fires. The receiving node
+  /// query client; exactly one of the continuations runs. The receiving node
   /// acks (if alive) but takes no forwarding action of its own.
   ///
-  /// Snapshot note: client callbacks are caller-owned closures with no data
-  /// form, so saves are blocked while a client attempt is outstanding (the
-  /// protocol's own queries serialize fully).
-  void client_attempt(std::uint32_t at, std::uint32_t to, std::function<void()> on_ack,
-                      std::function<void()> on_timeout);
+  /// Snapshot note: the continuations lie in the client's block, which the
+  /// "hier" section does not own, so saves are refused while a client
+  /// attempt is outstanding (the protocol's own queries serialize fully).
+  void client_attempt(std::uint32_t at, std::uint32_t to, snapshot::DescribedView on_ack,
+                      snapshot::DescribedView on_timeout);
 
   // -- snapshot (snapshot/participant.hpp) -----------------------------------------
   // The "hier" section: suspicion state, insider behaviors, the misroute RNG

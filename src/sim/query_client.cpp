@@ -1,9 +1,11 @@
 #include "sim/query_client.hpp"
 
 #include <algorithm>
+#include <span>
 
 #include "sim/hierarchy_protocol.hpp"
 #include "sim/ring_protocol.hpp"
+#include "snapshot/event_kinds.hpp"
 #include "util/contracts.hpp"
 
 namespace hours::sim {
@@ -12,9 +14,9 @@ QueryNetwork make_query_network(RingSimulation& ring) {
   QueryNetwork net;
   net.sim = &ring.simulator();
   net.node_count = ring.config().size;
-  net.attempt = [&ring](std::uint32_t from, std::uint32_t to, std::function<void()> on_ack,
-                        std::function<void()> on_timeout) {
-    ring.client_attempt(from, to, std::move(on_ack), std::move(on_timeout));
+  net.attempt = [&ring](std::uint32_t from, std::uint32_t to, snapshot::DescribedView on_ack,
+                        snapshot::DescribedView on_timeout) {
+    ring.client_attempt(from, to, on_ack, on_timeout);
   };
   net.candidates = [&ring](std::uint32_t at, std::uint32_t dest,
                            const std::vector<std::uint32_t>& /*route*/, bool& backward,
@@ -31,8 +33,8 @@ QueryNetwork make_query_network(HierarchySimulation& hierarchy) {
   net.sim = &hierarchy.simulator();
   net.node_count = hierarchy.node_count();
   net.attempt = [&hierarchy](std::uint32_t from, std::uint32_t to,
-                             std::function<void()> on_ack, std::function<void()> on_timeout) {
-    hierarchy.client_attempt(from, to, std::move(on_ack), std::move(on_timeout));
+                             snapshot::DescribedView on_ack, snapshot::DescribedView on_timeout) {
+    hierarchy.client_attempt(from, to, on_ack, on_timeout);
   };
   net.route_of = [&hierarchy](std::uint32_t dest, std::vector<std::uint32_t>& route) {
     route = hierarchy.path_of(dest);
@@ -66,6 +68,27 @@ QueryClient::QueryClient(QueryNetwork network, QueryClientConfig config)
                 network_.is_destination != nullptr && network_.same_overlay != nullptr);
   HOURS_EXPECTS(config_.jitter >= 0.0 && config_.jitter < 1.0);
   HOURS_EXPECTS(config_.backoff_base > 0 && config_.backoff_cap >= config_.backoff_base);
+  network_.sim->set_runner(snapshot::kClientAdvance, [this](std::uint32_t kind,
+                                                           const std::uint64_t* args,
+                                                           std::size_t count) {
+    HOURS_EXPECTS(count == 1);
+    const std::uint64_t qid = args[0];
+    // A query that settled or was released makes every late event a no-op.
+    const auto it = queries_.find(qid);
+    if (it == queries_.end() || it->second.out.status != QueryStatus::kPending) return;
+    QueryState& q = it->second;
+    switch (kind) {
+      case snapshot::kClientAdvance: advance(qid, q); return;
+      case snapshot::kClientDeadline:
+        q.deadline_event = 0;  // this event is running; nothing to cancel
+        complete(qid, QueryStatus::kDeadlineExceeded);
+        return;
+      case snapshot::kClientRetransmit: attempt_current(qid, q); return;
+      case snapshot::kClientHopAck: on_ack(qid, q); return;
+      case snapshot::kClientHopTimeout: on_timeout(qid, q); return;
+      default: HOURS_EXPECTS(!"unknown query client event kind");
+    }
+  });
 }
 
 std::uint32_t QueryClient::hop_budget() const noexcept {
@@ -133,15 +156,11 @@ std::uint64_t QueryClient::submit(std::uint32_t start, std::uint32_t dest,
                             .peer = dest,
                             .causal = qid});
   if (config_.deadline != 0) {
-    state.deadline_event = network_.sim->schedule(config_.deadline, [this, qid] {
-      QueryState* const q = pending(qid);
-      if (q == nullptr) return;
-      q->deadline_event = 0;  // this event is running; nothing to cancel
-      complete(qid, QueryStatus::kDeadlineExceeded);
-    });
+    state.deadline_event =
+        network_.sim->schedule(config_.deadline, snapshot::kClientDeadline, &qid, 1);
   }
   queries_.emplace(qid, std::move(state));
-  network_.sim->schedule(0, [this, qid] { advance(qid); });
+  network_.sim->schedule(0, snapshot::kClientAdvance, &qid, 1);
   return qid;
 }
 
@@ -188,17 +207,7 @@ void QueryClient::complete(std::uint64_t qid, QueryStatus status) {
                             .value = q.out.hops});
 }
 
-QueryClient::QueryState* QueryClient::pending(std::uint64_t qid) {
-  const auto it = queries_.find(qid);
-  if (it == queries_.end() || it->second.out.status != QueryStatus::kPending) return nullptr;
-  return &it->second;
-}
-
-void QueryClient::advance(std::uint64_t qid) {
-  QueryState* const found = pending(qid);
-  if (found == nullptr) return;
-  QueryState& q = *found;
-
+void QueryClient::advance(std::uint64_t qid, QueryState& q) {
   if (network_.is_destination(q.at, q.dest)) {
     complete(qid, QueryStatus::kDelivered);
     return;
@@ -235,24 +244,19 @@ void QueryClient::advance(std::uint64_t qid) {
 
   q.current = q.candidates[q.next_candidate++];
   q.attempts = 0;
-  attempt_current(qid);
+  attempt_current(qid, q);
 }
 
-void QueryClient::attempt_current(std::uint64_t qid) {
-  QueryState* const found = pending(qid);
-  if (found == nullptr) return;
-  QueryState& q = *found;
+void QueryClient::attempt_current(std::uint64_t qid, QueryState& q) {
   ++q.attempts;
-  // Two words of capture fit std::function's inline buffer; the target is
-  // q.current when either callback fires (one attempt outstanding).
-  network_.attempt(
-      q.at, q.current, [this, qid] { on_ack(qid); }, [this, qid] { on_timeout(qid); });
+  // The target is q.current when either continuation runs (one attempt
+  // outstanding), so both carry only the qid.
+  const std::span<const std::uint64_t> words{&qid, 1};
+  network_.attempt(q.at, q.current, {snapshot::kClientHopAck, words},
+                   {snapshot::kClientHopTimeout, words});
 }
 
-void QueryClient::on_ack(std::uint64_t qid) {
-  QueryState* const found = pending(qid);
-  if (found == nullptr) return;
-  QueryState& q = *found;
+void QueryClient::on_ack(std::uint64_t qid, QueryState& q) {
   const std::uint32_t hopped_to = q.current;
   if (liveness_.clear(0, hopped_to)) suspects_until_ = 0;  // proof of life
   q.backward = q.backward && network_.same_overlay(q.at, hopped_to);
@@ -261,13 +265,10 @@ void QueryClient::on_ack(std::uint64_t qid) {
   q.candidates.clear();
   q.next_candidate = 0;
   q.replans = 0;
-  advance(qid);
+  advance(qid, q);
 }
 
-void QueryClient::on_timeout(std::uint64_t qid) {
-  QueryState* const found = pending(qid);
-  if (found == nullptr) return;
-  QueryState& q = *found;
+void QueryClient::on_timeout(std::uint64_t qid, QueryState& q) {
   const std::uint32_t tried = q.current;
 
   if (q.attempts <= config_.max_retries_per_hop) {
@@ -285,7 +286,7 @@ void QueryClient::on_timeout(std::uint64_t qid) {
     const double factor = 1.0 - config_.jitter + 2.0 * config_.jitter * jitter_rng_.uniform();
     const Ticks delay =
         std::max<Ticks>(1, static_cast<Ticks>(static_cast<double>(base) * factor));
-    network_.sim->schedule(delay, [this, qid] { attempt_current(qid); });
+    network_.sim->schedule(delay, snapshot::kClientRetransmit, &qid, 1);
     return;
   }
 
@@ -293,7 +294,7 @@ void QueryClient::on_timeout(std::uint64_t qid) {
   suspect(tried);
   ++q.out.failovers;
   failovers_.inc();
-  advance(qid);
+  advance(qid, q);
 }
 
 }  // namespace hours::sim

@@ -15,14 +15,18 @@
 // Determinism: backoff jitter comes from a client-owned seeded generator,
 // so a fixed (network seed, client seed) pair replays bit-identically.
 //
+// Events: the client claims the query-client kind block (0x500) on its
+// simulator, so a simulator hosts one client. Its timers and hop
+// continuations are one-word events carrying the qid. The client is not a
+// snapshot participant, so a save refuses while one is queued or pending.
+//
 // One attempt outstanding: a query makes at most one transport attempt at
 // a time, and QueryState::current is that attempt's target until one of
-// its two callbacks fires (a retransmission re-attempts the same target
-// after its backoff; only a callback moves `current` on). The callbacks
-// therefore capture just (client, qid), which fits std::function's inline
-// buffer, and read the target from the query: a hop attempt allocates no
-// closure. The try-list is consumed through a cursor, not by erasing its
-// head.
+// its two continuations runs (a retransmission re-attempts the same target
+// after its backoff; only a continuation moves `current` on). They carry
+// just the qid and read the target from the query, so a hop attempt
+// allocates nothing. The try-list is consumed through a cursor, not by
+// erasing its head.
 //
 // One pass per plan: the destination's route (QueryNetwork::route_of) is
 // derived once per query, and the network's generator writes the try-list
@@ -39,6 +43,7 @@
 #include "liveness/liveness.hpp"
 #include "rng/xoshiro256.hpp"
 #include "sim/simulator.hpp"
+#include "snapshot/described.hpp"
 #include "trace/registry.hpp"
 #include "trace/sink.hpp"
 
@@ -51,9 +56,9 @@ class HierarchySimulation;
 struct QueryNetwork {
   Simulator* sim = nullptr;
   std::uint32_t node_count = 0;
-  /// One custody-transfer attempt; exactly one callback fires.
-  std::function<void(std::uint32_t from, std::uint32_t to, std::function<void()> on_ack,
-                     std::function<void()> on_timeout)>
+  /// One custody-transfer attempt; exactly one continuation runs.
+  std::function<void(std::uint32_t from, std::uint32_t to, snapshot::DescribedView on_ack,
+                     snapshot::DescribedView on_timeout)>
       attempt;
   /// What `candidates` needs to know of `dest`, derived once per query
   /// (the hierarchy: dest's path). Optional: without it `route` is empty.
@@ -124,7 +129,11 @@ struct QueryClientStats {
 
 class QueryClient {
  public:
+  /// Claims the query-client kind block on `network.sim`, which must not
+  /// have been claimed already; the client must outlive the simulator's use.
   QueryClient(QueryNetwork network, QueryClientConfig config);
+  QueryClient(const QueryClient&) = delete;
+  QueryClient& operator=(const QueryClient&) = delete;
 
   /// Starts a query whose custody begins at `start`; returns its id. The
   /// simulation must then be run for the outcome to settle.
@@ -140,7 +149,7 @@ class QueryClient {
   [[nodiscard]] const ClientQueryOutcome& outcome(std::uint64_t qid) const;
   /// Forgets a settled query, so a long-running client holds only the
   /// queries its caller still reads. Afterwards outcome(qid) is invalid,
-  /// and a transport callback or retransmission still queued for the query
+  /// and a hop continuation or retransmission still queued for the query
   /// finds nothing and returns, just as it returns for a settled one.
   void release(std::uint64_t qid);
   /// Snapshot assembled from the registry counters.
@@ -178,14 +187,12 @@ class QueryClient {
     ClientQueryOutcome out;
   };
 
-  /// The query's state while it is pending; null once it settled or was
-  /// released, which makes every late callback a no-op.
-  [[nodiscard]] QueryState* pending(std::uint64_t qid);
-  void advance(std::uint64_t qid);
-  void attempt_current(std::uint64_t qid);
+  // Query `qid`'s steps; `q` is its state, still pending.
+  void advance(std::uint64_t qid, QueryState& q);
+  void attempt_current(std::uint64_t qid, QueryState& q);
   /// The outstanding attempt to q.current was acked / went unanswered.
-  void on_ack(std::uint64_t qid);
-  void on_timeout(std::uint64_t qid);
+  void on_ack(std::uint64_t qid, QueryState& q);
+  void on_timeout(std::uint64_t qid, QueryState& q);
   void complete(std::uint64_t qid, QueryStatus status);
   void suspect(std::uint32_t node);
   /// The peers the client suspects now, for candidate planning.

@@ -292,9 +292,8 @@ void RingSimulation::handle(ids::RingIndex at, ids::RingIndex from, const Messag
       }
       // The recovery check subsumes the adopt-if-closer logic this handler
       // used to inline, and additionally repairs the ccw side.
-      send_probe(at, suggested,
-                 snapshot::Described{snapshot::kRingRecoveredAck, {at, suggested}},
-                 snapshot::Described{});
+      const std::uint64_t recovered[] = {at, suggested};
+      send_probe(at, suggested, {snapshot::kRingRecoveredAck, recovered}, {});
       break;
     }
     case Message::Type::kNeighborClaim: {
@@ -334,7 +333,8 @@ void RingSimulation::handle(ids::RingIndex at, ids::RingIndex from, const Messag
 // -- probing & recovery ------------------------------------------------------------
 
 void RingSimulation::send_probe(ids::RingIndex from, ids::RingIndex to,
-                                snapshot::Described on_ack, snapshot::Described on_timeout) {
+                                snapshot::DescribedView on_ack,
+                                snapshot::DescribedView on_timeout) {
   Message probe;
   probe.type = Message::Type::kProbe;
   probes_sent_.inc();
@@ -342,7 +342,7 @@ void RingSimulation::send_probe(ids::RingIndex from, ids::RingIndex to,
                             .type = trace::EventType::kProbeSent,
                             .node = from,
                             .peer = to});
-  transport_.send_expect_ack(from, to, probe, std::move(on_ack), std::move(on_timeout));
+  transport_.send_expect_ack(from, to, probe, on_ack, on_timeout);
 }
 
 void RingSimulation::schedule_probe(ids::RingIndex i, Ticks delay) {
@@ -359,13 +359,16 @@ void RingSimulation::probe_cycle(ids::RingIndex i) {
 
   // Probe the clockwise successor; on silence, walk the table for the next
   // responsive sibling (conventional neighborhood recovery).
-  send_probe(i, node.cw_succ, snapshot::Described{snapshot::kRingCwProbeAck, {i}},
-             snapshot::Described{snapshot::kRingCwProbeTimeout, {i, node.cw_succ}});
+  // The ack continuations carry [i], a prefix of the timeouts' [i, peer].
+  const std::uint64_t cw[] = {i, node.cw_succ};
+  send_probe(i, node.cw_succ, {snapshot::kRingCwProbeAck, {cw, 1}},
+             {snapshot::kRingCwProbeTimeout, cw});
 
   // Probe the counter-clockwise neighbor; on silence, wait one probe period
   // for a NeighborClaim before inferring massive failure (Section 4.3).
-  send_probe(i, node.ccw, snapshot::Described{snapshot::kRingCcwProbeAck, {i}},
-             snapshot::Described{snapshot::kRingCcwProbeTimeout, {i, node.ccw}});
+  const std::uint64_t ccw[] = {i, node.ccw};
+  send_probe(i, node.ccw, {snapshot::kRingCcwProbeAck, {ccw, 1}},
+             {snapshot::kRingCcwProbeTimeout, ccw});
 
   // Suspicion refresh: a recovered peer (revived, or back in reach after a
   // partition healed) is re-adopted or triggers active recovery on ack —
@@ -421,8 +424,9 @@ void RingSimulation::refresh_suspected(ids::RingIndex i) {
   // probe periods, however the set churns in between.
   const ids::RingIndex target = liveness_.next_at_or_after(i, node.refresh_cursor);
   node.refresh_cursor = target + 1;
-  send_probe(i, target, snapshot::Described{snapshot::kRingRecoveredAck, {i, target}},
-             snapshot::Described{});  // still silent: stays suspected
+  const std::uint64_t recovered[] = {i, target};
+  send_probe(i, target, {snapshot::kRingRecoveredAck, recovered},
+             {});  // still silent: stays suspected
 }
 
 void RingSimulation::on_suspect_recovered(ids::RingIndex i, ids::RingIndex peer) {
@@ -440,7 +444,7 @@ void RingSimulation::on_suspect_recovered(ids::RingIndex i, ids::RingIndex peer)
     Message claim;
     claim.type = Message::Type::kNeighborClaim;
     claims_sent_.inc();
-    transport_.send_expect_ack(i, peer, claim, snapshot::Described{}, snapshot::Described{});
+    transport_.send_expect_ack(i, peer, claim, {}, {});
   }
 
   // Counter-clockwise side: a recovered peer closer than the current ccw
@@ -470,8 +474,7 @@ void RingSimulation::advance_cw_successor(ids::RingIndex i,
 
   snapshot::Described timeout{snapshot::kRingAdvanceTimeout, {i, candidate}};
   timeout.args.insert(timeout.args.end(), candidates.begin(), candidates.end());
-  send_probe(i, candidate, snapshot::Described{snapshot::kRingAdvanceAck, {i, candidate}},
-             std::move(timeout));
+  send_probe(i, candidate, {snapshot::kRingAdvanceAck, {timeout.args.data(), 2}}, timeout);
 }
 
 void RingSimulation::advance_ack(ids::RingIndex i, ids::RingIndex candidate) {
@@ -483,8 +486,7 @@ void RingSimulation::advance_ack(ids::RingIndex i, ids::RingIndex candidate) {
   Message claim;
   claim.type = Message::Type::kNeighborClaim;
   claims_sent_.inc();
-  transport_.send_expect_ack(i, candidate, claim, snapshot::Described{},
-                             snapshot::Described{});
+  transport_.send_expect_ack(i, candidate, claim, {}, {});
 }
 
 void RingSimulation::ccw_silence_check(ids::RingIndex i) {
@@ -542,7 +544,7 @@ void RingSimulation::repair_attempt(ids::RingIndex at, ids::RingIndex origin,
   repair.qid = rid;
   snapshot::Described timeout{snapshot::kRingRepairTimeout, {at, origin, rid, next}};
   timeout.args.insert(timeout.args.end(), remaining.begin(), remaining.end());
-  transport_.send_expect_ack(at, next, repair, snapshot::Described{}, std::move(timeout));
+  transport_.send_expect_ack(at, next, repair, {}, timeout);
 }
 
 void RingSimulation::attach_repair(ids::RingIndex at, ids::RingIndex origin,
@@ -564,7 +566,7 @@ void RingSimulation::attach_repair(ids::RingIndex at, ids::RingIndex origin,
   claim.type = Message::Type::kNeighborClaim;
   claim.qid = rid;  // lets the originator's acceptance close the trace span
   claims_sent_.inc();
-  transport_.send_expect_ack(at, origin, claim, snapshot::Described{}, snapshot::Described{});
+  transport_.send_expect_ack(at, origin, claim, {}, {});
 }
 
 bool RingSimulation::adopts_successor(ids::RingIndex i, ids::RingIndex candidate) const {
@@ -693,12 +695,12 @@ void RingSimulation::route_candidates(ids::RingIndex at, ids::RingIndex od, bool
 }
 
 void RingSimulation::client_attempt(ids::RingIndex at, ids::RingIndex to,
-                                    std::function<void()> on_ack,
-                                    std::function<void()> on_timeout) {
+                                    snapshot::DescribedView on_ack,
+                                    snapshot::DescribedView on_timeout) {
   HOURS_EXPECTS(at < config_.size && to < config_.size);
   Message hop;
   hop.type = Message::Type::kClientHop;
-  transport_.send_expect_ack(at, to, hop, std::move(on_ack), std::move(on_timeout));
+  transport_.send_expect_ack(at, to, hop, on_ack, on_timeout);
 }
 
 void RingSimulation::process_query(ids::RingIndex at, Message msg) {
@@ -748,14 +750,14 @@ void RingSimulation::try_query_candidates(ids::RingIndex at, Message msg,
   snapshot::Described timeout{snapshot::kRingQueryHopTimeout, {at, next}};
   encode_message(msg, timeout.args);
   timeout.args.insert(timeout.args.end(), candidates.begin(), candidates.end());
-  transport_.send_expect_ack(at, next, forwarded, snapshot::Described{}, std::move(timeout));
+  transport_.send_expect_ack(at, next, forwarded, {}, timeout);
 }
 
 // -- snapshot (snapshot::Participant) ------------------------------------------------
 
 snapshot::Json RingSimulation::save_state(std::string& error) const {
   using snapshot::Json;
-  Json transport = transport_.save_state(error);
+  Json transport = transport_.save_state(*this, error);
   if (!error.empty()) return Json::object();
 
   Json out = Json::object();
@@ -1025,7 +1027,7 @@ std::string RingSimulation::restore_state(const snapshot::Json& state) {
   if (std::string err = snapshot::registry_from_json(registry_, *registry); !err.empty()) {
     return "ring.registry: " + err;
   }
-  if (std::string err = transport_.restore_state(*transport); !err.empty()) {
+  if (std::string err = transport_.restore_state(*this, *transport); !err.empty()) {
     return "ring.transport: " + err;
   }
   return "";

@@ -25,8 +25,9 @@
 // ring block, which the simulation claims on its simulator at
 // construction: run_continuation() is the one dispatcher on the live path
 // and after a snapshot restore, making the whole simulation serializable
-// mid-flight (RingSimulation is a snapshot::Participant). The only closures
-// are client_attempt() callbacks, which belong to an external query client.
+// mid-flight (RingSimulation is a snapshot::Participant). client_attempt()
+// continuations belong to an external query client's block instead, so a
+// save refuses while one of its hops is in flight.
 #pragma once
 
 #include <cstdint>
@@ -168,11 +169,10 @@ class RingSimulation : public snapshot::Participant {
 
   /// One custody-transfer attempt from `at` to `to` on behalf of an external
   /// query client: rides the transport's ack/timeout primitive, so exactly
-  /// one of the callbacks fires. The receiving node takes no protocol action.
-  /// Uses opaque (closure) callbacks: snapshotting is unavailable while one
-  /// is outstanding.
-  void client_attempt(ids::RingIndex at, ids::RingIndex to, std::function<void()> on_ack,
-                      std::function<void()> on_timeout);
+  /// one of the continuations runs. The receiving node takes no protocol
+  /// action. A save refuses while one is outstanding (see above).
+  void client_attempt(ids::RingIndex at, ids::RingIndex to, snapshot::DescribedView on_ack,
+                      snapshot::DescribedView on_timeout);
 
  private:
   struct Message {
@@ -222,8 +222,8 @@ class RingSimulation : public snapshot::Participant {
   // Probing and recovery. The *_ack / *_timeout methods are the bodies of
   // continuations; their arguments mirror the continuation args.
   /// Sends one probe (counted and traced) with its ack/timeout continuations.
-  void send_probe(ids::RingIndex from, ids::RingIndex to, snapshot::Described on_ack,
-                  snapshot::Described on_timeout);
+  void send_probe(ids::RingIndex from, ids::RingIndex to, snapshot::DescribedView on_ack,
+                  snapshot::DescribedView on_timeout);
   void schedule_probe(ids::RingIndex i, Ticks delay);
   void probe_cycle(ids::RingIndex i);
   void cw_probe_timeout(ids::RingIndex i, ids::RingIndex succ);

@@ -5,11 +5,10 @@
 namespace hours::sim {
 
 std::uint64_t Simulator::insert(Ticks at, std::uint64_t id, std::uint32_t kind,
-                                const std::uint64_t* args, std::size_t count, Action action) {
+                                const std::uint64_t* args, std::size_t count) {
   const std::uint32_t index = slab_.allocate();
   EventSlot& slot = slab_[index];
   slot.kind = kind;
-  slot.action = std::move(action);
   if (count > 0) {
     slot.args.assign(args, args + count);
   } else {
@@ -79,15 +78,10 @@ void Simulator::dispatch(std::uint32_t kind, const std::uint64_t* args,
   runner(kind, args, count);
 }
 
-std::uint64_t Simulator::schedule(Ticks delay, Action action) {
-  HOURS_EXPECTS(action != nullptr);
-  return insert(now_ + delay, next_id_++, snapshot::kOpaque, nullptr, 0, std::move(action));
-}
-
 std::uint64_t Simulator::schedule(Ticks delay, std::uint32_t kind, const std::uint64_t* args,
                                   std::size_t count) {
-  HOURS_EXPECTS(kind != snapshot::kOpaque);
-  return insert(now_ + delay, next_id_++, kind, args, count, nullptr);
+  HOURS_EXPECTS(kind != snapshot::kNoContinuation);
+  return insert(now_ + delay, next_id_++, kind, args, count);
 }
 
 void Simulator::cancel(std::uint64_t id) {
@@ -97,20 +91,12 @@ void Simulator::cancel(std::uint64_t id) {
   if (index == util::FlatIndex::kMissing) return;
   EventSlot& slot = slab_[index];
   remove_at(slot.heap_pos);
-  slot.action = nullptr;
   slot.args.clear();
   slab_.release(index);
 }
 
 void Simulator::dispatch_and_free(std::uint32_t index) {
   EventSlot& slot = slab_[index];
-  if (slot.kind == snapshot::kOpaque) {
-    Action action = std::move(slot.action);
-    slot.action = nullptr;
-    slab_.release(index);
-    action();
-    return;
-  }
   // The args words stay in the slot through the call (chunk addresses are
   // stable even if the runner schedules); the slot is recycled after.
   dispatch(slot.kind, slot.args.data(), slot.args.size());
@@ -174,8 +160,8 @@ void Simulator::restore_event(Ticks at, std::uint64_t id, const snapshot::Descri
   HOURS_EXPECTS(at >= now_);
   HOURS_EXPECTS(id >= 1 && id < next_id_);
   HOURS_EXPECTS(index_of_.find(id) == util::FlatIndex::kMissing);
-  HOURS_EXPECTS(desc.kind != snapshot::kOpaque);
-  insert(at, id, desc.kind, desc.args.data(), desc.args.size(), nullptr);
+  HOURS_EXPECTS(desc.kind != snapshot::kNoContinuation);
+  insert(at, id, desc.kind, desc.args.data(), desc.args.size());
 }
 
 }  // namespace hours::sim

@@ -15,19 +15,15 @@
 // allocate nothing. Ordering by (at, id) is exact FIFO among events due at
 // the same instant.
 //
-// Events come in two dispatch forms. A *described* event carries just
-// (kind, args) and runs through the runner that owns its kind's 0x100
-// block (event_kinds.hpp): each owner — transport, ring, hierarchy, fault
-// injector — claims its block once, at construction, and every described
-// event of that block reaches the same runner whether it was scheduled
-// live, restored from a snapshot, or dispatched synchronously as a
-// transport ack/timeout continuation. That is the hot path: no per-event
-// allocation at all. A *closure* event carries a std::function and has
-// kind 0 (kOpaque): it executes normally but makes the queue
-// unserializable while present (QueryClient timers, test harnesses).
-// restore_event() re-instates a saved described event under its ORIGINAL
-// id, so same-instant FIFO tie-breaking after a restore is byte-identical
-// to the uninterrupted run.
+// Every event is *described* — (kind, args), no closure — and runs through
+// the runner that owns its kind's 0x100 block (event_kinds.hpp). Each
+// owner (transport, ring, hierarchy, fault injector, query client, adaptive
+// attacker, ring scenario runner) claims its block once, at construction, and
+// every event of that block reaches the same runner whether it was
+// scheduled live, restored from a snapshot, or dispatched synchronously as
+// a transport ack/timeout continuation. restore_event() re-instates a saved
+// event under its ORIGINAL id, so same-instant FIFO tie-breaking after a
+// restore is byte-identical to the uninterrupted run.
 #pragma once
 
 #include <array>
@@ -49,7 +45,6 @@ using Ticks = std::uint64_t;
 
 class Simulator {
  public:
-  using Action = std::function<void()>;
   /// Dispatcher for described events: receives the event's kind and
   /// argument words. The words are valid only for the duration of the call
   /// (a queued event's point into its slab slot).
@@ -79,18 +74,14 @@ class Simulator {
   /// (or the fallback), synchronously.
   void dispatch(std::uint32_t kind, const std::uint64_t* args, std::size_t count) const;
 
-  /// Schedules an opaque `action` to run at now() + delay. Returns an id
-  /// usable with cancel(). Opaque events execute normally but block
-  /// snapshot save while queued; prefer the described overloads.
-  std::uint64_t schedule(Ticks delay, Action action);
-
-  /// Described scheduling: the event is dispatched through its block's
-  /// runner. The hot path — `args` is copied into a reused slab slot, no
-  /// allocation in steady state.
+  /// Schedules an event of `kind` (never kNoContinuation) at now() + delay;
+  /// it runs through its block's runner. Returns an id usable with
+  /// cancel(). `args` is copied into a reused slab slot: no allocation in
+  /// steady state.
   std::uint64_t schedule(Ticks delay, std::uint32_t kind, const std::uint64_t* args,
                          std::size_t count);
-  std::uint64_t schedule(Ticks delay, const snapshot::Described& desc) {
-    return schedule(delay, desc.kind, desc.args.data(), desc.args.size());
+  std::uint64_t schedule(Ticks delay, snapshot::DescribedView event) {
+    return schedule(delay, event.kind, event.args.data(), event.args.size());
   }
 
   /// Cancels a scheduled event; no-op if it already ran, was cancelled, or
@@ -118,8 +109,7 @@ class Simulator {
   /// continue the same id sequence — the FIFO tie-break depends on it).
   [[nodiscard]] std::uint64_t next_id() const noexcept { return next_id_; }
 
-  /// Every queued event in execution order. Opaque events appear with
-  /// desc.kind == snapshot::kOpaque. Cold path: heap walk + sort.
+  /// Every queued event in execution order. Cold path: heap walk + sort.
   [[nodiscard]] std::vector<PendingEvent> pending_events() const;
 
   /// Drops every queued event and rewinds/forwards the clock and the id
@@ -133,10 +123,9 @@ class Simulator {
 
  private:
   struct EventSlot {
-    std::uint32_t kind = snapshot::kOpaque;
+    std::uint32_t kind = snapshot::kNoContinuation;
     std::uint32_t heap_pos = 0;       ///< index of this event's entry in heap_
     std::vector<std::uint64_t> args;  ///< capacity survives slot reuse
-    Action action;                    ///< closure events (kind 0) only
   };
 
   /// One queued event in heap order: its sort key and its slab slot.
@@ -151,7 +140,7 @@ class Simulator {
   }
 
   std::uint64_t insert(Ticks at, std::uint64_t id, std::uint32_t kind,
-                       const std::uint64_t* args, std::size_t count, Action action);
+                       const std::uint64_t* args, std::size_t count);
   void dispatch_and_free(std::uint32_t index);
 
   /// Writes `entry` at heap position `pos` and records the position in its

@@ -15,20 +15,30 @@ void Snapshotter::add(snapshot::Participant& participant) {
   participants_.push_back(&participant);
 }
 
+std::string Snapshotter::refuse_unowned(
+    const std::vector<Simulator::PendingEvent>& events) const {
+  std::string refused;
+  for (const auto& event : events) {
+    const bool owned = std::any_of(participants_.begin(), participants_.end(),
+                                   [&event](const snapshot::Participant* participant) {
+                                     return participant->owns(event.desc.kind);
+                                   });
+    if (owned) continue;
+    refused += refused.empty() ? "sim.events: " : "; ";
+    refused += "event " + std::to_string(event.id) + " at tick " + std::to_string(event.at) +
+               ": no participant owns event kind " + snapshot::kind_label(event.desc.kind);
+  }
+  return refused;
+}
+
 std::string Snapshotter::save(snapshot::Json& doc) const {
   using snapshot::Json;
 
-  // Opaque events have no wire form; refuse with the full id list so the
-  // caller can see exactly which closures block the save.
+  // An event whose block no participant owns would have nowhere to run
+  // after a restore; refuse, naming every such event.
   const auto pending = sim_.pending_events();
-  std::string opaque;
-  for (const auto& event : pending) {
-    if (event.desc.kind != snapshot::kOpaque) continue;
-    if (!opaque.empty()) opaque += ", ";
-    opaque += std::to_string(event.id);
-  }
-  if (!opaque.empty()) {
-    return "cannot snapshot: opaque (closure-only) events queued, ids [" + opaque + "]";
+  if (std::string refused = refuse_unowned(pending); !refused.empty()) {
+    return "cannot snapshot: " + refused;
   }
 
   doc = snapshot::make_document();
@@ -80,7 +90,18 @@ std::string Snapshotter::restore(const snapshot::Json& doc) {
   if (sim == nullptr) return "snapshot has no sim section";
   const Json* now = sim->find("now");
   const Json* next_id = sim->find("next_id");
-  const Json* events = sim->find("events");
+
+  std::vector<Simulator::PendingEvent> events;
+  for (const auto& raw : sim->find("events")->items()) {
+    const auto& fields = raw.items();
+    Simulator::PendingEvent event;
+    event.at = fields[0].as_u64();
+    event.id = fields[1].as_u64();
+    event.desc.kind = static_cast<std::uint32_t>(fields[2].as_u64());
+    for (std::size_t i = 3; i < fields.size(); ++i) event.desc.args.push_back(fields[i].as_u64());
+    events.push_back(std::move(event));
+  }
+  if (std::string refused = refuse_unowned(events); !refused.empty()) return refused;
 
   sim_.reset(now->as_u64(), next_id->as_u64());
 
@@ -94,26 +115,8 @@ std::string Snapshotter::restore(const snapshot::Json& doc) {
     if (std::string error = participant->restore_state(*state); !error.empty()) return error;
   }
 
-  for (const auto& raw : events->items()) {
-    const auto& fields = raw.items();
-    snapshot::Described desc;
-    desc.kind = static_cast<std::uint32_t>(fields[2].as_u64());
-    for (std::size_t i = 3; i < fields.size(); ++i) desc.args.push_back(fields[i].as_u64());
-
-    // Every event runs through the runner its block's owner claimed; an
-    // event no registered participant owns would have nowhere to run.
-    const bool owned = std::any_of(participants_.begin(), participants_.end(),
-                                   [&desc](const snapshot::Participant* participant) {
-                                     return participant->owns(desc.kind);
-                                   });
-    if (!owned) {
-      return "sim.events: event " + std::to_string(fields[1].as_u64()) + " at tick " +
-             std::to_string(fields[0].as_u64()) + ": no participant owns event kind " +
-             std::string(snapshot::event_kind_name(desc.kind)) + " (" +
-             std::to_string(desc.kind) + ")";
-    }
-    sim_.restore_event(fields[0].as_u64(), fields[1].as_u64(), desc);
-  }
+  // Each event runs through the runner its block's owner claimed.
+  for (const auto& event : events) sim_.restore_event(event.at, event.id, event.desc);
   return "";
 }
 

@@ -3,17 +3,18 @@
 //
 // save() produces the versioned document described in snapshot/snapshot.hpp:
 // the simulator clock, id counter, and full event queue in described form,
-// plus one section per participant. It fails loudly — with the offending
-// event ids — while any opaque (closure-only) event is queued, because an
-// opaque event has no wire form; a participant refuses in turn while its
-// own state holds a closure (a transport's closure-form pending ack).
+// plus one section per participant. One rule decides what can be saved: an
+// event whose block no registered participant owns would have nowhere to
+// run after a restore, so save() refuses, naming each such event (a query
+// client's timer, a strike, a ring scenario's sample). A transport holds
+// its pending continuations to the same rule, naming the token.
 //
 // restore() is the exact inverse, into a *freshly constructed* simulation of
-// identical configuration: validate, reset the simulator, hand each section
-// back to its participant, then re-instate every queued event under its
-// original id. Each event runs through the runner its kind's block owner
-// claimed at construction — the one dispatcher the live run used — and an
-// event whose kind no registered participant owns is refused with its id.
+// identical configuration: validate, apply the same ownership check, reset
+// the simulator, hand each section back to its participant, then
+// re-instate every queued event under its original id, to run through the
+// runner its kind's block owner claimed — the one dispatcher the live run
+// used.
 // A restored run replays byte-for-byte identically to the uninterrupted one
 // — tests/snapshot_replay_test.cpp holds that bar, and the fault-schedule
 // fuzz harness uses it as a divergence oracle.
@@ -57,6 +58,12 @@ class Snapshotter {
   [[nodiscard]] std::string restore_file(const std::string& path);
 
  private:
+  /// "" when some registered participant owns every event in `events`;
+  /// otherwise the refusal, naming each event none owns. save() and
+  /// restore() both apply it.
+  [[nodiscard]] std::string refuse_unowned(
+      const std::vector<Simulator::PendingEvent>& events) const;
+
   Simulator& sim_;
   std::vector<snapshot::Participant*> participants_;
 };

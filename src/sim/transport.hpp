@@ -20,19 +20,17 @@
 // execution time by run_described(). The transport claims the transport
 // kind block (0x100) on its simulator at construction, so live and
 // restored deliveries and ack timeouts run the same code. Every ack
-// timeout is a one-word described event. Ack/timeout callbacks come in two
-// forms: the continuation overload of send_expect_ack() takes
-// snapshot::Described pairs run through the simulator's dispatcher
-// (serializable), while the closure overload marks its pending entry
-// opaque — it works, but save_state() refuses while it is outstanding.
+// timeout is a one-word described event. An acked send's ack and timeout
+// continuations are described too, run through the simulator's dispatcher
+// (kind 0 = none). The transport's state belongs to its owner's snapshot
+// section, so a pending continuation outside the owner's blocks (a query
+// client's hop) refuses save and restore alike.
 //
 // Pending acks live in a slab (util/arena.hpp) found by token through a
-// flat index (util/flat_index.hpp): a slot keeps its callbacks' and
-// continuations' storage across reuse, so once both have grown to a run's
-// peak an acked send allocates nothing of its own. (A closure callback
-// still allocates when its captures outgrow std::function's inline
-// buffer, 16 bytes in libstdc++.) save_state() sorts the live tokens, so
-// the pending array stays in ascending token order.
+// flat index (util/flat_index.hpp): a slot's continuation words keep their
+// capacity across reuse, so once they have grown to a run's peak an acked
+// send allocates nothing. save_state() sorts the live tokens, so the
+// pending array stays in ascending token order.
 //
 // Header-only template: the payload type is supplied by the protocol.
 #pragma once
@@ -46,8 +44,11 @@
 
 #include "rng/xoshiro256.hpp"
 #include "sim/simulator.hpp"
+#include "snapshot/described.hpp"
 #include "snapshot/event_kinds.hpp"
 #include "snapshot/json.hpp"
+#include "snapshot/participant.hpp"
+#include "snapshot/snapshot.hpp"
 #include "trace/sink.hpp"
 #include "util/arena.hpp"
 #include "util/contracts.hpp"
@@ -187,35 +188,35 @@ class Transport {
     transmit(to, std::move(env), /*is_ack=*/false);
   }
 
-  /// Sends and expects a transport-level ack; closure form. Exactly one of
-  /// on_ack / on_timeout fires (either may be null). The pending entry is
-  /// opaque: it blocks snapshot save while outstanding.
+  /// Sends and expects a transport-level ack. Exactly one of the
+  /// continuations runs, through the simulator's dispatcher: `on_ack` when
+  /// the ack lands, `on_timeout` after config().ack_timeout of silence.
+  /// Kind kNoContinuation runs nothing. The words are copied.
   void send_expect_ack(Address from, Address to, Payload payload,
-                       std::function<void()> on_ack, std::function<void()> on_timeout) {
+                       snapshot::DescribedView on_ack, snapshot::DescribedView on_timeout) {
     const std::uint32_t slot = pending_.allocate();
     Pending& pending = pending_[slot];
-    pending.opaque = true;
-    pending.on_ack_fn = std::move(on_ack);
-    pending.on_timeout_fn = std::move(on_timeout);
-    start_pending(from, to, std::move(payload), slot);
-  }
-
-  /// Continuation form: callbacks as described continuations run through
-  /// the simulator's dispatcher (kind 0 = no-op). Fully snapshottable.
-  void send_expect_ack(Address from, Address to, Payload payload, snapshot::Described on_ack,
-                       snapshot::Described on_timeout) {
-    const std::uint32_t slot = pending_.allocate();
-    Pending& pending = pending_[slot];
-    pending.ack_cont = std::move(on_ack);
-    pending.timeout_cont = std::move(on_timeout);
-    start_pending(from, to, std::move(payload), slot);
+    pending.ack_cont.kind = on_ack.kind;
+    pending.ack_cont.args.assign(on_ack.args.begin(), on_ack.args.end());
+    pending.timeout_cont.kind = on_timeout.kind;
+    pending.timeout_cont.args.assign(on_timeout.args.begin(), on_timeout.args.end());
+    pending.token = next_token_++;
+    Envelope env;
+    env.from = from;
+    env.token = pending.token;
+    env.payload = std::move(payload);
+    transmit(to, std::move(env), /*is_ack=*/false);
+    pending.timeout_event =
+        sim_.schedule(config_.ack_timeout, snapshot::kTransportAckTimeout, &pending.token, 1);
+    pending_index_.insert(pending.token, slot);
   }
 
   // -- snapshot support ---------------------------------------------------------
   /// Serializes transport state (liveness, incarnations, RNG, counters,
-  /// pending ack table). Fails — filling `error` — while a closure-form
-  /// pending entry is outstanding.
-  [[nodiscard]] snapshot::Json save_state(std::string& error) const {
+  /// pending ack table) for `owner`'s section. Fails — filling `error` —
+  /// while a pending continuation lies outside the blocks `owner` owns.
+  [[nodiscard]] snapshot::Json save_state(const snapshot::Participant& owner,
+                                          std::string& error) const {
     using snapshot::Json;
     // Cold path: collect the live slots and order them by token.
     std::vector<std::pair<std::uint64_t, std::uint32_t>> live;  // (token, slot)
@@ -225,11 +226,8 @@ class Transport {
     }
     std::sort(live.begin(), live.end());
     for (const auto& [token, slot] : live) {
-      if (pending_[slot].opaque) {
-        error = "pending ack token " + std::to_string(token) +
-                " uses closure callbacks (unserializable)";
-        return Json::object();
-      }
+      error = check_pending(owner, token, pending_[slot]);
+      if (!error.empty()) return Json::object();
     }
     Json out = Json::object();
     out["loss_probability"] = Json(snapshot::bits_from_double(config_.loss_probability));
@@ -263,10 +261,12 @@ class Transport {
     return out;
   }
 
-  /// Restores state saved by save_state(). Does NOT schedule anything —
-  /// queued deliveries and timeouts are restored through the simulator's
-  /// event list. Returns "" on success.
-  [[nodiscard]] std::string restore_state(const snapshot::Json& state) {
+  /// Restores state saved by save_state() for `owner`'s section, under the
+  /// same continuation rule. Does NOT schedule anything — queued deliveries
+  /// and timeouts are restored through the simulator's event list. Returns
+  /// "" on success.
+  [[nodiscard]] std::string restore_state(const snapshot::Participant& owner,
+                                          const snapshot::Json& state) {
     const auto* alive = state.find("alive");
     const auto* incarnation = state.find("incarnation");
     const auto* rng = state.find("rng");
@@ -305,6 +305,9 @@ class Transport {
     for (const auto& raw : pending->items()) {
       if (!raw.is_array() || raw.items().size() < 5) return "transport.pending entry malformed";
       const auto& f = raw.items();
+      for (const auto& field : f) {
+        if (!field.is_u64()) return "transport.pending entry malformed";
+      }
       std::size_t i = 0;
       const std::uint64_t token = f[i++].as_u64();
       if (token == 0 || pending_index_.find(token) != util::FlatIndex::kMissing) {
@@ -313,7 +316,7 @@ class Transport {
       const std::uint64_t timeout_event = f[i++].as_u64();
       const auto ack_kind = static_cast<std::uint32_t>(f[i++].as_u64());
       const std::uint64_t ack_args = f[i++].as_u64();
-      if (i + ack_args + 1 > f.size()) return "transport.pending entry truncated";
+      if (ack_args > f.size() - i - 1) return "transport.pending entry truncated";
       const std::uint32_t slot = pending_.allocate();
       Pending& entry = pending_[slot];
       entry.token = token;
@@ -322,6 +325,7 @@ class Transport {
       for (std::uint64_t a = 0; a < ack_args; ++a) entry.ack_cont.args.push_back(f[i++].as_u64());
       entry.timeout_cont.kind = static_cast<std::uint32_t>(f[i++].as_u64());
       for (; i < f.size(); ++i) entry.timeout_cont.args.push_back(f[i].as_u64());
+      if (std::string e = check_pending(owner, token, entry); !e.empty()) return "transport." + e;
       pending_index_.insert(token, slot);
     }
     return "";
@@ -361,58 +365,50 @@ class Transport {
 
  private:
   /// One outstanding acked send. A free slab slot has token 0 and no
-  /// callbacks; its continuations' argument vectors keep their capacity.
+  /// continuations; their argument vectors keep their capacity.
   struct Pending {
     std::uint64_t token = 0;
-    bool opaque = false;
-    std::function<void()> on_ack_fn;
-    std::function<void()> on_timeout_fn;
     snapshot::Described ack_cont;
     snapshot::Described timeout_cont;
     std::uint64_t timeout_event = 0;
   };
 
-  /// Sends the message for the filled pending `slot`, arms its timeout and
-  /// indexes it under a fresh token.
-  void start_pending(Address from, Address to, Payload payload, std::uint32_t slot) {
-    const std::uint64_t token = next_token_++;
-    Envelope env;
-    env.from = from;
-    env.token = token;
-    env.payload = std::move(payload);
-    transmit(to, std::move(env), /*is_ack=*/false);
-
-    pending_[slot].token = token;
-    pending_[slot].timeout_event =
-        sim_.schedule(config_.ack_timeout, snapshot::kTransportAckTimeout, &token, 1);
-    pending_index_.insert(token, slot);
+  /// "" when each continuation of `pending` is none, or lies in a block
+  /// `owner` owns with the argument words its kind takes. Save and restore
+  /// share this rule.
+  [[nodiscard]] static std::string check_pending(const snapshot::Participant& owner,
+                                                 std::uint64_t token, const Pending& pending) {
+    for (const snapshot::Described* cont : {&pending.ack_cont, &pending.timeout_cont}) {
+      if (cont->kind == snapshot::kNoContinuation && cont->args.empty()) continue;
+      const std::string where = "pending ack token " + std::to_string(token) + ": continuation ";
+      if (!owner.owns(cont->kind)) {
+        return where + snapshot::kind_label(cont->kind) +
+               " lies outside the event blocks of section \"" + owner.section() + "\"";
+      }
+      std::string e = snapshot::check_event_args(cont->kind, cont->args.size());
+      if (!e.empty()) return where + e;
+    }
+    return "";
   }
 
-  /// Settles `token` with its ack (true) or timeout callback: unindexes it,
-  /// runs the callback from its slot, then frees the slot. The slot stays
-  /// taken during the call, so sends the callback starts land elsewhere;
-  /// its token is already 0, so a save from inside the call skips it.
+  /// Settles `token` with its ack (true) or timeout continuation: unindexes
+  /// it, runs the continuation from its slot, then frees the slot. The slot
+  /// stays taken during the call, so sends the continuation starts land
+  /// elsewhere; its token is already 0, so a save from inside the call
+  /// skips it.
   void settle(std::uint64_t token, bool acked) {
     const std::uint32_t slot = pending_index_.erase(token);
     if (slot == util::FlatIndex::kMissing) return;  // already settled
     Pending& pending = pending_[slot];
     pending.token = 0;
     if (acked) sim_.cancel(pending.timeout_event);
-    if (pending.opaque) {
-      const std::function<void()>& fn = acked ? pending.on_ack_fn : pending.on_timeout_fn;
-      if (fn) fn();
-    } else {
-      const snapshot::Described& cont = acked ? pending.ack_cont : pending.timeout_cont;
-      if (cont.kind != snapshot::kOpaque) {
-        sim_.dispatch(cont.kind, cont.args.data(), cont.args.size());
-      }
+    const snapshot::Described& cont = acked ? pending.ack_cont : pending.timeout_cont;
+    if (cont.kind != snapshot::kNoContinuation) {
+      sim_.dispatch(cont.kind, cont.args.data(), cont.args.size());
     }
-    pending.opaque = false;
-    pending.on_ack_fn = nullptr;
-    pending.on_timeout_fn = nullptr;
-    pending.ack_cont.kind = snapshot::kOpaque;
+    pending.ack_cont.kind = snapshot::kNoContinuation;
     pending.ack_cont.args.clear();
-    pending.timeout_cont.kind = snapshot::kOpaque;
+    pending.timeout_cont.kind = snapshot::kNoContinuation;
     pending.timeout_cont.args.clear();
     pending_.release(slot);
   }

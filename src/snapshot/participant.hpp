@@ -5,8 +5,8 @@
 // claimed on the simulator. Snapshotter (sim layer) drives the protocol:
 // save() collects each participant's section and the simulator's event
 // queue; restore() hands each section back, then re-queues every saved
-// event once some participant owns its kind — the event then runs through
-// the same runner as it would have live.
+// event, which runs through the same runner as it would have live. Both
+// refuse an event no participant owns: it would have nowhere to run.
 //
 // Error handling is by string: "" means success, anything else is a
 // human-readable reason (surfaced verbatim by save()/restore() callers).

@@ -1,7 +1,9 @@
 #include "snapshot/snapshot.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
+#include <vector>
 
 #include "snapshot/event_kinds.hpp"
 
@@ -24,6 +26,8 @@ std::string validate_sim_section(const Json& sim) {
   if (now == nullptr || !now->is_u64()) return "sim.now missing or not a u64";
   if (next_id == nullptr || !next_id->is_u64()) return "sim.next_id missing or not a u64";
   if (events == nullptr || !events->is_array()) return "sim.events missing or not an array";
+  std::vector<std::uint64_t> ids;
+  ids.reserve(events->items().size());
   for (std::size_t i = 0; i < events->items().size(); ++i) {
     const Json& event = events->items()[i];
     const std::string where = "sim.events[" + std::to_string(i) + "]";
@@ -38,14 +42,43 @@ std::string validate_sim_section(const Json& sim) {
     const std::uint64_t kind = event.items()[2].as_u64();
     if (at < now->as_u64()) return where + " is scheduled in the past";
     if (id == 0 || id >= next_id->as_u64()) return where + " id outside [1, next_id)";
+    ids.push_back(id);
     if (kind > UINT32_MAX || event_kind_name(static_cast<std::uint32_t>(kind)).empty()) {
       return where + " has unregistered kind " + std::to_string(kind);
     }
+    const std::size_t count = event.items().size() - 3;
+    if (auto e = check_event_args(static_cast<std::uint32_t>(kind), count); !e.empty()) {
+      return where + ": " + e;
+    }
+  }
+  std::sort(ids.begin(), ids.end());
+  if (const auto twice = std::adjacent_find(ids.begin(), ids.end()); twice != ids.end()) {
+    return "sim.events: id " + std::to_string(*twice) + " is queued twice";
   }
   return "";
 }
 
 }  // namespace
+
+std::string kind_label(std::uint32_t kind) {
+  const std::string_view name = event_kind_name(kind);
+  if (name.empty()) return "unregistered kind " + std::to_string(kind);
+  return std::string(name) + " (" + std::to_string(kind) + ")";
+}
+
+std::string check_event_args(std::uint32_t kind, std::size_t count) {
+  const KindSpec* spec = kind_spec(kind);
+  if (spec == nullptr) return "";
+  if (count < spec->args) {
+    return kind_label(kind) + " needs at least " + std::to_string(spec->args) +
+           " argument words, has " + std::to_string(count);
+  }
+  if (!spec->tail && count > spec->args) {
+    return kind_label(kind) + " takes exactly " + std::to_string(spec->args) +
+           " argument words, has " + std::to_string(count);
+  }
+  return "";
+}
 
 std::string validate_document(const Json& doc) {
   if (!doc.is_object()) return "document is not a JSON object";

@@ -20,6 +20,7 @@
 // write. See docs/PROTOCOL.md appendix C for the full field catalogue.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -36,9 +37,18 @@ inline constexpr std::uint64_t kSnapshotVersion = 1;
 
 /// Structural validation: magic, supported version, sections an object of
 /// objects, and — when a "sim" section is present — a well-formed event
-/// list (u64 triples-plus-args, registered kinds, ids below next_id).
-/// Returns "" when valid, else the first problem found.
+/// list (u64 triples-plus-args, registered kinds with their argument
+/// prefixes, ids below next_id). Returns "" when valid, else the first
+/// problem found.
 [[nodiscard]] std::string validate_document(const Json& doc);
+
+/// "name (kind)" for a registered kind, "unregistered kind N" otherwise.
+[[nodiscard]] std::string kind_label(std::uint32_t kind);
+
+/// "" when `count` argument words fit `kind`'s layout in the registry
+/// (event_kinds.hpp): at least its fixed prefix, and no more unless the
+/// kind has a tail. Kinds outside the registry are not checked here.
+[[nodiscard]] std::string check_event_args(std::uint32_t kind, std::size_t count);
 
 /// Writes `doc` to `path` (atomic enough for our purposes: whole-file
 /// write). Returns "" on success.

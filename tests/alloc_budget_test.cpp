@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -115,7 +116,7 @@ struct Word {
   std::uint64_t value = 0;
 };
 
-TEST(AllocBudget, TransportClosureSendsAllocateNothing) {
+TEST(AllocBudget, TransportContinuationSendsAllocateNothing) {
   Simulator sim;
   Transport<Word> transport{
       sim, TransportConfig{}, 3, /*seed=*/11,
@@ -128,14 +129,23 @@ TEST(AllocBudget, TransportClosureSendsAllocateNothing) {
     std::uint64_t acks = 0;
     std::uint64_t timeouts = 0;
   } outcomes;
-  // Half the sends are acked, half time out; each callback captures one
-  // pointer, well inside std::function's inline buffer. Each send runs to
-  // completion before the next, as EventBackend runs its queries.
+  constexpr std::uint32_t kAcked = 0xE01;  // an unclaimed block: the fallback runs it
+  constexpr std::uint32_t kTimedOut = 0xE02;
+  sim.set_runner([&outcomes](std::uint32_t kind, const std::uint64_t*, std::size_t) {
+    ++(kind == kAcked ? outcomes.acks : outcomes.timeouts);
+  });
+  // Half the sends are acked, half time out. Each send's continuations are
+  // views of words on the caller's stack, one word and three, their widths
+  // swapped every two sends, so acked and timed-out sends both reuse each
+  // width's retained storage. Each send runs to completion before the next,
+  // as EventBackend runs its queries.
   const auto sends = [&](std::uint32_t count) {
     for (std::uint32_t i = 0; i < count; ++i) {
-      transport.send_expect_ack(
-          0, 1 + i % 2, Word{i}, [&outcomes] { ++outcomes.acks; },
-          [&outcomes] { ++outcomes.timeouts; });
+      const std::uint64_t words[3] = {i, 2ULL * i, 3ULL * i};
+      const std::span<const std::uint64_t> one{words, 1};
+      const std::span<const std::uint64_t> three{words};
+      transport.send_expect_ack(0, 1 + i % 2, Word{i}, {kAcked, i % 4 < 2 ? one : three},
+                                {kTimedOut, i % 4 < 2 ? three : one});
       sim.run();
     }
   };

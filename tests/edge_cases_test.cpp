@@ -10,6 +10,7 @@
 #include "overlay/overlay.hpp"
 #include "rng/pointer_sampler.hpp"
 #include "sim/simulator.hpp"
+#include "test_events.hpp"
 
 namespace hours {
 namespace {
@@ -37,7 +38,8 @@ TEST(ContractDeath, SimulatorKindBlockHasOneOwner) {
   const auto noop = [](std::uint32_t, const std::uint64_t*, std::size_t) {};
   simulator.set_runner(0x200, noop);
   EXPECT_DEATH(simulator.set_runner(0x2FF, noop), "precondition");
-  EXPECT_DEATH(simulator.set_runner(0x0FF, noop), "precondition");  // block 0 holds kOpaque
+  // Block 0 holds kNoContinuation, which names no event.
+  EXPECT_DEATH(simulator.set_runner(0x0FF, noop), "precondition");
 }
 
 TEST(ContractDeath, ForwardFromDeadEntrance) {
@@ -131,16 +133,17 @@ TEST(EdgeCases, SamplerAtMillionsIsFastAndSane) {
 
 TEST(EdgeCases, SimulatorRunTwiceAndNestedCancel) {
   sim::Simulator s;
+  sim::TestEvents events{s};
   int fired = 0;
   std::uint64_t victim = 0;
-  s.schedule(10, [&] {
+  events.schedule(10, [&] {
     ++fired;
     s.cancel(victim);  // cancel a later event from within an earlier one
   });
-  victim = s.schedule(20, [&] { ++fired; });
+  victim = events.schedule(20, [&] { ++fired; });
   s.run();
   EXPECT_EQ(fired, 1);
-  s.schedule(5, [&] { ++fired; });  // engine reusable after drain
+  events.schedule(5, [&] { ++fired; });  // engine reusable after drain
   s.run();
   EXPECT_EQ(fired, 2);
 }

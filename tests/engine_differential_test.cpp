@@ -187,18 +187,16 @@ void run_seed(const Config& config, std::uint64_t seed) {
   ccfg.max_retries_per_hop = 0;
   ccfg.deadline = 0;
   ccfg.suspicion_ttl = 0;
+  // The client's custody path, read from its attempts: with no retries,
+  // an attempt from a node other than the current holder means the
+  // previous attempt was acked and custody moved to its sender.
   sim::QueryNetwork net = sim::make_query_network(client_driven);
   std::vector<std::uint32_t> client_path;
   net.attempt = [&client_driven, &client_path](std::uint32_t from, std::uint32_t to,
-                                               std::function<void()> on_ack,
-                                               std::function<void()> on_timeout) {
-    client_driven.client_attempt(
-        from, to,
-        [&client_path, to, ack = std::move(on_ack)] {
-          client_path.push_back(to);
-          ack();
-        },
-        std::move(on_timeout));
+                                               snapshot::DescribedView on_ack,
+                                               snapshot::DescribedView on_timeout) {
+    if (from != client_path.back()) client_path.push_back(from);
+    client_driven.client_attempt(from, to, on_ack, on_timeout);
   };
   sim::QueryClient client{std::move(net), ccfg};
 
@@ -229,6 +227,10 @@ void run_seed(const Config& config, std::uint64_t seed) {
     const auto qid = client.submit(start, in_network.id_of(dest));
     client_driven.simulator().run();
     const bool client_delivered = client.outcome(qid).status == sim::QueryStatus::kDelivered;
+    // The final hop's ack settles the query with no attempt after it.
+    if (client_delivered && client_path.back() != in_network.id_of(dest)) {
+      client_path.push_back(in_network.id_of(dest));
+    }
 
     ASSERT_TRUE(event.done);
     ASSERT_NE(client.outcome(qid).status, sim::QueryStatus::kPending);

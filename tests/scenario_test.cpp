@@ -140,6 +140,21 @@ TEST(ScenarioValidate, RejectCorpusNamesTheOffendingPath) {
        "$.workload.phases[0].popularity.exponent"},
       {kRingBase, "\"window\": 2000,", "\"window\": 2000, \"alive_sources\": 2,",
        "$.workload.alive_sources: expected 0 or 1"},
+      // Work bounds: each measure, located at the field that crosses it.
+      {kHierarchyBase, "\"rate\": 2", "\"rate\": 4294967296",
+       "$.workload.phases[0].rate: issued queries comes to 257698037760, over the bound of "
+       "2000000"},
+      {kRingBase, "\"window\": 2000", "\"window\": 1",
+       "$.workload.window: horizon / window comes to 20000, over the bound of 10000"},
+      {kRingBase, "\"size\": 8", "\"size\": 8, \"probe_period\": 0",
+       "$.system.probe_period: must be >= 1"},
+      {kRingBase, "\"size\": 8", "\"size\": 1000000, \"probe_period\": 10",
+       "$.system.probe_period: probe rounds (size x horizon / probe_period) comes to "
+       "2001000000, over the bound of 1000000"},
+      {kHierarchyBase, "\"workload\"",
+       "\"attacker\": {\"kind\": \"cache_busting\", \"rate\": 100000, \"from\": 0, "
+       "\"until\": 60}, \"workload\"",
+       "$.attacker.rate: issued queries comes to 6000120, over the bound of 2000000"},
       // Fault clause (plan errors carry FaultPlan::parse line/col context).
       {kRingBase, "\"metrics\"", "\"faults\": {\"plan\": [\"crash(1, bogus)\"]}, \"metrics\"",
        "$.faults.plan: line 1, col"},
@@ -195,6 +210,18 @@ TEST(ScenarioValidate, RejectCorpusNamesTheOffendingPath) {
     EXPECT_NE(error.find(c.expect_in_error), std::string::npos)
         << "error \"" << error << "\" should mention \"" << c.expect_in_error << "\"";
   }
+}
+
+TEST(ScenarioValidate, RingQueryBoundNamesTheCrossingPhase) {
+  // 40M ticks at one query per tick: the second phase crosses the bound,
+  // while 1,000 windows and 320,008 probe rounds stay inside theirs.
+  std::string text = mutate(kRingBase, "\"horizon\": 20000", "\"horizon\": 40000000");
+  text = mutate(text, "\"window\": 2000", "\"window\": 40000");
+  text = mutate(text, "{\"until\": 20000, \"interval\": 250}",
+                "{\"until\": 40000000, \"interval\": 1}");
+  EXPECT_EQ(validate_text(text),
+            "$.workload.phases[1].interval: issued queries comes to 39990022, over the bound of "
+            "2000000");
 }
 
 TEST(ScenarioValidate, GraphBackendRejectsFaultPlans) {

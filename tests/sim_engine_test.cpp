@@ -1,18 +1,21 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <vector>
 
 #include "sim/simulator.hpp"
+#include "test_events.hpp"
 
 namespace hours::sim {
 namespace {
 
 TEST(Simulator, ExecutesInTimeOrder) {
   Simulator sim;
+  TestEvents events{sim};
   std::vector<int> order;
-  sim.schedule(30, [&] { order.push_back(3); });
-  sim.schedule(10, [&] { order.push_back(1); });
-  sim.schedule(20, [&] { order.push_back(2); });
+  events.schedule(30, [&] { order.push_back(3); });
+  events.schedule(10, [&] { order.push_back(1); });
+  events.schedule(20, [&] { order.push_back(2); });
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(sim.now(), 30U);
@@ -20,20 +23,22 @@ TEST(Simulator, ExecutesInTimeOrder) {
 
 TEST(Simulator, FifoAmongSameInstant) {
   Simulator sim;
+  TestEvents events{sim};
   std::vector<int> order;
-  sim.schedule(5, [&] { order.push_back(1); });
-  sim.schedule(5, [&] { order.push_back(2); });
-  sim.schedule(5, [&] { order.push_back(3); });
+  events.schedule(5, [&] { order.push_back(1); });
+  events.schedule(5, [&] { order.push_back(2); });
+  events.schedule(5, [&] { order.push_back(3); });
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
 TEST(Simulator, NestedScheduling) {
   Simulator sim;
+  TestEvents events{sim};
   std::vector<Ticks> times;
-  sim.schedule(10, [&] {
+  events.schedule(10, [&] {
     times.push_back(sim.now());
-    sim.schedule(5, [&] { times.push_back(sim.now()); });
+    events.schedule(5, [&] { times.push_back(sim.now()); });
   });
   sim.run();
   EXPECT_EQ(times, (std::vector<Ticks>{10, 15}));
@@ -41,8 +46,9 @@ TEST(Simulator, NestedScheduling) {
 
 TEST(Simulator, CancelPreventsExecution) {
   Simulator sim;
+  TestEvents events{sim};
   bool ran = false;
-  const auto id = sim.schedule(10, [&] { ran = true; });
+  const auto id = events.schedule(10, [&] { ran = true; });
   sim.cancel(id);
   sim.run();
   EXPECT_FALSE(ran);
@@ -51,11 +57,12 @@ TEST(Simulator, CancelPreventsExecution) {
 
 TEST(Simulator, CancelIsIdempotentAndSafeAfterRun) {
   Simulator sim;
-  const auto id = sim.schedule(1, [] {});
+  TestEvents events{sim};
+  const auto id = events.schedule(1, [] {});
   sim.run();
   sim.cancel(id);  // already executed; must not break later events
   bool ran = false;
-  sim.schedule(1, [&] { ran = true; });
+  events.schedule(1, [&] { ran = true; });
   sim.run();
   EXPECT_TRUE(ran);
 }
@@ -64,12 +71,13 @@ TEST(Simulator, CancelOfExecutedIdDoesNotCorruptPending) {
   // Regression: cancelling an already-executed id used to sit in the
   // cancelled list forever and permanently deflate pending().
   Simulator sim;
-  const auto id = sim.schedule(1, [] {});
+  TestEvents events{sim};
+  const auto id = events.schedule(1, [] {});
   sim.run();
   sim.cancel(id);
   sim.cancel(id);  // twice, for good measure
   EXPECT_EQ(sim.pending(), 0U);
-  sim.schedule(1, [] {});
+  events.schedule(1, [] {});
   EXPECT_EQ(sim.pending(), 1U);
   sim.run();
   EXPECT_EQ(sim.pending(), 0U);
@@ -77,8 +85,9 @@ TEST(Simulator, CancelOfExecutedIdDoesNotCorruptPending) {
 
 TEST(Simulator, CancelOfUnknownIdIsNoOp) {
   Simulator sim;
+  TestEvents events{sim};
   sim.cancel(12345);  // never issued
-  sim.schedule(1, [] {});
+  events.schedule(1, [] {});
   EXPECT_EQ(sim.pending(), 1U);
   EXPECT_EQ(sim.run(), 1U);
 }
@@ -87,11 +96,12 @@ TEST(Simulator, CancelDoesNotRecycleOntoLaterEvents) {
   // A cancelled-but-executed id must never suppress a later event that
   // happens to pop after the cancel call.
   Simulator sim;
+  TestEvents events{sim};
   int ran = 0;
-  const auto early = sim.schedule(1, [&] { ++ran; });
+  const auto early = events.schedule(1, [&] { ++ran; });
   sim.run();
   sim.cancel(early);
-  const auto late = sim.schedule(1, [&] { ++ran; });
+  const auto late = events.schedule(1, [&] { ++ran; });
   (void)late;
   sim.run();
   EXPECT_EQ(ran, 2);
@@ -101,10 +111,11 @@ TEST(Simulator, ManyCancellationsStayConsistent) {
   // Mixed live/stale cancels at scale: pending() must track exactly the
   // events that will still execute.
   Simulator sim;
+  TestEvents events{sim};
   int executed = 0;
   std::vector<std::uint64_t> ids;
   for (int i = 0; i < 1000; ++i) {
-    ids.push_back(sim.schedule(static_cast<Ticks>(i + 1), [&] { ++executed; }));
+    ids.push_back(events.schedule(static_cast<Ticks>(i + 1), [&] { ++executed; }));
   }
   for (std::size_t i = 0; i < ids.size(); i += 2) sim.cancel(ids[i]);   // evens
   for (std::size_t i = 0; i < ids.size(); i += 2) sim.cancel(ids[i]);   // repeats
@@ -118,10 +129,11 @@ TEST(Simulator, ManyCancellationsStayConsistent) {
 
 TEST(Simulator, RunWithTimeLimit) {
   Simulator sim;
+  TestEvents events{sim};
   int count = 0;
-  sim.schedule(10, [&] { ++count; });
-  sim.schedule(20, [&] { ++count; });
-  sim.schedule(100, [&] { ++count; });
+  events.schedule(10, [&] { ++count; });
+  events.schedule(20, [&] { ++count; });
+  events.schedule(100, [&] { ++count; });
 
   const auto executed = sim.run(50);
   EXPECT_EQ(executed, 2U);
@@ -133,12 +145,13 @@ TEST(Simulator, RunWithTimeLimit) {
 
 TEST(Simulator, PeriodicSelfRescheduling) {
   Simulator sim;
+  TestEvents events{sim};
   int ticks = 0;
   std::function<void()> beat = [&] {
     ++ticks;
-    if (ticks < 5) sim.schedule(10, beat);
+    if (ticks < 5) events.schedule(10, beat);
   };
-  sim.schedule(10, beat);
+  events.schedule(10, beat);
   sim.run();
   EXPECT_EQ(ticks, 5);
   EXPECT_EQ(sim.now(), 50U);
@@ -146,21 +159,24 @@ TEST(Simulator, PeriodicSelfRescheduling) {
 
 TEST(Simulator, MaxEventsGuardsAgainstRunaway) {
   Simulator sim;
-  std::function<void()> forever = [&] { sim.schedule(1, forever); };
-  sim.schedule(1, forever);
+  TestEvents events{sim};
+  std::function<void()> forever = [&] { events.schedule(1, forever); };
+  events.schedule(1, forever);
   const auto executed = sim.run(0, 1000);
   EXPECT_EQ(executed, 1000U);
 }
 
 TEST(Simulator, DescribedEventsAreInspectable) {
   Simulator sim;
+  TestEvents events{sim};
   sim.schedule(10, snapshot::Described{snapshot::kFaultAction, {7}});
-  sim.schedule(5, [] {});  // opaque
+  events.schedule(5, [] {});  // the test block's first body
   const auto pending = sim.pending_events();
   ASSERT_EQ(pending.size(), 2U);
   EXPECT_EQ(pending[0].at, 5U);
-  EXPECT_EQ(pending[0].id, 2U);  // the opaque event keeps its id
-  EXPECT_EQ(pending[0].desc.kind, snapshot::kOpaque);
+  EXPECT_EQ(pending[0].id, 2U);
+  EXPECT_EQ(pending[0].desc.kind, TestEvents::kKind);
+  EXPECT_EQ(pending[0].desc.args, (std::vector<std::uint64_t>{0}));
   EXPECT_EQ(pending[1].at, 10U);
   EXPECT_EQ(pending[1].desc.kind, snapshot::kFaultAction);
   EXPECT_EQ(pending[1].desc.args, (std::vector<std::uint64_t>{7}));
@@ -238,7 +254,8 @@ TEST(Simulator, EachKindBlockRunsThroughItsOwnerOrTheFallback) {
 
 TEST(Simulator, ResetDropsQueueAndRewindsClock) {
   Simulator sim;
-  sim.schedule(10, [] { FAIL() << "dropped by reset"; });
+  TestEvents events{sim};
+  events.schedule(10, [] { FAIL() << "dropped by reset"; });
   sim.run(5);
   EXPECT_EQ(sim.now(), 5U);
   sim.reset(1000, 42);
@@ -246,7 +263,7 @@ TEST(Simulator, ResetDropsQueueAndRewindsClock) {
   EXPECT_EQ(sim.now(), 1000U);
   EXPECT_EQ(sim.next_id(), 42U);
   // Fresh scheduling continues from the restored counter.
-  EXPECT_EQ(sim.schedule(1, [] {}), 42U);
+  EXPECT_EQ(events.schedule(1, [] {}), 42U);
 }
 
 TEST(Simulator, PauseAndContinueMatchesUninterruptedRun) {

@@ -15,11 +15,14 @@
 // FlatIndex case covers long probe runs) — and asserts identical execution
 // order, clocks, pending counts, and truncation flags.
 //
-// On a sampled subset of seeds the snapshot oracle interposes: pending
-// events are captured, the queue is reset, and every event is re-instated
-// under its original id in SHUFFLED order; the re-read queue must match the
-// capture exactly and the continued run must stay in lockstep with the
-// reference (same-instant FIFO order must survive a restore).
+// Events come in three forms, all described: two widths through a claimed
+// block's runner and one through the fallback runner, so slab slots are
+// reused across argument widths. On a sampled subset of seeds the snapshot
+// oracle interposes at every pause point: pending events are captured, the
+// queue is reset, and every event is re-instated under its original id in
+// SHUFFLED order; the re-read queue must match the capture exactly and the
+// continued run must stay in lockstep with the reference (same-instant FIFO
+// order must survive a restore).
 //
 // Seed control (same conventions as fault_schedule_fuzz_test):
 //   HOURS_FUZZ_SEEDS=N      sweep seeds 1..N       (default 25; nightly 200)
@@ -28,7 +31,6 @@
 //                           1 = every seed; pinned seeds always run it)
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <map>
@@ -38,8 +40,6 @@
 
 #include "rng/xoshiro256.hpp"
 #include "sim/simulator.hpp"
-#include "snapshot/described.hpp"
-#include "snapshot/event_kinds.hpp"
 
 namespace hours::sim {
 namespace {
@@ -51,8 +51,11 @@ std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
 }
 
 /// Event kinds private to this test (any nonzero kind is restorable).
-constexpr std::uint32_t kKindClaimed = 0x700;  ///< a claimed block's runner
+constexpr std::uint32_t kKindClaimed = 0xE00;  ///< a claimed block's runner
 constexpr std::uint32_t kKindRunnerOnly = 9;   ///< an unclaimed block: the fallback
+
+/// Argument words of the wide form: [own id, chain flag, child delay, pad...].
+constexpr std::size_t kWideArgs = 7;
 
 /// Execution log entry: (execution instant, event id). Described events
 /// carry their id as args[0] so every path logs identically.
@@ -134,23 +137,20 @@ class Lockstep {
     });
   }
 
-  /// Described args layout: [own id, chain flag, child delay].
+  /// Described args layout: [own id, chain flag, child delay], padded to
+  /// kWideArgs words in the wide form.
   void schedule(Ticks delay, int form, bool chain, Ticks child_delay) {
     const std::uint64_t id = sim_.next_id();
-    const std::uint64_t args[3] = {id, chain ? 1ULL : 0ULL, child_delay};
-    snapshot::Described desc;
-    desc.args.assign(args, args + 3);
+    const std::uint64_t args[kWideArgs] = {id, chain ? 1ULL : 0ULL, child_delay, ~id, 1, 2, 3};
     switch (form) {
-      case 0:  // opaque closure
-        sim_.schedule(delay, make_action(id, chain, child_delay));
+      case 0:  // wide, dispatched through its claimed block's runner
+        sim_.schedule(delay, kKindClaimed, args, kWideArgs);
         break;
-      case 1:  // described, dispatched through its claimed block's runner
-        desc.kind = kKindClaimed;
-        sim_.schedule(delay, desc);
+      case 1:  // dispatched through its claimed block's runner
+        sim_.schedule(delay, kKindClaimed, args, 3);
         break;
-      default:  // described, dispatched through the fallback runner
-        desc.kind = kKindRunnerOnly;
-        sim_.schedule(delay, desc);
+      default:  // dispatched through the fallback runner
+        sim_.schedule(delay, kKindRunnerOnly, args, 3);
         break;
     }
     ref_.schedule(delay, chain, child_delay);
@@ -172,15 +172,9 @@ class Lockstep {
   }
 
   /// Snapshot oracle: capture, reset, restore shuffled under original ids,
-  /// verify the queue reads back identically. No-op while opaque events are
-  /// queued (they are unserializable by design).
+  /// verify the queue reads back identically.
   void snapshot_roundtrip(rng::Xoshiro256& g) {
     const auto before = sim_.pending_events();
-    if (std::any_of(before.begin(), before.end(), [](const Simulator::PendingEvent& event) {
-          return event.desc.kind == snapshot::kOpaque;
-        })) {
-      return;
-    }
     const Ticks now = sim_.now();
     // A deadline-clamped, max_events-truncated run can leave now() past
     // still-pending events (matching the replaced queue exactly); the real
@@ -231,13 +225,6 @@ class Lockstep {
     if (args[1] != 0) schedule_child(args[2]);
   }
 
-  Simulator::Action make_action(std::uint64_t id, bool chain, Ticks child_delay) {
-    return [this, id, chain, child_delay] {
-      wheel_log_.emplace_back(sim_.now(), id);
-      if (chain) schedule_child(child_delay);
-    };
-  }
-
   /// Children go through the described-only hot path; the reference model
   /// mirrors the insertion inside its own dispatch loop, so the id
   /// counters advance in lockstep.
@@ -285,9 +272,8 @@ void run_seed(std::uint64_t seed, bool oracle) {
       burst.clear();
       for (std::size_t i = 0; i < size; ++i) {
         burst.push_back(pair.sim().next_id());
-        const int form = oracle ? 1 + static_cast<int>(g.below(2))
-                                : static_cast<int>(g.below(3));
-        pair.schedule(random_delay(g), form, g.below(8) == 0, random_delay(g));
+        pair.schedule(random_delay(g), static_cast<int>(g.below(3)), g.below(8) == 0,
+                      random_delay(g));
       }
       pair.check_state();
     } else if (op == 9) {
@@ -303,10 +289,7 @@ void run_seed(std::uint64_t seed, bool oracle) {
     } else if (op < 3) {
       const int batch = 1 + static_cast<int>(g.below(16));
       for (int i = 0; i < batch; ++i) {
-        // Oracle seeds stay fully described so the queue is serializable
-        // at any pause point; other seeds mix in opaque closures.
-        const int form = oracle ? 1 + static_cast<int>(g.below(2))
-                                : static_cast<int>(g.below(3));
+        const int form = static_cast<int>(g.below(3));
         const bool chain = g.below(4) == 0;
         pair.schedule(random_delay(g), form, chain, random_delay(g));
       }

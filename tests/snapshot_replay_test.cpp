@@ -23,6 +23,7 @@
 #include "hours/hours.hpp"
 #include "liveness/liveness.hpp"
 #include "rng/xoshiro256.hpp"
+#include "sim/adaptive_attacker.hpp"
 #include "sim/fault_injector.hpp"
 #include "sim/hierarchy_protocol.hpp"
 #include "sim/query_client.hpp"
@@ -328,18 +329,40 @@ TEST(SnapshotReplay, RestoreRejectsMismatchedConfiguration) {
   EXPECT_NE(refused, "");
 }
 
-TEST(SnapshotReplay, OpaqueEventsBlockSaveWithIds) {
+TEST(SnapshotReplay, UnownedEventsBlockSaveWithIds) {
+  // The query client, the adaptive attacker and the ring scenario runner
+  // own kind blocks but no snapshot section: while any of their events is
+  // queued, save refuses, naming each such event by id and kind.
   RingSimConfig config;
   RingSimulation ring{config};
   ring.start();
-  const auto id = ring.simulator().schedule(100, [] {});  // closure-only event
+  QueryClientConfig client_config;
+  client_config.deadline = 5'000;
+  QueryClient client{make_query_network(ring), client_config};
+  AdaptiveAttacker attacker{ring, AdaptiveAttackerConfig{}};
   Snapshotter snap{ring.simulator()};
   snap.add(ring);
+
+  const std::uint64_t deadline_id = ring.simulator().next_id();
+  client.submit(0, 8);  // queues the deadline, then the first advance
+  const std::uint64_t strike_id = ring.simulator().next_id();
+  attacker.on_event(trace::Event{.type = trace::EventType::kRecoveryAdopt, .node = 3, .peer = 2});
+  const std::uint64_t sample_id =
+      ring.simulator().schedule(7, snapshot::kScenarioSample, nullptr, 0);
+
   std::string out;
   const std::string error = snap.save_string(out);
-  ASSERT_NE(error, "");
-  EXPECT_NE(error.find("opaque"), std::string::npos);
-  EXPECT_NE(error.find(std::to_string(id)), std::string::npos);
+  ASSERT_EQ(error.rfind("cannot snapshot: sim.events: ", 0), 0U) << error;
+  for (const auto& [id, kind] : {std::pair{deadline_id, "client_deadline (1281)"},
+                                 std::pair{deadline_id + 1, "client_advance (1280)"},
+                                 std::pair{strike_id, "attacker_strike (1536)"},
+                                 std::pair{sample_id, "scenario_sample (1792)"}}) {
+    EXPECT_NE(error.find("event " + std::to_string(id) + " at tick "), std::string::npos)
+        << error;
+    EXPECT_NE(error.find("no participant owns event kind " + std::string(kind)),
+              std::string::npos)
+        << error;
+  }
 }
 
 TEST(SnapshotReplay, RestoreWithoutTheInjectorNamesTheUnownedFaultAction) {
@@ -371,10 +394,11 @@ TEST(SnapshotReplay, RestoreWithoutTheInjectorNamesTheUnownedFaultAction) {
 }
 
 TEST(SnapshotReplay, ClientHopInFlightBlocksSave) {
-  // A QueryClient hop rides the transport's closure form. With no deadline
-  // the client queues no closure event while the hop is in flight (its
-  // timeout is a described transport event); the save is refused by the
-  // transport's closure pending entry instead.
+  // A QueryClient hop's continuations lie in the client's kind block. With
+  // no deadline the client queues no event of its own while the hop is in
+  // flight (its delivery and ack timeout are transport events); the save
+  // is refused by the transport, which holds a pending continuation
+  // outside the blocks of its section.
   HierarchySimConfig config;
   config.fanout = {3, 3};
   HierarchySimulation hierarchy{config};
@@ -390,7 +414,103 @@ TEST(SnapshotReplay, ClientHopInFlightBlocksSave) {
   std::string out;
   const std::string error = snap.save_string(out);
   EXPECT_NE(error.find("hier: pending ack token"), std::string::npos) << error;
-  EXPECT_NE(error.find("closure callbacks"), std::string::npos) << error;
+  EXPECT_NE(error.find("continuation client_hop_ack (1283) lies outside the event blocks of "
+                       "section \"hier\""),
+            std::string::npos)
+      << error;
+}
+
+/// A mid-query hierarchy snapshot: in-flight messages and pending acks
+/// whose timeouts continue in the hierarchy block.
+std::string mid_query_hierarchy_snapshot(const HierarchySimConfig& config) {
+  HierarchySimulation hierarchy{config};
+  hierarchy.kill({1});
+  (void)hierarchy.inject_query({1, 2});
+  hierarchy.simulator().run(/*limit=*/300);
+  Snapshotter snap{hierarchy.simulator()};
+  snap.add(hierarchy);
+  std::string saved;
+  EXPECT_EQ(snap.save_string(saved), "");
+  return saved;
+}
+
+HierarchySimConfig lossy_three_by_three() {
+  HierarchySimConfig config;
+  config.fanout = {3, 3};
+  config.transport.loss_probability = 0.1;
+  return config;
+}
+
+TEST(SnapshotReplay, RestoreRefusesAPendingContinuationOutsideItsSection) {
+  // A hostile document rewrites a pending ack's timeout continuation to a
+  // kind no block owner runs. Restore refuses it, naming the token, instead
+  // of accepting a continuation that would abort the run when it fires.
+  const HierarchySimConfig config = lossy_three_by_three();
+  snapshot::Json doc;
+  std::string error;
+  ASSERT_TRUE(snapshot::parse_json(mid_query_hierarchy_snapshot(config), doc, &error)) << error;
+  auto& pending = doc["sections"]["hier"]["transport"]["pending"].items();
+  ASSERT_FALSE(pending.empty());
+  // [token, timeout_event, ack kind 0, 0 ack words, timeout kind, ...]
+  auto& entry = pending.front().items();
+  ASSERT_EQ(entry[2].as_u64(), snapshot::kNoContinuation);
+  ASSERT_EQ(entry[3].as_u64(), 0U);
+  ASSERT_EQ(entry[4].as_u64(), snapshot::kHierAttemptTimeout);
+  const std::string token = std::to_string(entry[0].as_u64());
+  entry[4] = snapshot::Json(std::uint64_t{0x999});
+
+  HierarchySimulation restored{config};
+  Snapshotter snap{restored.simulator()};
+  snap.add(restored);
+  const std::string refused = snap.restore(doc);
+  EXPECT_NE(refused.find("hier.transport: transport.pending ack token " + token +
+                         ": continuation unregistered kind 2457 lies outside"),
+            std::string::npos)
+      << refused;
+  // Had restore accepted it, the run would abort when the timeout fires.
+  if (refused.empty()) restored.simulator().run(/*limit=*/0, 100'000);
+}
+
+TEST(SnapshotReplay, RestoreRefusesMalformedEventRows) {
+  // Hostile documents queue a hier_query_start with no arguments under a
+  // fresh id, or queue an event's id twice. Validation refuses each, by
+  // its row or its id, instead of letting the restore or the restored run
+  // abort.
+  const HierarchySimConfig config = lossy_three_by_three();
+  snapshot::Json saved;
+  std::string error;
+  ASSERT_TRUE(snapshot::parse_json(mid_query_hierarchy_snapshot(config), saved, &error))
+      << error;
+  const auto restore = [&config](const snapshot::Json& doc) {
+    HierarchySimulation restored{config};
+    Snapshotter snap{restored.simulator()};
+    snap.add(restored);
+    const std::string refused = snap.restore(doc);
+    // Had restore accepted it, the run would abort when the event runs.
+    if (refused.empty()) restored.simulator().run(/*limit=*/0, 100'000);
+    return refused;
+  };
+
+  snapshot::Json short_row = saved;
+  snapshot::Json& sim = short_row["sections"]["sim"];
+  const std::uint64_t id = sim["next_id"].as_u64();
+  sim["next_id"] = snapshot::Json(id + 1);
+  snapshot::Json row = snapshot::Json::array();
+  row.push(snapshot::Json(sim["now"].as_u64() + 1));
+  row.push(snapshot::Json(id));
+  row.push(snapshot::Json(std::uint64_t{snapshot::kHierQueryStart}));
+  const std::string index = std::to_string(sim["events"].items().size());
+  sim["events"].push(std::move(row));
+  EXPECT_EQ(restore(short_row), "sim.events[" + index +
+                                    "]: hier_query_start (768) needs at least 5 argument "
+                                    "words, has 0");
+
+  snapshot::Json twice = saved;
+  auto& events = twice["sections"]["sim"]["events"];
+  ASSERT_FALSE(events.items().empty());
+  const std::string first_id = std::to_string(events.items().front().items()[1].as_u64());
+  events.push(events.items().front());
+  EXPECT_EQ(restore(twice), "sim.events: id " + first_id + " is queued twice");
 }
 
 TEST(SnapshotReplay, SnapshotFileRoundTripsThroughDisk) {

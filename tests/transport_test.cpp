@@ -8,6 +8,9 @@
 #include "rng/xoshiro256.hpp"
 #include "sim/transport.hpp"
 #include "snapshot/described.hpp"
+#include "snapshot/event_kinds.hpp"
+#include "snapshot/participant.hpp"
+#include "test_events.hpp"
 
 namespace hours::sim {
 namespace {
@@ -26,8 +29,37 @@ Payload decode_text(const std::uint64_t* words, std::size_t count) {
   return payload;
 }
 
+/// The participant a standalone transport's state belongs to. It owns the
+/// test continuation block (0xE00, run by the fallback runner), as a
+/// protocol owns its own block next to its transport's state.
+class BlockOwner : public snapshot::Participant {
+ public:
+  explicit BlockOwner(std::uint32_t block = 0xE) : block_(block) {}
+  [[nodiscard]] std::string section() const override { return "owner"; }
+  [[nodiscard]] snapshot::Json save_state(std::string&) const override {
+    return snapshot::Json::object();
+  }
+  [[nodiscard]] std::string restore_state(const snapshot::Json&) override { return ""; }
+  [[nodiscard]] bool owns(std::uint32_t kind) const override {
+    return snapshot::kind_block(kind) == block_;
+  }
+
+ private:
+  std::uint32_t block_;
+};
+
+/// An owner of the ring block, whose kinds have registered layouts.
+class RegisteredOwner : public BlockOwner {
+ public:
+  RegisteredOwner() : BlockOwner(snapshot::kind_block(snapshot::kRingProbeTimer)) {}
+};
+
+constexpr std::uint32_t kAcked = 0xE01;
+constexpr std::uint32_t kTimedOut = 0xE02;
+
 struct Fixture {
   Simulator sim;
+  TestEvents events{sim};
   TransportConfig cfg;
   // 4 nodes, default timing.
   Transport<Payload> transport{sim, cfg, 4, /*seed=*/7, &encode_text, &decode_text};
@@ -63,7 +95,8 @@ TEST(Transport, AckFiresOnDelivery) {
   Fixture f;
   bool acked = false;
   bool timed_out = false;
-  f.transport.send_expect_ack(0, 1, {"ping"}, [&] { acked = true; }, [&] { timed_out = true; });
+  f.transport.send_expect_ack(0, 1, {"ping"}, f.events.then([&] { acked = true; }),
+                              f.events.then([&] { timed_out = true; }));
   f.sim.run();
   EXPECT_TRUE(acked);
   EXPECT_FALSE(timed_out);
@@ -75,7 +108,8 @@ TEST(Transport, TimeoutFiresForDeadTarget) {
   f.transport.set_alive(3, false);
   bool acked = false;
   bool timed_out = false;
-  f.transport.send_expect_ack(0, 3, {"ping"}, [&] { acked = true; }, [&] { timed_out = true; });
+  f.transport.send_expect_ack(0, 3, {"ping"}, f.events.then([&] { acked = true; }),
+                              f.events.then([&] { timed_out = true; }));
   f.sim.run();
   EXPECT_FALSE(acked);
   EXPECT_TRUE(timed_out);
@@ -86,7 +120,8 @@ TEST(Transport, ExactlyOneOfAckOrTimeout) {
   Fixture f;
   int outcomes = 0;
   for (std::uint32_t to : {1U, 2U, 3U}) {
-    f.transport.send_expect_ack(0, to, {"x"}, [&] { ++outcomes; }, [&] { ++outcomes; });
+    f.transport.send_expect_ack(0, to, {"x"}, f.events.then([&] { ++outcomes; }),
+                                f.events.then([&] { ++outcomes; }));
   }
   f.transport.set_alive(2, false);
   f.sim.run();
@@ -98,11 +133,13 @@ TEST(Transport, TotalLossAlwaysTimesOut) {
   TransportConfig cfg;
   cfg.loss_probability = 0.95;
   Transport<Payload> transport{sim, cfg, 2, 7, &encode_text, &decode_text};
+  TestEvents events{sim};
   transport.set_handler([](std::uint32_t, const Transport<Payload>::Envelope&) {});
   int timeouts = 0;
   int acks = 0;
   for (int i = 0; i < 100; ++i) {
-    transport.send_expect_ack(0, 1, {"x"}, [&] { ++acks; }, [&] { ++timeouts; });
+    transport.send_expect_ack(0, 1, {"x"}, events.then([&] { ++acks; }),
+                              events.then([&] { ++timeouts; }));
   }
   sim.run();
   EXPECT_EQ(acks + timeouts, 100);
@@ -120,7 +157,7 @@ TEST(Transport, LossZeroLosesNothing) {
 
 TEST(Transport, MessageCounterIncludesAcks) {
   Fixture f;
-  f.transport.send_expect_ack(0, 1, {"ping"}, nullptr, nullptr);
+  f.transport.send_expect_ack(0, 1, {"ping"}, {}, {});
   f.sim.run();
   EXPECT_EQ(f.transport.messages_sent(), 2U);  // message + ack
 }
@@ -131,6 +168,7 @@ TEST(Transport, MessageCounterIncludesAcks) {
 // its ack returns at t=20; the timeout arms at t=25.
 struct RaceFixture {
   Simulator sim;
+  TestEvents events{sim};
   Transport<Payload> transport;
   std::vector<std::uint32_t> received;
 
@@ -156,8 +194,9 @@ TEST(TransportRace, ReceiverDyingWithAckInFlightStillAcks) {
   RaceFixture f;
   bool acked = false;
   bool timed_out = false;
-  f.transport.send_expect_ack(0, 1, {"x"}, [&] { acked = true; }, [&] { timed_out = true; });
-  f.sim.schedule(15, [&] { f.transport.set_alive(1, false); });
+  f.transport.send_expect_ack(0, 1, {"x"}, f.events.then([&] { acked = true; }),
+                              f.events.then([&] { timed_out = true; }));
+  f.events.schedule(15, [&] { f.transport.set_alive(1, false); });
   f.sim.run();
   EXPECT_EQ(f.received.size(), 1U);  // handler ran before the death
   EXPECT_TRUE(acked);
@@ -173,8 +212,9 @@ TEST(TransportRace, SenderDyingBeforeAckReturnsGetsTimeoutCallback) {
   RaceFixture f;
   bool acked = false;
   bool timed_out = false;
-  f.transport.send_expect_ack(0, 1, {"x"}, [&] { acked = true; }, [&] { timed_out = true; });
-  f.sim.schedule(15, [&] { f.transport.set_alive(0, false); });
+  f.transport.send_expect_ack(0, 1, {"x"}, f.events.then([&] { acked = true; }),
+                              f.events.then([&] { timed_out = true; }));
+  f.events.schedule(15, [&] { f.transport.set_alive(0, false); });
   f.sim.run();
   EXPECT_EQ(f.received.size(), 1U);  // B processed the message normally
   EXPECT_FALSE(acked);               // the ack was suppressed at the dead sender
@@ -188,9 +228,10 @@ TEST(TransportRace, RevivedSenderDoesNotReceiveStaleAck) {
   RaceFixture f;
   bool acked = false;
   bool timed_out = false;
-  f.transport.send_expect_ack(0, 1, {"x"}, [&] { acked = true; }, [&] { timed_out = true; });
-  f.sim.schedule(15, [&] { f.transport.set_alive(0, false); });
-  f.sim.schedule(22, [&] { f.transport.set_alive(0, true); });
+  f.transport.send_expect_ack(0, 1, {"x"}, f.events.then([&] { acked = true; }),
+                              f.events.then([&] { timed_out = true; }));
+  f.events.schedule(15, [&] { f.transport.set_alive(0, false); });
+  f.events.schedule(22, [&] { f.transport.set_alive(0, true); });
   f.sim.run();
   EXPECT_FALSE(acked);
   EXPECT_TRUE(timed_out);
@@ -205,9 +246,10 @@ TEST(TransportRace, MessageInFlightWhenReceiverDiesIsSuppressedDespiteRevival) {
   RaceFixture f;
   bool acked = false;
   bool timed_out = false;
-  f.transport.send_expect_ack(0, 1, {"x"}, [&] { acked = true; }, [&] { timed_out = true; });
-  f.sim.schedule(3, [&] { f.transport.set_alive(1, false); });
-  f.sim.schedule(6, [&] { f.transport.set_alive(1, true); });
+  f.transport.send_expect_ack(0, 1, {"x"}, f.events.then([&] { acked = true; }),
+                              f.events.then([&] { timed_out = true; }));
+  f.events.schedule(3, [&] { f.transport.set_alive(1, false); });
+  f.events.schedule(6, [&] { f.transport.set_alive(1, true); });
   f.sim.run();
   EXPECT_TRUE(f.received.empty());  // never delivered
   EXPECT_FALSE(acked);
@@ -224,7 +266,7 @@ TEST(TransportRace, MessageSentWhileReceiverDownDeliversAfterRevival) {
   RaceFixture f;
   f.transport.set_alive(1, false);
   f.transport.post(0, 1, {"x"});
-  f.sim.schedule(6, [&] { f.transport.set_alive(1, true); });
+  f.events.schedule(6, [&] { f.transport.set_alive(1, true); });
   f.sim.run();
   ASSERT_EQ(f.received.size(), 1U);
 }
@@ -234,8 +276,8 @@ TEST(TransportRace, DeathAfterDeliveryDoesNotRetractIt) {
   // already in flight; both stand.
   RaceFixture f;
   bool acked = false;
-  f.transport.send_expect_ack(0, 1, {"x"}, [&] { acked = true; }, nullptr);
-  f.sim.schedule(12, [&] { f.transport.set_alive(1, false); });
+  f.transport.send_expect_ack(0, 1, {"x"}, f.events.then([&] { acked = true; }), {});
+  f.events.schedule(12, [&] { f.transport.set_alive(1, false); });
   f.sim.run();
   EXPECT_EQ(f.received.size(), 1U);
   EXPECT_TRUE(acked);
@@ -250,7 +292,8 @@ TEST(TransportLink, SeveredLinkSurfacesAsAckTimeoutNotLoss) {
   });
   bool acked = false;
   bool timed_out = false;
-  f.transport.send_expect_ack(0, 1, {"x"}, [&] { acked = true; }, [&] { timed_out = true; });
+  f.transport.send_expect_ack(0, 1, {"x"}, f.events.then([&] { acked = true; }),
+                              f.events.then([&] { timed_out = true; }));
   f.sim.run();
   EXPECT_TRUE(f.received.empty());
   EXPECT_FALSE(acked);
@@ -269,7 +312,8 @@ TEST(TransportLink, AsymmetricCutBlocksTheAckDirection) {
   });
   bool acked = false;
   bool timed_out = false;
-  f.transport.send_expect_ack(0, 1, {"x"}, [&] { acked = true; }, [&] { timed_out = true; });
+  f.transport.send_expect_ack(0, 1, {"x"}, f.events.then([&] { acked = true; }),
+                              f.events.then([&] { timed_out = true; }));
   f.sim.run();
   EXPECT_EQ(f.received.size(), 1U);  // delivered to B
   EXPECT_FALSE(acked);
@@ -287,8 +331,8 @@ TEST(TransportLink, FilterIsConsultedAtDeliveryTime) {
   f.transport.set_link_filter(
       [&blocked](std::uint32_t, std::uint32_t) { return !blocked; });
   f.transport.post(0, 1, {"early"});
-  f.sim.schedule(5, [&] { blocked = true; });
-  f.sim.schedule(20, [&] {
+  f.events.schedule(5, [&] { blocked = true; });
+  f.events.schedule(20, [&] {
     blocked = false;
     f.transport.post(0, 1, {"late"});
   });
@@ -307,7 +351,8 @@ TEST(TransportRace, AckAlwaysBeatsTimeoutWhenDelivered) {
   int timeouts = 0;
   for (int i = 0; i < 200; ++i) {
     f.transport.send_expect_ack(0, 1 + static_cast<std::uint32_t>(i % 3), {"x"},
-                                [&] { ++acks; }, [&] { ++timeouts; });
+                                f.events.then([&] { ++acks; }),
+                                f.events.then([&] { ++timeouts; }));
   }
   f.sim.run();
   EXPECT_EQ(acks, 200);
@@ -325,8 +370,7 @@ TEST(TransportPending, ThousandsOutstandingSettleOnceAndSaveInTokenOrder) {
   cfg.loss_probability = 0.1;
   Transport<Payload> transport{sim, cfg, 8, /*seed=*/23, &encode_text, &decode_text};
   transport.set_handler([](std::uint32_t, const Transport<Payload>::Envelope&) {});
-  constexpr std::uint32_t kAcked = 1;
-  constexpr std::uint32_t kTimedOut = 2;
+  const BlockOwner owner;
   std::vector<int> fired;
   std::uint64_t timeouts = 0;
   // The continuation kinds sit in no claimed block: the fallback runs them.
@@ -347,7 +391,7 @@ TEST(TransportPending, ThousandsOutstandingSettleOnceAndSaveInTokenOrder) {
   };
   const auto expect_token_order = [&](std::size_t at_least) {
     std::string error;
-    const auto state = transport.save_state(error);
+    const auto state = transport.save_state(owner, error);
     ASSERT_TRUE(error.empty()) << error;
     const auto& pending = state.find("pending")->items();
     EXPECT_GE(pending.size(), at_least);
@@ -386,28 +430,68 @@ struct StandaloneTransport {
 TEST(TransportPending, RestoreRebuildsTheTableAndRejectsBadTokens) {
   // A restored pending table saves back to the same document; a pending
   // entry with token 0 or a token listed twice is refused.
+  const BlockOwner owner;
   StandaloneTransport original;
   for (std::uint64_t i = 0; i < 40; ++i) {
     original.transport.send_expect_ack(0, 1 + static_cast<std::uint32_t>(i % 3), {"x"},
-                                       snapshot::Described{1, {i}},
-                                       snapshot::Described{2, {i, i}});
+                                       snapshot::Described{kAcked, {i}},
+                                       snapshot::Described{kTimedOut, {i, i}});
   }
   original.sim.run(/*limit=*/30);  // some acks landed: the live slots are no longer a prefix
   std::string error;
-  const snapshot::Json saved = original.transport.save_state(error);
+  const snapshot::Json saved = original.transport.save_state(owner, error);
   ASSERT_TRUE(error.empty()) << error;
   ASSERT_GT(saved.find("pending")->items().size(), 0U);
 
   StandaloneTransport restored;
-  ASSERT_EQ(restored.transport.restore_state(saved), "");
-  EXPECT_EQ(restored.transport.save_state(error), saved);
+  ASSERT_EQ(restored.transport.restore_state(owner, saved), "");
+  EXPECT_EQ(restored.transport.save_state(owner, error), saved);
 
   snapshot::Json repeated = saved;
   repeated["pending"].push(repeated["pending"].items().front());
-  EXPECT_NE(StandaloneTransport{}.transport.restore_state(repeated), "");
+  EXPECT_NE(StandaloneTransport{}.transport.restore_state(owner, repeated), "");
   snapshot::Json zero = saved;
   zero["pending"].items().front().items().front() = snapshot::Json(std::uint64_t{0});
-  EXPECT_NE(StandaloneTransport{}.transport.restore_state(zero), "");
+  EXPECT_NE(StandaloneTransport{}.transport.restore_state(owner, zero), "");
+}
+
+TEST(TransportPending, ContinuationsOutsideTheOwnersBlocksAreRefused) {
+  // A pending continuation must run in a block its owning participant owns:
+  // save refuses one that does not, naming its token, and restore refuses
+  // the same entry written into a document by hand — as it refuses a
+  // registered kind short of its argument prefix.
+  const BlockOwner owner;
+  StandaloneTransport sender;
+  const std::uint64_t qid = 5;
+  sender.transport.send_expect_ack(0, 1, {"x"}, {snapshot::kClientHopAck, {&qid, 1}},
+                                   {snapshot::kClientHopTimeout, {&qid, 1}});
+  std::string error;
+  (void)sender.transport.save_state(owner, error);
+  EXPECT_NE(error.find("pending ack token 1: continuation client_hop_ack"), std::string::npos)
+      << error;
+
+  StandaloneTransport original;
+  original.transport.send_expect_ack(0, 1, {"x"}, {}, snapshot::Described{kTimedOut, {7}});
+  error.clear();
+  const snapshot::Json saved = original.transport.save_state(owner, error);
+  ASSERT_TRUE(error.empty()) << error;
+  // The entry reads [token, timeout_event, ack_kind, 0, timeout_kind, 7].
+  snapshot::Json foreign = saved;
+  foreign["pending"].items().front().items()[4] = snapshot::Json(std::uint64_t{0x999});
+  const std::string refused = StandaloneTransport{}.transport.restore_state(owner, foreign);
+  EXPECT_NE(refused.find("pending ack token 1: continuation unregistered kind 2457"),
+            std::string::npos)
+      << refused;
+
+  const RegisteredOwner ring_block;
+  snapshot::Json short_args = saved;
+  short_args["pending"].items().front().items()[4] =
+      snapshot::Json(std::uint64_t{snapshot::kRingCwProbeTimeout});
+  const std::string truncated =
+      StandaloneTransport{}.transport.restore_state(ring_block, short_args);
+  EXPECT_NE(truncated.find("ring_cw_probe_timeout (514) needs at least 2 argument words"),
+            std::string::npos)
+      << truncated;
 }
 
 }  // namespace
