@@ -13,8 +13,11 @@
 //
 // With --enforce the run compares each in-hardware thread count's
 // queries/sec/thread against bench/serving_thresholds.json and exits
-// nonzero below the floor — the Release CI job runs exactly that. --quick
-// shrinks the name set and iteration counts for the bench-smoke ctest label.
+// nonzero below the floor, or when the widest in-hardware thread count
+// serves less than half that count times the 1-thread total (a cache hit
+// writes no shared cache line, so hits scale with threads) — the Release
+// CI job runs exactly that. --quick shrinks the name set and iteration
+// counts for the bench-smoke ctest label.
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -245,13 +248,21 @@ int main(int argc, char** argv) {
     return 2;
   }
   int failures = 0;
+  const PhaseResult* widest = &phases.front();
   for (const auto& phase : phases) {
     if (phase.threads > hardware) continue;  // the oversubscribed tail is reported, not gated
+    widest = &phase;
     if (phase.qps_per_thread < thresholds.min_qps_per_thread) {
       std::fprintf(stderr, "FAIL threads=%u qps/thread %.0f < floor %.0f\n", phase.threads,
                    phase.qps_per_thread, thresholds.min_qps_per_thread);
       ++failures;
     }
+  }
+  const double widest_scaling = base_qps > 0.0 ? widest->qps_total / base_qps : 0.0;
+  if (widest_scaling < widest->threads / 2.0) {
+    std::fprintf(stderr, "FAIL threads=%u scaling_vs_1 %.2f < %.1f (half the thread count)\n",
+                 widest->threads, widest_scaling, widest->threads / 2.0);
+    ++failures;
   }
   if (failures == 0) std::printf("[serving_throughput] thresholds OK\n");
   return failures == 0 ? 0 : 1;

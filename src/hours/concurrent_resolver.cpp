@@ -115,16 +115,30 @@ void ConcurrentResolver::Shard::remove_at(std::size_t pos) {
 }
 
 bool ConcurrentResolver::probe(const Shard& shard, std::uint64_t hash, std::string_view name,
-                               std::uint64_t now, std::vector<store::Record>* out) const {
+                               std::uint64_t now, std::vector<store::Record>* out,
+                               bool count_hit) const {
   jobs::RcuDomain::ReadGuard guard{rcu_};
   for (const Node* node = shard.buckets[bucket_of(hash)].load(std::memory_order_seq_cst);
        node != nullptr; node = node->next.load(std::memory_order_seq_cst)) {
     if (node->hash != hash || node->name != name) continue;
     if (node->expires_at <= now) return false;
     if (out != nullptr) *out = node->records;  // copy while the guard pins the node
+    if (count_hit) {
+      // This thread is the line's only writer: no read-modify-write needed.
+      std::atomic<std::uint64_t>& hits = reader_hits_[guard.reader()].value;
+      hits.store(hits.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
+    }
     return true;
   }
   return false;
+}
+
+bool ConcurrentResolver::hit(const Shard& shard, std::uint64_t hash, std::string_view name,
+                             std::uint64_t now, ResolveResult& result) {
+  if (!probe(shard, hash, name, now, &result.records, /*count_hit=*/true)) return false;
+  result.answered = true;
+  result.from_cache = true;
+  return true;
 }
 
 std::atomic<ConcurrentResolver::Node*>* ConcurrentResolver::link_of(
@@ -222,12 +236,7 @@ ResolveResult ConcurrentResolver::resolve(std::string_view name, std::uint64_t n
   ResolveResult result;
   const std::uint64_t hash = util::fnv1a(name);
   Shard& shard = shard_of(hash);
-  if (probe(shard, hash, name, now, &result.records)) {
-    shard.hits.fetch_add(1, std::memory_order_relaxed);
-    result.answered = true;
-    result.from_cache = true;
-    return result;
-  }
+  if (hit(shard, hash, name, now, result)) return result;
 
   // Defense gate before the authority mutex: a refused query must not even
   // contend for the single-consumer hierarchy path — starving the authority
@@ -241,12 +250,7 @@ ResolveResult ConcurrentResolver::resolve(std::string_view name, std::uint64_t n
   std::lock_guard<std::mutex> lock{system_mutex_};
   // Double-check: a concurrent miss on the same name may have answered and
   // published while we waited for the authority mutex.
-  if (probe(shard, hash, name, now, &result.records)) {
-    shard.hits.fetch_add(1, std::memory_order_relaxed);
-    result.answered = true;
-    result.from_cache = true;
-    return result;
-  }
+  if (hit(shard, hash, name, now, result)) return result;
   settle(shard, hash, name, now, system_.lookup(name), result);
   return result;
 }
@@ -258,14 +262,7 @@ std::vector<ResolveResult> ConcurrentResolver::resolve_batch(
   std::vector<std::size_t> missing;
   for (std::size_t i = 0; i < names.size(); ++i) {
     hashes[i] = util::fnv1a(names[i]);
-    Shard& shard = shard_of(hashes[i]);
-    if (probe(shard, hashes[i], names[i], now, &results[i].records)) {
-      shard.hits.fetch_add(1, std::memory_order_relaxed);
-      results[i].answered = true;
-      results[i].from_cache = true;
-    } else {
-      missing.push_back(i);
-    }
+    if (!hit(shard_of(hashes[i]), hashes[i], names[i], now, results[i])) missing.push_back(i);
   }
   if (missing.empty()) return results;
 
@@ -277,12 +274,7 @@ std::vector<ResolveResult> ConcurrentResolver::resolve_batch(
     Shard& shard = shard_of(hashes[i]);
     // Same double-check as resolve(): the batch ahead of us may have
     // already answered some of these names.
-    if (probe(shard, hashes[i], names[i], now, &results[i].records)) {
-      shard.hits.fetch_add(1, std::memory_order_relaxed);
-      results[i].answered = true;
-      results[i].from_cache = true;
-      continue;
-    }
+    if (hit(shard, hashes[i], names[i], now, results[i])) continue;
     if (defense_ != nullptr && defense_->flagged(NegativeCacheDigest::zone_of(names[i]), now)) {
       shard.refusals.fetch_add(1, std::memory_order_relaxed);
       drop_expired(shard, hashes[i], names[i], now);
@@ -302,7 +294,7 @@ std::vector<ResolveResult> ConcurrentResolver::resolve_batch(
 bool ConcurrentResolver::peek(std::string_view name, std::uint64_t now,
                               std::vector<store::Record>* out) const {
   const std::uint64_t hash = util::fnv1a(name);
-  return probe(shard_of(hash), hash, name, now, out);
+  return probe(shard_of(hash), hash, name, now, out, /*count_hit=*/false);
 }
 
 void ConcurrentResolver::insert(std::string_view name, std::uint64_t now,
@@ -314,8 +306,10 @@ void ConcurrentResolver::insert(std::string_view name, std::uint64_t now,
 
 ResolverStats ConcurrentResolver::stats() const {
   ResolverStats total;
+  for (const jobs::LineAtomic& reader : reader_hits_) {
+    total.cache_hits += reader.value.load(std::memory_order_relaxed);
+  }
   for (const auto& shard : shards_) {
-    total.cache_hits += shard->hits.load(std::memory_order_relaxed);
     total.cache_misses += shard->misses.load(std::memory_order_relaxed);
     total.failures += shard->failures.load(std::memory_order_relaxed);
     total.evictions += shard->evictions.load(std::memory_order_relaxed);
@@ -421,8 +415,11 @@ std::string ConcurrentResolver::from_json(const snapshot::Json& state) {
     const std::uint64_t hash = util::fnv1a(name);
     publish(shard_of(hash), hash, name, row.expires_at, std::move(row.records), 0);
   }
-  Shard& first = *shards_.front();  // refusals, outside the layout, restart at 0
-  first.hits.store(stats->items()[0].as_u64(), std::memory_order_relaxed);
+  // The restored totals land on reader line 0 and the first shard; every
+  // other reader line restarts at 0, and so do refusals, outside the layout.
+  for (jobs::LineAtomic& reader : reader_hits_) reader.value.store(0, std::memory_order_relaxed);
+  reader_hits_.front().value.store(stats->items()[0].as_u64(), std::memory_order_relaxed);
+  Shard& first = *shards_.front();
   first.misses.store(stats->items()[1].as_u64(), std::memory_order_relaxed);
   first.failures.store(stats->items()[2].as_u64(), std::memory_order_relaxed);
   first.evictions.store(stats->items()[3].as_u64(), std::memory_order_relaxed);

@@ -11,9 +11,14 @@
 //     from the shard capacity (a power of two, at most kMaxBuckets). A
 //     cached answer is one immutable Node {name, expires_at, records, next};
 //     only `next` and the writers' heap position change after it is linked.
-//   * The read path (cache hit) takes NO lock: a jobs::RcuDomain read guard
-//     (two atomic stores) pins every node, the probe walks one bucket chain
-//     and copies the records out, and the guard drops.
+//   * The read path (cache hit) takes NO lock and writes only cache lines
+//     its own thread owns: a jobs::RcuDomain read guard (one store into the
+//     thread's reader slot line to enter, one to leave) pins every node, the
+//     probe walks one bucket chain and copies the records out, the hit is
+//     counted on the line kept for that reader slot, and the guard drops.
+//     Counters on the lock-free path are per reader; misses, failures,
+//     evictions and refusals, counted where a mutex is taken anyway, stay
+//     per shard.
 //   * Writers serialize on a per-shard mutex and change one link per node:
 //     a fresh name's fully built node is linked at its bucket head, an
 //     overwrite stores the new node in the old one's place (it inherits the
@@ -45,6 +50,7 @@
 // shard_count * ceil(capacity / shard_count) holds.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -100,9 +106,9 @@ class ConcurrentResolver {
     defense_ = config.enabled ? std::make_unique<NegativeCacheDigest>(config) : nullptr;
   }
 
-  /// Aggregated across shards. Individual counters are exact; a snapshot
-  /// taken while writers are active is a consistent-enough sum, not an
-  /// atomic cross-shard cut.
+  /// Hits summed over reader slots, the other counters over shards.
+  /// Individual counters are exact; a snapshot taken while other calls run
+  /// is a consistent-enough sum, not an atomic cut.
   [[nodiscard]] ResolverStats stats() const;
 
   [[nodiscard]] std::size_t cached_names() const;
@@ -159,7 +165,6 @@ class ConcurrentResolver {
     /// Min-heap of every linked node on (expires_at, name); grows on demand.
     std::vector<HeapEntry> heap;
     std::atomic<std::size_t> size{0};
-    std::atomic<std::uint64_t> hits{0};
     std::atomic<std::uint64_t> misses{0};
     std::atomic<std::uint64_t> failures{0};
     std::atomic<std::uint64_t> evictions{0};
@@ -185,8 +190,15 @@ class ConcurrentResolver {
   [[nodiscard]] std::size_t bucket_of(std::uint64_t hash) const noexcept {
     return static_cast<std::size_t>(hash >> 32) & bucket_mask_;
   }
+  /// Copies `name`'s live answer into `*out` (when not null) under an RCU
+  /// guard. With `count_hit`, a hit is counted on the calling thread's
+  /// reader line.
   [[nodiscard]] bool probe(const Shard& shard, std::uint64_t hash, std::string_view name,
-                           std::uint64_t now, std::vector<store::Record>* out) const;
+                           std::uint64_t now, std::vector<store::Record>* out,
+                           bool count_hit) const;
+  /// A counted probe that answers `result` from the cache on a hit.
+  [[nodiscard]] bool hit(const Shard& shard, std::uint64_t hash, std::string_view name,
+                         std::uint64_t now, ResolveResult& result);
   /// The link that points at `name`'s node, or the chain's null terminator.
   /// Caller holds `shard.writer`.
   [[nodiscard]] std::atomic<Node*>* link_of(Shard& shard, std::uint64_t hash,
@@ -224,6 +236,9 @@ class ConcurrentResolver {
   std::size_t bucket_mask_ = 0;  ///< bucket count - 1, the same for every shard
   mutable jobs::RcuDomain rcu_;
   std::mutex rcu_writer_mutex_;  ///< serializes retire/advance across shards
+  /// Cache hits, one line per RCU reader slot: only the thread holding slot
+  /// i writes reader_hits_[i] (bar from_json, which runs alone).
+  mutable std::array<jobs::LineAtomic, jobs::RcuDomain::kMaxReaders> reader_hits_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::unique_ptr<NegativeCacheDigest> defense_;  ///< null = defense off
 };

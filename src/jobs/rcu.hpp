@@ -1,9 +1,11 @@
 // Minimal epoch-based reclamation (RCU-style) for read-mostly pointers —
 // the memory-safety half of the resolver's lock-free read path.
 //
-// Readers are wait-free and lock-free: entering a critical section is two
-// atomic stores into a per-thread slot (announce the current epoch,
-// double-checked against a concurrent advance), leaving is one. While a
+// Readers are wait-free and lock-free: entering a critical section is one
+// atomic store into the thread's own reader slot (announce the current
+// epoch, double-checked against a concurrent advance), leaving is another.
+// Each slot fills a cache line of its own, apart from the epoch and the
+// claim counter, so a guard writes no line another reader touches. While a
 // ReadGuard is alive, any pointer loaded from an rcu-published atomic stays
 // valid even if a writer swaps and retires it concurrently.
 //
@@ -41,12 +43,28 @@
 
 namespace hours::jobs {
 
+/// Bytes in a cache line on x86-64 and most AArch64 hosts. Not
+/// std::hardware_destructive_interference_size: g++ 12 warns
+/// (-Winterference-size) wherever a header uses it.
+inline constexpr std::size_t kCacheLine = 64;
+
+/// A 64-bit atomic alone on its cache line, for a value one thread writes on
+/// a hot path while others only read it now and then: an RCU reader slot, a
+/// per-reader counter.
+struct alignas(kCacheLine) LineAtomic {
+  std::atomic<std::uint64_t> value{0};
+};
+// Packed 8-byte reader slots and per-shard hit counters sat on lines every
+// reader wrote, so each cache hit invalidated the other readers' copies:
+// bench/serving_throughput's curve was flat at 1, 2 and 4 threads.
+static_assert(sizeof(LineAtomic) == kCacheLine && alignof(LineAtomic) == kCacheLine);
+
 class RcuDomain {
  public:
   static constexpr std::size_t kMaxReaders = 256;
 
   RcuDomain() : id_(next_id().fetch_add(1, std::memory_order_relaxed)) {
-    for (auto& slot : slots_) slot.store(kIdle, std::memory_order_relaxed);
+    for (auto& slot : slots_) slot.value.store(kIdle, std::memory_order_relaxed);
   }
 
   ~RcuDomain() {
@@ -60,7 +78,8 @@ class RcuDomain {
   /// RAII read-side critical section. Cheap enough for one per cache probe.
   class ReadGuard {
    public:
-    explicit ReadGuard(RcuDomain& domain) : slot_(domain.reader_slot()) {
+    explicit ReadGuard(RcuDomain& domain)
+        : reader_(domain.reader_slot()), slot_(&domain.slots_[reader_].value) {
       // Announce-then-verify: if a writer advanced the epoch between our
       // load and our announcement, re-announce so the writer's slot scan
       // (which happens after its advance) cannot miss us holding an
@@ -76,7 +95,13 @@ class RcuDomain {
     ReadGuard(const ReadGuard&) = delete;
     ReadGuard& operator=(const ReadGuard&) = delete;
 
+    /// The calling thread's slot index in [0, kMaxReaders). A slot is never
+    /// given back, so no other thread ever holds this index in the domain:
+    /// per-reader data indexed by it has one writer.
+    [[nodiscard]] std::size_t reader() const noexcept { return reader_; }
+
    private:
+    std::size_t reader_;
     std::atomic<std::uint64_t>* slot_;
   };
 
@@ -95,7 +120,7 @@ class RcuDomain {
     const std::size_t claimed = claimed_.load(std::memory_order_seq_cst);
     std::uint64_t min_active = kIdle;
     for (std::size_t i = 0; i < claimed; ++i) {
-      const std::uint64_t announced = slots_[i].load(std::memory_order_seq_cst);
+      const std::uint64_t announced = slots_[i].value.load(std::memory_order_seq_cst);
       if (announced < min_active) min_active = announced;
     }
     std::size_t kept = 0;
@@ -120,12 +145,12 @@ class RcuDomain {
     return counter;
   }
 
-  /// The calling thread's slot in this domain, claimed on first use: the
-  /// lowest unclaimed one. The cache key includes the domain's globally
-  /// unique id, so a new domain reusing a dead one's address can never
-  /// inherit stale slot claims.
-  std::atomic<std::uint64_t>* reader_slot() {
-    thread_local std::vector<std::pair<std::uint64_t, std::atomic<std::uint64_t>*>> cache;
+  /// The index of the calling thread's slot in this domain, claimed on
+  /// first use: the lowest unclaimed one. The cache key includes the
+  /// domain's globally unique id, so a new domain reusing a dead one's
+  /// address can never inherit stale slot claims.
+  std::size_t reader_slot() {
+    thread_local std::vector<std::pair<std::uint64_t, std::size_t>> cache;
     for (const auto& [id, slot] : cache) {
       if (id == id_) return slot;
     }
@@ -134,8 +159,8 @@ class RcuDomain {
       HOURS_ASSERT(index < kMaxReaders &&
                    "RcuDomain: more than kMaxReaders distinct reader threads");
     } while (!claimed_.compare_exchange_weak(index, index + 1, std::memory_order_seq_cst));
-    cache.emplace_back(id_, &slots_[index]);
-    return &slots_[index];
+    cache.emplace_back(id_, index);
+    return index;
   }
 
   struct Retired {
@@ -145,7 +170,9 @@ class RcuDomain {
 
   const std::uint64_t id_;
   std::atomic<std::uint64_t> epoch_{1};
-  std::atomic<std::uint64_t> slots_[kMaxReaders];
+  // Line-aligned, so the array starts and ends on a line boundary: neither
+  // epoch_ before it nor claimed_ after it shares a line with a slot.
+  LineAtomic slots_[kMaxReaders];
   std::atomic<std::size_t> claimed_{0};  ///< slots [0, claimed_) are claimed
   std::vector<Retired> retired_;  // writer-side only
 };

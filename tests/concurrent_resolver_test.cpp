@@ -568,7 +568,11 @@ TEST(ConcurrentResolver, ConcurrentReadersDuringInsertsAndEvictions) {
   for (int t = 0; t < 2; ++t) {
     writers.emplace_back([&, t] {
       rng::Xoshiro256 g{rng::mix64(0xF00D, static_cast<std::uint64_t>(t))};
-      for (int i = 0; i < 2'000; ++i) {
+      // At least 2'000 publishes each, then more until a reader has
+      // answered: under load the readers can start after a fixed burst is
+      // over.
+      const auto none_answered = [&] { return answered.load(std::memory_order_relaxed) == 0; };
+      for (int i = 0; i < 2'000 || (none_answered() && i < 1'000'000); ++i) {
         const std::uint64_t now = clock.fetch_add(1, std::memory_order_relaxed);
         // Short TTLs guarantee expiry sweeps; synthetic names guarantee
         // capacity pressure beyond the fixture's 12 hosts.
@@ -756,6 +760,38 @@ TEST(ConcurrentResolver, ConcurrentBatchesDrainEveryName) {
   EXPECT_EQ(answered.load(), 4U * 50U * f.names.size());
   const auto stats = resolver.stats();
   EXPECT_EQ(stats.cache_hits + stats.cache_misses, answered.load());
+}
+
+TEST(ConcurrentResolver, RestoreResetsEveryReadersHits) {
+  // Hits are counted per reader thread: a restore over a resolver whose
+  // readers have served must drop every reader's count, not only the one
+  // the document's total lands on.
+  Fixture f;
+  ConcurrentResolver saved{f.sys, /*capacity=*/64, /*shard_count=*/4};
+  for (int pass = 0; pass < 3; ++pass) {
+    for (const auto& name : f.names) ASSERT_TRUE(saved.resolve(name, 0).answered);
+  }
+  const snapshot::Json doc = saved.to_json();
+  const std::uint64_t saved_hits = saved.stats().cache_hits;
+  ASSERT_EQ(saved_hits, 2U * f.names.size());
+
+  ConcurrentResolver served{f.sys, /*capacity=*/64, /*shard_count=*/4};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 2; ++t) {
+    readers.emplace_back([&] {
+      for (int i = 0; i < 100; ++i) {
+        for (const auto& name : f.names) ASSERT_TRUE(served.resolve(name, 1).answered);
+      }
+    });
+  }
+  for (auto& reader : readers) reader.join();
+  ASSERT_GT(served.stats().cache_hits, saved_hits);
+
+  ASSERT_EQ(served.from_json(doc), "");
+  EXPECT_EQ(served.stats().cache_hits, saved_hits);
+  EXPECT_EQ(served.to_json().dump(), doc.dump());
+  std::thread{[&] { EXPECT_TRUE(served.resolve(f.names.front(), 1).from_cache); }}.join();
+  EXPECT_EQ(served.stats().cache_hits, saved_hits + 1);
 }
 
 }  // namespace
