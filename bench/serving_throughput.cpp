@@ -11,13 +11,17 @@
 // machine's hardware concurrency still run (the curve shows the
 // oversubscribed tail) but are excluded from enforcement.
 //
+// Each width runs for a wall-clock budget (0.5 s) in rounds of 2,000
+// resolves a thread, so a stall of the host costs a small share of a
+// phase instead of deciding it.
+//
 // With --enforce the run compares each in-hardware thread count's
 // queries/sec/thread against bench/serving_thresholds.json and exits
 // nonzero below the floor, or when the widest in-hardware thread count
 // serves less than half that count times the 1-thread total (a cache hit
 // writes no shared cache line, so hits scale with threads) — the Release
-// CI job runs exactly that. --quick shrinks the name set and iteration
-// counts for the bench-smoke ctest label.
+// CI job runs exactly that. --quick shrinks the name set and runs one
+// round a thread, for the bench-smoke ctest label.
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -76,24 +80,28 @@ struct PhaseResult {
   double qps_per_thread = 0.0;
 };
 
-/// Runs `threads` resolver threads for `iterations` lookups each against a
-/// warmed cache; every lookup must answer (they are all cache hits).
+/// Runs `threads` resolver threads against a warmed cache, each resolving
+/// rounds of `round` lookups until `budget_seconds` have passed since the
+/// phase began (at least one round); every lookup must answer (they are
+/// all cache hits).
 PhaseResult run_phase(hours::ConcurrentResolver& resolver,
                       const std::vector<std::string>& names, unsigned threads,
-                      std::uint64_t iterations) {
+                      std::uint64_t round, double budget_seconds) {
   std::atomic<std::uint64_t> answered{0};
   std::vector<std::thread> pool;
   pool.reserve(threads);
   const auto t_start = std::chrono::steady_clock::now();
   for (unsigned t = 0; t < threads; ++t) {
-    pool.emplace_back([&resolver, &names, &answered, t, iterations] {
+    pool.emplace_back([&resolver, &names, &answered, t, round, budget_seconds, t_start] {
       hours::rng::Xoshiro256 g{hours::rng::mix64(0x5E12F1, t)};
       std::uint64_t local = 0;
-      for (std::uint64_t i = 0; i < iterations; ++i) {
-        const auto result = resolver.resolve(names[g.below(names.size())], /*now=*/1);
-        HOURS_ASSERT(result.answered);
-        ++local;
-      }
+      do {
+        for (std::uint64_t i = 0; i < round; ++i) {
+          const auto result = resolver.resolve(names[g.below(names.size())], /*now=*/1);
+          HOURS_ASSERT(result.answered);
+          ++local;
+        }
+      } while (seconds_since(t_start) < budget_seconds);
       answered.fetch_add(local, std::memory_order_relaxed);
     });
   }
@@ -102,7 +110,7 @@ PhaseResult run_phase(hours::ConcurrentResolver& resolver,
   r.threads = threads;
   r.wall_seconds = seconds_since(t_start);
   r.queries = answered.load();
-  HOURS_ASSERT(r.queries == static_cast<std::uint64_t>(threads) * iterations);
+  HOURS_ASSERT(r.queries % round == 0 && r.queries >= threads * round);
   r.qps_total = r.wall_seconds > 0.0 ? static_cast<double>(r.queries) / r.wall_seconds : 0.0;
   r.qps_per_thread = r.qps_total / threads;
   return r;
@@ -148,7 +156,8 @@ int main(int argc, char** argv) {
 
   const std::uint64_t zones = hours::bench::scaled(32, 8, quick);
   const std::uint64_t hosts = hours::bench::scaled(32, 8, quick);
-  const std::uint64_t iterations = hours::bench::scaled(200'000, 2'000, quick);
+  const std::uint64_t round = 2'000;
+  const double budget_seconds = quick ? 0.0 : 0.5;
 
   hours::HoursSystem sys;
   const auto names = build_hierarchy(sys, zones, hosts);
@@ -165,7 +174,7 @@ int main(int argc, char** argv) {
   const std::vector<unsigned> curve = {1, 2, 4, 8};
   std::vector<PhaseResult> phases;
   for (const unsigned threads : curve) {
-    phases.push_back(run_phase(resolver, names, threads, iterations));
+    phases.push_back(run_phase(resolver, names, threads, round, budget_seconds));
     const auto& phase = phases.back();
     std::printf("[serving_throughput] threads=%u qps_total=%.0f qps/thread=%.0f%s\n",
                 phase.threads, phase.qps_total, phase.qps_per_thread,
@@ -207,7 +216,8 @@ int main(int argc, char** argv) {
   json.field("bench", "serving_throughput");
   json.field("quick", quick);
   json.field("names", static_cast<std::uint64_t>(names.size()));
-  json.field("iterations_per_thread", iterations);
+  json.field("round_per_thread", round);
+  json.field("budget_seconds", budget_seconds, 1);
   json.field("hardware_concurrency", static_cast<std::uint64_t>(hardware));
   json.key("curve");
   json.begin_array();

@@ -5,6 +5,8 @@
 #include <map>
 #include <utility>
 
+#include "hours/record_rows.hpp"
+#include "snapshot/reader.hpp"
 #include "util/contracts.hpp"
 #include "util/hash.hpp"
 
@@ -337,15 +339,7 @@ snapshot::Json ConcurrentResolver::to_json() const {
     Json row = Json::array();
     row.push(Json(node->name));
     row.push(Json(node->expires_at));
-    Json records = Json::array();
-    for (const auto& record : node->records) {
-      Json fields = Json::array();
-      fields.push(Json(record.type));
-      fields.push(Json(record.value));
-      fields.push(Json(record.ttl));
-      records.push(std::move(fields));
-    }
-    row.push(std::move(records));
+    row.push(records_json(node->records));
     cache.push(std::move(row));
   }
   out["cache"] = std::move(cache);
@@ -360,53 +354,36 @@ snapshot::Json ConcurrentResolver::to_json() const {
 }
 
 std::string ConcurrentResolver::from_json(const snapshot::Json& state) {
-  using snapshot::Json;
-  const Json* capacity = state.find("capacity");
-  const Json* cache = state.find("cache");
-  const Json* stats = state.find("stats");
-  if (capacity == nullptr || !capacity->is_u64() || cache == nullptr || !cache->is_array() ||
-      stats == nullptr || !stats->is_array() || stats->items().size() != 4) {
-    return "resolver state malformed";
-  }
-  for (const auto& field : stats->items()) {
-    if (!field.is_u64()) return "resolver.stats malformed";
-  }
+  std::string error;
+  const snapshot::Reader in{state, "resolver", error};
+  const snapshot::Reader capacity = in.field("capacity");
+  const std::uint64_t restored_capacity = capacity.u64();
+  const std::vector<std::uint64_t> totals = in.field("stats").words(4);
   struct Row {
     std::uint64_t expires_at = 0;
     std::vector<store::Record> records;
   };
   std::map<std::string, Row> rows;
   bool repeated = false;
-  for (const auto& raw : cache->items()) {
-    if (!raw.is_array() || raw.items().size() != 3 || !raw.items()[0].is_string() ||
-        !raw.items()[1].is_u64() || !raw.items()[2].is_array()) {
-      return "resolver.cache entry malformed";
-    }
-    Row row{raw.items()[1].as_u64(), {}};
-    for (const auto& fields : raw.items()[2].items()) {
-      if (!fields.is_array() || fields.items().size() != 3 || !fields.items()[0].is_string() ||
-          !fields.items()[1].is_string() || !fields.items()[2].is_u64()) {
-        return "resolver.cache record malformed";
-      }
-      store::Record record;
-      record.type = fields.items()[0].as_string();
-      record.value = fields.items()[1].as_string();
-      record.ttl = fields.items()[2].as_u64();
-      row.records.push_back(std::move(record));
-    }
-    repeated |= !rows.emplace(raw.items()[0].as_string(), std::move(row)).second;
+  const snapshot::Reader cache = in.field("cache");
+  for (std::size_t i = 0; i < cache.size(); ++i) {
+    const snapshot::Reader row = cache.at(i);
+    (void)row.size(3);
+    Row parsed{row.at(1).u64(), read_records(row.at(2))};
+    repeated |= !rows.emplace(row.at(0).str(), std::move(parsed)).second;
   }
   // Refused only once the document parses, so every malformed one keeps its
   // error: a capacity the constructor rejects, one name linked twice, or
   // more rows than one shard of the saved capacity holds.
-  const auto restored_capacity = static_cast<std::size_t>(capacity->as_u64());
-  if (restored_capacity == 0) return "resolver.capacity must be >= 1";
-  if (repeated) return "resolver.cache repeats a name";
+  if (restored_capacity == 0) capacity.fail("must be >= 1");
+  if (repeated) cache.fail("repeats a name");
+  if (!error.empty()) return error;
   const std::size_t room = per_shard(restored_capacity, shard_count());
   std::vector<std::size_t> fill(shard_count(), 0);
   for (const auto& entry : rows) {
     if (++fill[util::fnv1a(entry.first) % fill.size()] > room) {
-      return "resolver.cache overfills a shard";
+      cache.fail("overfills a shard");
+      return error;
     }
   }
 
@@ -418,11 +395,11 @@ std::string ConcurrentResolver::from_json(const snapshot::Json& state) {
   // The restored totals land on reader line 0 and the first shard; every
   // other reader line restarts at 0, and so do refusals, outside the layout.
   for (jobs::LineAtomic& reader : reader_hits_) reader.value.store(0, std::memory_order_relaxed);
-  reader_hits_.front().value.store(stats->items()[0].as_u64(), std::memory_order_relaxed);
+  reader_hits_.front().value.store(totals[0], std::memory_order_relaxed);
   Shard& first = *shards_.front();
-  first.misses.store(stats->items()[1].as_u64(), std::memory_order_relaxed);
-  first.failures.store(stats->items()[2].as_u64(), std::memory_order_relaxed);
-  first.evictions.store(stats->items()[3].as_u64(), std::memory_order_relaxed);
+  first.misses.store(totals[1], std::memory_order_relaxed);
+  first.failures.store(totals[2], std::memory_order_relaxed);
+  first.evictions.store(totals[3], std::memory_order_relaxed);
   return "";
 }
 

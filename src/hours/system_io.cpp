@@ -8,13 +8,13 @@
 
 #include "hours/event_backend.hpp"
 #include "hours/hours.hpp"
+#include "hours/record_rows.hpp"
 #include "snapshot/json.hpp"
+#include "snapshot/reader.hpp"
 #include "snapshot/registry_io.hpp"
 #include "snapshot/snapshot.hpp"
 
 namespace hours {
-
-namespace {
 
 using snapshot::Json;
 
@@ -30,21 +30,17 @@ Json records_json(const std::vector<store::Record>& records) {
   return rows;
 }
 
-std::string parse_records(const Json& rows, std::vector<store::Record>& out) {
-  if (!rows.is_array()) return "records list malformed";
-  for (const auto& raw : rows.items()) {
-    if (!raw.is_array() || raw.items().size() != 3 || !raw.items()[0].is_string() ||
-        !raw.items()[1].is_string() || !raw.items()[2].is_u64()) {
-      return "record entry malformed";
-    }
-    store::Record record;
-    record.type = raw.items()[0].as_string();
-    record.value = raw.items()[1].as_string();
-    record.ttl = raw.items()[2].as_u64();
-    out.push_back(std::move(record));
+std::vector<store::Record> read_records(const snapshot::Reader& rows) {
+  std::vector<store::Record> out(rows.size());
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const snapshot::Reader row = rows.at(i);
+    (void)row.size(3);
+    out[i] = store::Record{row.at(0).str(), row.at(1).str(), row.at(2).u64()};
   }
-  return "";
+  return out;
 }
+
+namespace {
 
 Json event_backend_config_json(const EventBackendConfig& config) {
   Json out = Json::object();
@@ -70,48 +66,57 @@ Json event_backend_config_json(const EventBackendConfig& config) {
   out["assume_ring_repaired"] =
       Json(static_cast<std::uint64_t>(config.assume_ring_repaired ? 1 : 0));
   out["seed"] = Json(config.seed);
+  // Gossip mode extends the config, as the ring and hierarchy echoes do;
+  // probe-only snapshots keep the legacy byte layout exactly.
+  if (config.liveness.mode == liveness::Mode::kGossip) {
+    out["liveness_mode"] = Json(std::uint64_t{1});
+    out["digest_budget"] = Json(static_cast<std::uint64_t>(config.liveness.digest_budget));
+    out["digest_horizon"] = Json(config.liveness.digest_horizon);
+  }
   return out;
 }
 
-std::string parse_event_backend_config(const Json& state, EventBackendConfig& out) {
-  const Json* transport = state.find("transport");
-  const Json* client = state.find("client");
-  if (transport == nullptr || client == nullptr) return "backend.config malformed";
-  const auto u64_field = [](const Json& obj, const char* key, std::uint64_t& into) {
-    const Json* field = obj.find(key);
-    if (field == nullptr || !field->is_u64()) return false;
-    into = field->as_u64();
-    return true;
-  };
-  std::uint64_t loss_bits = 0;
-  std::uint64_t jitter_bits = 0;
-  std::uint64_t retries = 0;
-  std::uint64_t max_hops = 0;
-  std::uint64_t ring_repaired = 0;
-  if (!u64_field(*transport, "latency_min", out.transport.latency_min) ||
-      !u64_field(*transport, "latency_max", out.transport.latency_max) ||
-      !u64_field(*transport, "ack_timeout", out.transport.ack_timeout) ||
-      !u64_field(*transport, "loss_probability", loss_bits) ||
-      !u64_field(*client, "max_retries_per_hop", retries) ||
-      !u64_field(*client, "backoff_base", out.client.backoff_base) ||
-      !u64_field(*client, "backoff_cap", out.client.backoff_cap) ||
-      !u64_field(*client, "jitter", jitter_bits) ||
-      !u64_field(*client, "deadline", out.client.deadline) ||
-      !u64_field(*client, "max_hops", max_hops) ||
-      !u64_field(*client, "suspicion_ttl", out.client.suspicion_ttl) ||
-      !u64_field(*client, "seed", out.client.seed) ||
-      !u64_field(state, "ticks_per_second", out.ticks_per_second) ||
-      !u64_field(state, "suspicion_ttl", out.suspicion_ttl) ||
-      !u64_field(state, "assume_ring_repaired", ring_repaired) ||
-      !u64_field(state, "seed", out.seed)) {
-    return "backend.config malformed";
+/// The configuration event_backend_config_json() wrote, refusing values an
+/// event backend's transport or client would abort on.
+EventBackendConfig read_event_backend_config(const snapshot::Reader& in) {
+  EventBackendConfig out;
+  const snapshot::Reader transport = in.field("transport");
+  out.transport.latency_min = transport.field("latency_min").u64();
+  out.transport.latency_max = transport.field("latency_max").u64();
+  out.transport.ack_timeout = transport.field("ack_timeout").u64();
+  out.transport.loss_probability = transport.field("loss_probability").bits();
+  if (!out.transport.valid()) transport.fail("is not a configuration a transport accepts");
+  const snapshot::Reader client = in.field("client");
+  out.client.max_retries_per_hop = client.field("max_retries_per_hop").u32();
+  out.client.backoff_base = client.field("backoff_base").u64();
+  out.client.backoff_cap = client.field("backoff_cap").u64();
+  out.client.jitter = client.field("jitter").bits();
+  out.client.deadline = client.field("deadline").u64();
+  out.client.max_hops = client.field("max_hops").u32();
+  out.client.suspicion_ttl = client.field("suspicion_ttl").u64();
+  out.client.seed = client.field("seed").u64();
+  if (!out.client.valid()) client.fail("is not a configuration a query client accepts");
+  const snapshot::Reader ticks = in.field("ticks_per_second");
+  out.ticks_per_second = ticks.u64();
+  if (out.ticks_per_second == 0) ticks.fail("must be >= 1");
+  out.suspicion_ttl = in.field("suspicion_ttl").u64();
+  out.assume_ring_repaired = in.field("assume_ring_repaired").flag();
+  out.seed = in.field("seed").u64();
+  if (in.has("liveness_mode")) {
+    out.liveness.mode = static_cast<liveness::Mode>(in.field("liveness_mode").u64(1));
+    out.liveness.digest_budget = in.field("digest_budget").u32();
+    out.liveness.digest_horizon = in.field("digest_horizon").u64();
   }
-  out.transport.loss_probability = snapshot::double_from_bits(loss_bits);
-  out.client.jitter = snapshot::double_from_bits(jitter_bits);
-  out.client.max_retries_per_hop = static_cast<std::uint32_t>(retries);
-  out.client.max_hops = static_cast<std::uint32_t>(max_hops);
-  out.assume_ring_repaired = ring_repaired != 0;
-  return "";
+  return out;
+}
+
+naming::Name read_name(const snapshot::Reader& in) {
+  auto parsed = naming::Name::parse(in.str());
+  if (!parsed.ok()) {
+    in.reject(parsed.error().message);
+    return {};
+  }
+  return parsed.value();
 }
 
 }  // namespace
@@ -199,35 +204,15 @@ std::string HoursSystem::save(const std::string& path) const {
 
 std::string HoursSystem::restore_json(const snapshot::Json& doc) {
   if (std::string error = snapshot::validate_document(doc); !error.empty()) return error;
-  const Json* system = doc.find("sections")->find("system");
-  if (system == nullptr) return "snapshot has no system section";
-
-  const Json* config = system->find("config");
-  if (config == nullptr) return "system.config missing";
-  if (*config != config_json()) {
-    return "system.config does not match this system's configuration";
+  std::string error;
+  const snapshot::Reader in =
+      snapshot::Reader{doc, "snapshot", error}.field("sections").section("system");
+  if (const snapshot::Reader config = in.field("config"); !config.matches(config_json())) {
+    config.fail("does not match this system's configuration");
   }
+  if (!error.empty()) return error;
   if (hierarchy_.node_count() != 0 || records_.total_records() != 0) {
     return "restore requires a freshly constructed system";
-  }
-
-  const Json* members = system->find("members");
-  const Json* root_alive = system->find("root_alive");
-  const Json* records = system->find("records");
-  const Json* cache = system->find("bootstrap_cache");
-  const Json* rng = system->find("attack_rng");
-  const Json* attacks = system->find("active_attacks");
-  const Json* registry = system->find("registry");
-  const Json* op_clock = system->find("op_clock");
-  const Json* next_qid = system->find("next_qid");
-  const Json* backend = system->find("backend");
-  if (members == nullptr || !members->is_array() || root_alive == nullptr ||
-      !root_alive->is_u64() || records == nullptr || !records->is_array() ||
-      cache == nullptr || !cache->is_array() || rng == nullptr || !rng->is_array() ||
-      rng->items().size() != 4 || attacks == nullptr || !attacks->is_array() ||
-      registry == nullptr || op_clock == nullptr || !op_clock->is_u64() ||
-      next_qid == nullptr || !next_qid->is_u64() || backend == nullptr) {
-    return "system section malformed";
   }
 
   // Membership, two passes: primary admissions in saved (pre-order) order,
@@ -238,26 +223,19 @@ std::string HoursSystem::restore_json(const snapshot::Json& doc) {
     bool alive = true;
     std::vector<naming::Name> secondary_parents;
   };
-  std::vector<SavedMember> saved;
-  saved.reserve(members->items().size());
-  for (const auto& raw : members->items()) {
-    if (!raw.is_array() || raw.items().size() != 3 || !raw.items()[0].is_string() ||
-        !raw.items()[1].is_u64() || !raw.items()[2].is_array()) {
-      return "system.members entry malformed";
+  const snapshot::Reader members = in.field("members");  // rows [name, alive, [parents...]]
+  std::vector<SavedMember> saved(members.size());
+  for (std::size_t i = 0; i < saved.size(); ++i) {
+    const snapshot::Reader row = members.at(i);
+    (void)row.size(3);
+    saved[i].name = read_name(row.at(0));
+    saved[i].alive = row.at(1).flag();
+    const snapshot::Reader parents = row.at(2);
+    for (std::size_t p = 0; p < parents.size(); ++p) {
+      saved[i].secondary_parents.push_back(read_name(parents.at(p)));
     }
-    SavedMember member;
-    auto parsed = naming::Name::parse(raw.items()[0].as_string());
-    if (!parsed.ok()) return "system.members: " + parsed.error().message;
-    member.name = parsed.value();
-    member.alive = raw.items()[1].as_u64() != 0;
-    for (const auto& sp : raw.items()[2].items()) {
-      if (!sp.is_string()) return "system.members entry malformed";
-      auto sp_parsed = naming::Name::parse(sp.as_string());
-      if (!sp_parsed.ok()) return "system.members: " + sp_parsed.error().message;
-      member.secondary_parents.push_back(sp_parsed.value());
-    }
-    saved.push_back(std::move(member));
   }
+  if (!error.empty()) return error;
   for (const auto& member : saved) {
     if (auto admitted = hierarchy_.admit(member.name); !admitted.ok()) {
       return "system.members: " + admitted.error().message;
@@ -277,85 +255,72 @@ std::string HoursSystem::restore_json(const snapshot::Json& doc) {
       }
     }
   }
-  hierarchy_.set_root_alive(root_alive->as_u64() != 0);
+  hierarchy_.set_root_alive(in.field("root_alive").flag());
 
-  for (const auto& raw : records->items()) {
-    if (!raw.is_array() || raw.items().size() != 2 || !raw.items()[0].is_string()) {
-      return "system.records entry malformed";
-    }
-    auto parsed = naming::Name::parse(raw.items()[0].as_string());
-    if (!parsed.ok()) return "system.records: " + parsed.error().message;
-    std::vector<store::Record> held;
-    if (std::string error = parse_records(raw.items()[1], held); !error.empty()) {
-      return "system.records: " + error;
-    }
-    for (auto& record : held) records_.add(parsed.value(), std::move(record));
+  const snapshot::Reader records = in.field("records");  // rows [name, [[type, value, ttl]...]]
+  for (std::size_t i = 0; i < records.size() && error.empty(); ++i) {
+    const snapshot::Reader row = records.at(i);
+    (void)row.size(2);
+    const naming::Name name = read_name(row.at(0));
+    std::vector<store::Record> held = read_records(row.at(1));
+    if (!error.empty()) break;
+    for (auto& record : held) records_.add(name, std::move(record));
   }
 
+  const snapshot::Reader cache = in.field("bootstrap_cache");
   bootstrap_cache_.clear();
-  for (const auto& name : cache->items()) {
-    if (!name.is_string()) return "system.bootstrap_cache entry malformed";
-    bootstrap_cache_.push_back(name.as_string());
-  }
+  for (std::size_t i = 0; i < cache.size(); ++i) bootstrap_cache_.push_back(cache.at(i).str());
 
-  for (const auto& word : rng->items()) {
-    if (!word.is_u64()) return "system.attack_rng malformed";
-  }
-  rng::Xoshiro256::State words{};
-  for (std::size_t i = 0; i < 4; ++i) words[i] = rng->items()[i].as_u64();
-  attack_rng_.set_state(words);
-
+  attack_rng_.set_state(in.field("attack_rng").rng_state());
   active_attacks_.clear();
-  for (const auto& raw : attacks->items()) {
-    if (!raw.is_array() || raw.items().size() != 2 || !raw.items()[0].is_string() ||
-        !raw.items()[1].is_array()) {
-      return "system.active_attacks entry malformed";
-    }
-    std::vector<std::string> victims;
-    for (const auto& victim : raw.items()[1].items()) {
-      if (!victim.is_string()) return "system.active_attacks entry malformed";
-      victims.push_back(victim.as_string());
-    }
-    active_attacks_[raw.items()[0].as_string()] = std::move(victims);
+  const snapshot::Reader attacks = in.field("active_attacks");  // rows [target, [victims...]]
+  for (std::size_t i = 0; i < attacks.size(); ++i) {
+    const snapshot::Reader row = attacks.at(i);
+    (void)row.size(2);
+    const snapshot::Reader victims = row.at(1);
+    std::vector<std::string> names(victims.size());
+    for (std::size_t v = 0; v < names.size(); ++v) names[v] = victims.at(v).str();
+    active_attacks_[row.at(0).str()] = std::move(names);
   }
 
-  if (std::string error = snapshot::registry_from_json(registry_, *registry); !error.empty()) {
-    return "system.registry: " + error;
-  }
-  op_clock_ = op_clock->as_u64();
-  next_qid_ = next_qid->as_u64();
+  snapshot::registry_from_json(registry_, in.field("registry"));
+  op_clock_ = in.field("op_clock").u64();
+  next_qid_ = in.field("next_qid").u64();
 
-  const Json* kind = backend->find("kind");
-  const Json* now = backend->find("now");
-  if (kind == nullptr || !kind->is_string() || now == nullptr || !now->is_u64()) {
-    return "system.backend malformed";
-  }
-  backend_->on_membership_change();
-  if (now->as_u64() < backend_->now()) return "system.backend clock runs backwards";
-  backend_->advance(now->as_u64() - backend_->now());
-  if (kind->as_string() == "event") {
-    const Json* backend_config = backend->find("config");
-    const Json* plans = backend->find("plans");
-    if (backend_config == nullptr || plans == nullptr || !plans->is_array()) {
-      return "system.backend malformed";
-    }
-    EventBackendConfig config_out;
-    if (std::string error = parse_event_backend_config(*backend_config, config_out);
-        !error.empty()) {
-      return error;
-    }
-    use_event_backend(std::move(config_out));
-    for (const auto& text : plans->items()) {
-      if (!text.is_string()) return "system.backend.plans entry malformed";
+  const snapshot::Reader backend = in.field("backend");
+  const snapshot::Reader kind = backend.field("kind");
+  const std::uint64_t now = backend.field("now").u64();
+  const bool event = kind.str() == "event";
+  if (!event && kind.str() != "graph") kind.fail("unknown: " + kind.str());
+  EventBackendConfig config;
+  std::vector<sim::FaultPlan> plans;
+  if (event) {
+    config = read_event_backend_config(backend.field("config"));
+    const snapshot::Reader texts = backend.field("plans");
+    for (std::size_t i = 0; i < texts.size(); ++i) {
       std::string parse_error;
-      auto plan = sim::FaultPlan::parse(text.as_string(), &parse_error);
-      if (!plan.has_value()) return "system.backend.plans: " + parse_error;
-      if (auto scheduled = schedule_faults(std::move(*plan)); !scheduled.ok()) {
+      auto plan = sim::FaultPlan::parse(texts.at(i).str(), &parse_error);
+      if (plan.has_value()) {
+        plans.push_back(std::move(*plan));
+      } else {
+        texts.at(i).reject(parse_error);
+      }
+    }
+  }
+  if (!error.empty()) return error;
+  backend_->on_membership_change();
+  if (now < backend_->now()) {
+    backend.fail("clock runs backwards");
+    return error;
+  }
+  backend_->advance(now - backend_->now());
+  if (event) {
+    use_event_backend(std::move(config));
+    for (auto& plan : plans) {
+      if (auto scheduled = schedule_faults(std::move(plan)); !scheduled.ok()) {
         return "system.backend.plans: " + scheduled.error().message;
       }
     }
-  } else if (kind->as_string() != "graph") {
-    return "system.backend.kind unknown: " + kind->as_string();
   }
   return "";
 }

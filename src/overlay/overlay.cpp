@@ -4,7 +4,6 @@
 
 #include "overlay/forwarding.hpp"
 #include "rng/splitmix64.hpp"
-#include "rng/xoshiro256.hpp"
 #include "util/contracts.hpp"
 
 namespace hours::overlay {
@@ -17,7 +16,8 @@ Overlay::Overlay(std::uint32_t size, OverlayParams params, TableStorage storage,
       child_count_(std::move(child_count)),
       alive_(size, 1),
       alive_count_(size),
-      scratch_table_(0, size == 0 ? 1 : size) {
+      scratch_table_(0, size == 0 ? 1 : size),
+      misroute_rng_(rng::mix64(params.seed, 0xBADC0FFEEULL)) {
   HOURS_EXPECTS(size >= 1);
   params_.validate();
   if (storage_ == TableStorage::kEager) {
@@ -100,16 +100,13 @@ Overlay::Step Overlay::decide(ids::RingIndex node, ids::RingIndex od, bool& back
   // Compromised misrouter: ignores the algorithm, picks a random alive entry
   // (Section 5.3 — mis-routing insider).
   if (behavior(node) == NodeBehavior::kMisrouter) {
-    // Deterministic per (node, overlay): the stream position still varies by
-    // call because the engine state is shared across decisions.
-    static thread_local rng::Xoshiro256 misroute_rng{0xBADC0FFEEULL};
     std::vector<ids::RingIndex> alive_entries;
     for (const auto& e : t.entries()) {
       if (alive(e.sibling)) alive_entries.push_back(e.sibling);
     }
     if (alive_entries.empty()) return step;  // stuck
     step.kind = Step::Kind::kHop;
-    step.target = alive_entries[misroute_rng.below(alive_entries.size())];
+    step.target = alive_entries[misroute_rng_.below(alive_entries.size())];
     return step;
   }
 

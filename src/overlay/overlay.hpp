@@ -19,6 +19,7 @@
 #include "overlay/params.hpp"
 #include "overlay/routing_table.hpp"
 #include "overlay/table_builder.hpp"
+#include "rng/xoshiro256.hpp"
 
 namespace hours::overlay {
 
@@ -146,6 +147,9 @@ class Overlay {
   bool ring_repaired_ = true;
   std::vector<RoutingTable> tables_;       // eager storage
   mutable RoutingTable scratch_table_;     // lazy storage: last regenerated table
+  // Misrouters' choices. One stream per overlay, seeded from its params, so
+  // a route depends only on this overlay's own earlier misroutes.
+  mutable rng::Xoshiro256 misroute_rng_;
 };
 
 }  // namespace hours::overlay

@@ -815,6 +815,21 @@ std::string over(const std::string& path, const std::string& measure, std::uint6
 
 /// The work bounds (scenario.hpp), each located at the field that crosses
 /// it. Counts are upper bounds of the full-size run.
+/// The nodes a fault plan may name: the ring's, or those of the hierarchy's
+/// event mirror — the root, every zone of the branching, and the
+/// cache-busting attacker's side zone.
+std::uint64_t system_nodes(const Scenario& sc) {
+  if (sc.kind == SystemKind::kRing) return sc.ring.size;
+  std::uint64_t nodes = 1;
+  std::uint64_t level = 1;
+  for (const auto fanout : sc.hierarchy.branching) {
+    level *= fanout;
+    nodes += level;
+  }
+  if (sc.attacker.kind == AttackerKind::kCacheBusting) nodes += 1 + sc.attacker.hosts;
+  return nodes;
+}
+
 std::string check_work(const Scenario& sc) {
   const bool ring = sc.kind == SystemKind::kRing;
   std::uint64_t queries = 0;
@@ -930,6 +945,9 @@ std::string parse(const snapshot::Json& doc, Scenario& out) {
   if (auto e = parse_attacker(top, out); !e.empty()) return e;
   if (auto e = parse_liveness(top, out); !e.empty()) return e;
   if (auto e = parse_metrics(top, out); !e.empty()) return e;
+  if (auto e = out.faults.check_nodes(system_nodes(out)); !e.empty()) {
+    return err("$.faults.plan", e);
+  }
   return check_work(out);
 }
 

@@ -8,8 +8,10 @@
 #include "rng/xoshiro256.hpp"
 #include "sim/hierarchy_protocol.hpp"
 #include "sim/ring_protocol.hpp"
+#include "sim/transport.hpp"
 #include "snapshot/event_kinds.hpp"
 #include "snapshot/json.hpp"
+#include "snapshot/reader.hpp"
 #include "util/contracts.hpp"
 
 namespace hours::sim {
@@ -50,15 +52,60 @@ FaultTarget make_fault_target(HierarchySimulation& hierarchy) {
 
 // -- FaultPlan builders ---------------------------------------------------------------
 
+namespace {
+
+// One precondition per builder, asserted by the builder and checked by
+// FaultPlan::parse, so a plan line parse accepts never aborts a builder.
+
+bool window_ok(Ticks at, Ticks end) { return end == 0 || end > at; }
+
+bool flap_ok(Ticks down, Ticks up, std::uint32_t cycles) {
+  return down > 0 && up > 0 && cycles > 0;
+}
+
+bool outage_ok(const std::vector<std::uint32_t>& nodes, Ticks duration,
+               std::uint32_t strikes) {
+  return !nodes.empty() && duration > 0 && strikes > 0;
+}
+
+/// At least two non-empty, pairwise disjoint groups.
+bool partition_ok(const std::vector<std::vector<std::uint32_t>>& groups, Ticks at,
+                  Ticks heal_at) {
+  if (groups.size() < 2 || !window_ok(at, heal_at)) return false;
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    if (groups[g].empty()) return false;
+    for (std::size_t h = g + 1; h < groups.size(); ++h) {
+      for (const auto a : groups[g]) {
+        if (std::find(groups[h].begin(), groups[h].end(), a) != groups[h].end()) return false;
+      }
+    }
+  }
+  return true;
+}
+
+bool cut_link_ok(std::uint32_t a, std::uint32_t b, Ticks at, Ticks heal_at) {
+  return a != b && window_ok(at, heal_at);
+}
+
+bool loss_episode_ok(double probability, Ticks from, Ticks until) {
+  return is_loss_probability(probability) && until > from;
+}
+
+bool churn_ok(std::uint32_t events, Ticks from, Ticks until, Ticks mean_downtime) {
+  return events > 0 && until > from && mean_downtime > 0;
+}
+
+}  // namespace
+
 FaultPlan& FaultPlan::crash(std::uint32_t node, Ticks at, Ticks recover_at) {
-  HOURS_EXPECTS(recover_at == 0 || recover_at > at);
+  HOURS_EXPECTS(window_ok(at, recover_at));
   crashes_.push_back(CrashSpec{node, at, recover_at});
   return *this;
 }
 
 FaultPlan& FaultPlan::flap(std::uint32_t node, Ticks start, Ticks down, Ticks up,
                            std::uint32_t cycles) {
-  HOURS_EXPECTS(down > 0 && up > 0 && cycles > 0);
+  HOURS_EXPECTS(flap_ok(down, up, cycles));
   flaps_.push_back(FlapSpec{node, start, down, up, cycles});
   return *this;
 }
@@ -66,37 +113,26 @@ FaultPlan& FaultPlan::flap(std::uint32_t node, Ticks start, Ticks down, Ticks up
 FaultPlan& FaultPlan::correlated_outage(std::vector<std::uint32_t> nodes, Ticks at,
                                         Ticks duration, std::uint32_t strikes,
                                         Ticks strike_gap) {
-  HOURS_EXPECTS(!nodes.empty() && duration > 0 && strikes > 0);
+  HOURS_EXPECTS(outage_ok(nodes, duration, strikes));
   outages_.push_back(OutageSpec{std::move(nodes), at, duration, strikes, strike_gap});
   return *this;
 }
 
 FaultPlan& FaultPlan::partition(std::vector<std::vector<std::uint32_t>> groups, Ticks at,
                                 Ticks heal_at) {
-  HOURS_EXPECTS(groups.size() >= 2);
-  HOURS_EXPECTS(heal_at == 0 || heal_at > at);
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    HOURS_EXPECTS(!groups[g].empty());
-    for (std::size_t h = g + 1; h < groups.size(); ++h) {
-      for (const auto a : groups[g]) {
-        for (const auto b : groups[h]) HOURS_EXPECTS(a != b);  // groups are disjoint
-      }
-    }
-  }
+  HOURS_EXPECTS(partition_ok(groups, at, heal_at));
   partitions_.push_back(PartitionSpec{std::move(groups), at, heal_at});
   return *this;
 }
 
 FaultPlan& FaultPlan::cut_link(std::uint32_t a, std::uint32_t b, Ticks at, Ticks heal_at) {
-  HOURS_EXPECTS(a != b);
-  HOURS_EXPECTS(heal_at == 0 || heal_at > at);
+  HOURS_EXPECTS(cut_link_ok(a, b, at, heal_at));
   cut_links_.push_back(CutLinkSpec{a, b, at, heal_at});
   return *this;
 }
 
 FaultPlan& FaultPlan::loss_episode(double probability, Ticks from, Ticks until) {
-  HOURS_EXPECTS(probability >= 0.0 && probability < 1.0);
-  HOURS_EXPECTS(until > from);
+  HOURS_EXPECTS(loss_episode_ok(probability, from, until));
   loss_episodes_.push_back(LossSpec{probability, from, until});
   return *this;
 }
@@ -109,9 +145,41 @@ FaultPlan& FaultPlan::byzantine(std::uint32_t node, overlay::NodeBehavior behavi
 FaultPlan& FaultPlan::random_churn(std::uint32_t events, Ticks from, Ticks until,
                                    Ticks mean_downtime, std::uint64_t seed,
                                    std::vector<std::uint32_t> spare) {
-  HOURS_EXPECTS(events > 0 && until > from && mean_downtime > 0);
+  HOURS_EXPECTS(churn_ok(events, from, until, mean_downtime));
   churn_.push_back(ChurnSpec{events, from, until, mean_downtime, seed, std::move(spare)});
   return *this;
+}
+
+std::string FaultPlan::check_nodes(std::uint64_t node_count) const {
+  std::string out;
+  const auto check = [&out, node_count](const char* builder, std::uint32_t node) {
+    if (out.empty() && node >= node_count) {
+      out = std::string(builder) + "() names node " + std::to_string(node) + ", past the " +
+            std::to_string(node_count) + " nodes of the system";
+    }
+  };
+  for (const auto& s : crashes_) check("crash", s.node);
+  for (const auto& s : flaps_) check("flap", s.node);
+  for (const auto& s : outages_) {
+    for (const auto node : s.nodes) check("correlated_outage", node);
+  }
+  for (const auto& s : partitions_) {
+    for (const auto& group : s.groups) {
+      for (const auto node : group) check("partition", node);
+    }
+  }
+  for (const auto& s : cut_links_) {
+    check("cut_link", s.a);
+    check("cut_link", s.b);
+  }
+  for (const auto& s : byzantine_) check("byzantine", s.node);
+  for (const auto& s : churn_) {
+    if (out.empty() && s.spare.size() >= node_count) {
+      out = "random_churn() spares " + std::to_string(s.spare.size()) + " of the " +
+            std::to_string(node_count) + " nodes of the system";
+    }
+  }
+  return out;
 }
 
 std::string FaultPlan::describe() const {
@@ -315,6 +383,8 @@ std::optional<FaultPlan> FaultPlan::parse(std::string_view text, std::string* er
 
     Cursor c{line};
     if (c.done()) continue;  // blank line
+    // A line that breaks its builder's precondition is located at its start.
+    const auto broken = [&](const char* what) { return fail(line_no, Cursor{line}, what); };
 
     if (c.eat_word("crash(")) {
       std::uint32_t node = 0;
@@ -324,6 +394,7 @@ std::optional<FaultPlan> FaultPlan::parse(std::string_view text, std::string* er
             c.eat(')') && c.done())) {
         return fail(line_no, c, "malformed crash()");
       }
+      if (!window_ok(at, recover_at)) return broken("crash() needs recover_at 0 or past at");
       plan.crash(node, at, recover_at);
     } else if (c.eat_word("flap(")) {
       std::uint32_t node = 0;
@@ -335,6 +406,7 @@ std::optional<FaultPlan> FaultPlan::parse(std::string_view text, std::string* er
             c.eat(',') && c.u64(up) && c.eat(',') && c.u32(cycles) && c.eat(')') && c.done())) {
         return fail(line_no, c, "malformed flap()");
       }
+      if (!flap_ok(down, up, cycles)) return broken("flap() needs down, up and cycles >= 1");
       plan.flap(node, begin, down, up, cycles);
     } else if (c.eat_word("correlated_outage(")) {
       std::vector<std::uint32_t> nodes;
@@ -347,6 +419,9 @@ std::optional<FaultPlan> FaultPlan::parse(std::string_view text, std::string* er
             c.done())) {
         return fail(line_no, c, "malformed correlated_outage()");
       }
+      if (!outage_ok(nodes, duration, strikes)) {
+        return broken("correlated_outage() needs a node, duration >= 1 and strikes >= 1");
+      }
       plan.correlated_outage(std::move(nodes), at, duration, strikes, gap);
     } else if (c.eat_word("partition(")) {
       std::vector<std::vector<std::uint32_t>> groups;
@@ -355,6 +430,9 @@ std::optional<FaultPlan> FaultPlan::parse(std::string_view text, std::string* er
       if (!(c.group_list(groups) && c.eat(',') && c.u64(at) && c.eat(',') && c.u64(heal_at) &&
             c.eat(')') && c.done())) {
         return fail(line_no, c, "malformed partition()");
+      }
+      if (!partition_ok(groups, at, heal_at)) {
+        return broken("partition() needs 2+ disjoint non-empty groups, heal_at 0 or past at");
       }
       plan.partition(std::move(groups), at, heal_at);
     } else if (c.eat_word("cut_link(")) {
@@ -366,6 +444,9 @@ std::optional<FaultPlan> FaultPlan::parse(std::string_view text, std::string* er
             c.u64(heal_at) && c.eat(')') && c.done())) {
         return fail(line_no, c, "malformed cut_link()");
       }
+      if (!cut_link_ok(a, b, at, heal_at)) {
+        return broken("cut_link() needs two distinct nodes and heal_at 0 or past at");
+      }
       plan.cut_link(a, b, at, heal_at);
     } else if (c.eat_word("loss_episode(")) {
       double probability = 0.0;
@@ -374,6 +455,9 @@ std::optional<FaultPlan> FaultPlan::parse(std::string_view text, std::string* er
       if (!(c.dbl(probability) && c.eat(',') && c.u64(from) && c.eat(',') && c.u64(until) &&
             c.eat(')') && c.done())) {
         return fail(line_no, c, "malformed loss_episode()");
+      }
+      if (!loss_episode_ok(probability, from, until)) {
+        return broken("loss_episode() needs a probability in [0, 1) and until past from");
       }
       plan.loss_episode(probability, from, until);
     } else if (c.eat_word("byzantine(")) {
@@ -396,6 +480,9 @@ std::optional<FaultPlan> FaultPlan::parse(std::string_view text, std::string* er
             c.eat(',') && c.u64(mean_downtime) && c.eat(',') && c.u64(seed) && c.eat(',') &&
             c.list(spare) && c.eat(')') && c.done())) {
         return fail(line_no, c, "malformed random_churn()");
+      }
+      if (!churn_ok(events, from, until, mean_downtime)) {
+        return broken("random_churn() needs events and mean_downtime >= 1, until past from");
       }
       plan.random_churn(events, from, until, mean_downtime, seed, std::move(spare));
     } else {
@@ -486,18 +573,16 @@ void FaultInjector::apply_up(std::uint32_t node) {
 std::vector<FaultInjector::PlannedAction> FaultInjector::build_schedule(
     const FaultPlan& plan, std::size_t first_loss_slot) const {
   using Kind = PlannedAction::Kind;
+  HOURS_EXPECTS(plan.check_nodes(target_.node_count).empty());
   std::vector<PlannedAction> out;
-  const auto node_action = [&out, this](Kind kind, std::uint32_t node, Ticks at) {
-    HOURS_EXPECTS(node < target_.node_count);
+  const auto node_action = [&out](Kind kind, std::uint32_t node, Ticks at) {
     PlannedAction action;
     action.kind = kind;
     action.at = at;
     action.a = node;
     out.push_back(action);
   };
-  const auto link_window = [&out, this](std::uint32_t a, std::uint32_t b, Ticks at,
-                                        Ticks heal_at) {
-    HOURS_EXPECTS(a < target_.node_count && b < target_.node_count);
+  const auto link_window = [&out](std::uint32_t a, std::uint32_t b, Ticks at, Ticks heal_at) {
     PlannedAction down;
     down.kind = Kind::kLinkDown;
     down.at = at;
@@ -565,7 +650,6 @@ std::vector<FaultInjector::PlannedAction> FaultInjector::build_schedule(
   }
 
   for (const auto& spec : plan.byzantine_) {
-    HOURS_EXPECTS(spec.node < target_.node_count);
     PlannedAction action;
     action.kind = Kind::kBehavior;
     action.at = spec.at;
@@ -575,7 +659,6 @@ std::vector<FaultInjector::PlannedAction> FaultInjector::build_schedule(
   }
 
   for (const auto& spec : plan.churn_) {
-    HOURS_EXPECTS(spec.spare.size() < target_.node_count);
     rng::Xoshiro256 rng{spec.seed};
     for (std::uint32_t e = 0; e < spec.events; ++e) {
       std::uint32_t node = 0;
@@ -720,83 +803,54 @@ snapshot::Json FaultInjector::save_state(std::string& error) const {
 }
 
 std::string FaultInjector::restore_state(const snapshot::Json& state) {
-  using snapshot::Json;
-  if (armed_) return "faults: restore requires a freshly constructed (un-armed) injector";
-
-  const Json* plan = state.find("plan");
-  if (plan == nullptr || !plan->is_string()) return "faults.plan missing";
-  if (plan->as_string() != plan_.describe()) {
-    return "faults.plan does not match this injector's plan";
+  std::string error;
+  const snapshot::Reader in{state, "faults", error};
+  if (armed_) {
+    in.reject("restore requires a freshly constructed (un-armed) injector");
+    return error;
   }
-  const Json* armed = state.find("armed");
-  if (armed == nullptr || !armed->is_u64()) return "faults.armed missing";
-  const Json* down = state.find("down_count");
-  if (down == nullptr || !down->is_array() || down->items().size() != down_count_.size()) {
-    return "faults.down_count missing or wrong node count";
+  if (const snapshot::Reader plan = in.field("plan"); plan.str() != plan_.describe()) {
+    plan.fail("does not match this injector's plan");
   }
-  const Json* links = state.find("links");
-  if (links == nullptr || !links->is_array()) return "faults.links missing";
-  const Json* loss = state.find("loss_saved");
-  if (loss == nullptr || !loss->is_array() ||
-      loss->items().size() != plan_.loss_episodes_.size()) {
-    return "faults.loss_saved missing or wrong episode count";
-  }
-  const Json* stats = state.find("stats");
-  if (stats == nullptr || !stats->is_object()) return "faults.stats missing";
-  const auto stat = [stats](const char* key, std::uint64_t& out) {
-    const Json* v = stats->find(key);
-    if (v == nullptr || !v->is_u64()) return false;
-    out = v->as_u64();
-    return true;
-  };
-  if (!stat("kills", stats_.kills) || !stat("revivals", stats_.revivals) ||
-      !stat("link_cuts", stats_.link_cuts) || !stat("link_heals", stats_.link_heals) ||
-      !stat("loss_changes", stats_.loss_changes) ||
-      !stat("behavior_changes", stats_.behavior_changes)) {
-    return "faults.stats malformed";
-  }
-
-  for (std::size_t i = 0; i < down_count_.size(); ++i) {
-    const Json& v = down->items()[i];
-    if (!v.is_u64()) return "faults.down_count malformed";
-    down_count_[i] = static_cast<std::uint32_t>(v.as_u64());
+  const bool armed = in.field("armed").flag();
+  const snapshot::Reader down = in.field("down_count");
+  for (std::size_t i = 0; i < down.size(down_count_.size()); ++i) {
+    down_count_[i] = down.at(i).u32();
   }
   link_down_count_.clear();
-  for (const auto& raw : links->items()) {
-    if (!raw.is_array() || raw.items().size() != 3) return "faults.links entry malformed";
-    const auto& f = raw.items();
-    if (!f[0].is_u64() || !f[1].is_u64() || !f[2].is_u64()) {
-      return "faults.links entry malformed";
-    }
-    link_down_count_[{static_cast<std::uint32_t>(f[0].as_u64()),
-                      static_cast<std::uint32_t>(f[1].as_u64())}] =
-        static_cast<std::uint32_t>(f[2].as_u64());
+  const snapshot::Reader links = in.field("links");
+  for (std::size_t l = 0; l < links.size(); ++l) {
+    const snapshot::Reader row = links.at(l);
+    (void)row.size(3);
+    link_down_count_[{row.at(0).u32(), row.at(1).u32()}] = row.at(2).u32();
   }
   loss_saved_.assign(plan_.loss_episodes_.size(), 0.0);
-  for (std::size_t i = 0; i < loss_saved_.size(); ++i) {
-    const Json& v = loss->items()[i];
-    if (!v.is_u64()) return "faults.loss_saved malformed";
-    loss_saved_[i] = snapshot::double_from_bits(v.as_u64());
+  const snapshot::Reader loss = in.field("loss_saved");
+  for (std::size_t i = 0; i < loss.size(loss_saved_.size()); ++i) {
+    loss_saved_[i] = loss.at(i).bits();
+    if (!is_loss_probability(loss_saved_[i])) loss.at(i).fail("is not a rate in [0, 1)");
   }
+  const snapshot::Reader stats = in.field("stats");
+  stats_.kills = stats.field("kills").u64();
+  stats_.revivals = stats.field("revivals").u64();
+  stats_.link_cuts = stats.field("link_cuts").u64();
+  stats_.link_heals = stats.field("link_heals").u64();
+  stats_.loss_changes = stats.field("loss_changes").u64();
+  stats_.behavior_changes = stats.field("behavior_changes").u64();
+  if (!error.empty() || !armed) return error;
 
-  if (armed->as_u64() != 0) {
-    armed_ = true;
-    if (plan_.needs_loss_hooks() &&
-        (target_.set_loss == nullptr || target_.loss == nullptr)) {
-      return "faults: plan needs loss hooks the target does not provide";
-    }
-    if (plan_.needs_behavior_hook() && target_.set_behavior == nullptr) {
-      return "faults: plan needs the behavior hook the target does not provide";
-    }
-    if (plan_.needs_link_hook()) {
-      if (target_.set_link_filter == nullptr) {
-        return "faults: plan needs the link hook the target does not provide";
-      }
-      install_link_filter();
-    }
+  armed_ = true;
+  if (plan_.needs_loss_hooks() && (target_.set_loss == nullptr || target_.loss == nullptr)) {
+    in.reject("plan needs loss hooks the target does not provide");
+  } else if (plan_.needs_behavior_hook() && target_.set_behavior == nullptr) {
+    in.reject("plan needs the behavior hook the target does not provide");
+  } else if (plan_.needs_link_hook() && target_.set_link_filter == nullptr) {
+    in.reject("plan needs the link hook the target does not provide");
+  } else {
+    if (plan_.needs_link_hook()) install_link_filter();
     schedule_ = build_schedule(plan_, 0);
   }
-  return "";
+  return error;
 }
 
 bool FaultInjector::owns(std::uint32_t kind) const {

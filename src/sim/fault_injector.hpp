@@ -131,11 +131,16 @@ class FaultPlan {
   [[nodiscard]] std::string describe() const;
 
   /// Parses describe() output back into a plan. Returns std::nullopt — and
-  /// fills `error`, when given — on malformed text. Syntax errors are
-  /// reported; semantic violations (e.g. a zero-cycle flap) go through the
-  /// builders and abort exactly as the equivalent code would.
+  /// fills `error`, when given — on malformed text, including a line that
+  /// breaks its builder's precondition (e.g. a zero-cycle flap): parse
+  /// checks the same predicate the builder asserts.
   [[nodiscard]] static std::optional<FaultPlan> parse(std::string_view text,
                                                       std::string* error = nullptr);
+
+  /// "" when the plan fits a system of `node_count` nodes: every node it
+  /// names is below the count, and each random_churn() spares fewer nodes
+  /// than there are. Otherwise what breaks that, naming the builder.
+  [[nodiscard]] std::string check_nodes(std::uint64_t node_count) const;
 
   [[nodiscard]] bool operator==(const FaultPlan&) const = default;
 

@@ -7,6 +7,7 @@
 #include "overlay/forwarding.hpp"
 #include "overlay/table_builder.hpp"
 #include "snapshot/event_kinds.hpp"
+#include "snapshot/reader.hpp"
 #include "snapshot/registry_io.hpp"
 #include "util/contracts.hpp"
 
@@ -696,90 +697,58 @@ snapshot::Json HierarchySimulation::save_state(std::string& error) const {
 }
 
 std::string HierarchySimulation::restore_state(const snapshot::Json& state) {
-  using snapshot::Json;
-  const Json* config = state.find("config");
-  const Json* rng = state.find("misroute_rng");
-  const Json* next_qid = state.find("next_qid");
-  const Json* behaviors = state.find("behaviors");
-  const Json* suspected = state.find("suspected");
-  const Json* queries = state.find("queries");
-  const Json* registry = state.find("registry");
-  const Json* transport = state.find("transport");
-  if (config == nullptr || rng == nullptr || !rng->is_array() || rng->items().size() != 4 ||
-      next_qid == nullptr || !next_qid->is_u64() || behaviors == nullptr ||
-      !behaviors->is_array() || suspected == nullptr || !suspected->is_array() ||
-      queries == nullptr || !queries->is_array() || registry == nullptr ||
-      transport == nullptr) {
-    return "hier section malformed";
+  std::string error;
+  const snapshot::Reader in{state, "hier", error};
+  if (const snapshot::Reader config = in.field("config"); !config.matches(config_json())) {
+    config.fail("does not match the running simulation");
   }
-  if (*config != config_json()) {
-    return "hier.config does not match the running simulation";
-  }
-  const auto u64_row = [](const Json& row, std::size_t n) {
-    if (!row.is_array() || row.items().size() != n) return false;
-    for (const auto& field : row.items()) {
-      if (!field.is_u64()) return false;
-    }
-    return true;
-  };
+  if (!error.empty()) return error;
 
+  const std::uint32_t last = node_count() - 1;
   std::fill(behavior_.begin(), behavior_.end(),
             static_cast<std::uint8_t>(overlay::NodeBehavior::kHonest));
-  liveness_.clear_all();
-  for (const auto& raw : behaviors->items()) {
-    if (!u64_row(raw, 2)) return "hier.behaviors entry malformed";
-    const auto id = raw.items()[0].as_u64();
-    const auto value = raw.items()[1].as_u64();
-    if (id >= node_count() || value > static_cast<std::uint64_t>(overlay::NodeBehavior::kMisrouter)) {
-      return "hier.behaviors entry out of range";
-    }
-    behavior_[id] = static_cast<std::uint8_t>(value);
+  const snapshot::Reader behaviors = in.field("behaviors");
+  for (std::size_t b = 0; b < behaviors.size(); ++b) {
+    const snapshot::Reader row = behaviors.at(b);
+    (void)row.size(2);
+    const std::uint32_t id = row.at(0).u32(last);
+    behavior_[id] = static_cast<std::uint8_t>(
+        row.at(1).u32(static_cast<std::uint32_t>(overlay::NodeBehavior::kMisrouter)));
   }
+  // Rows [node, peer, expiry], plus [since, source] under gossip.
   const bool gossip = liveness_.gossip_enabled();
-  for (const auto& raw : suspected->items()) {
-    if (!u64_row(raw, gossip ? 5 : 3)) return "hier.suspected entry malformed";
-    const auto& f = raw.items();
-    const auto id = f[0].as_u64();
-    const auto peer = f[1].as_u64();
-    if (id >= node_count() || peer >= node_count() ||
-        (gossip && f[4].as_u64() > 1)) {
-      return "hier.suspected entry out of range";
-    }
+  liveness_.clear_all();
+  const snapshot::Reader suspected = in.field("suspected");
+  for (std::size_t r = 0; r < suspected.size(); ++r) {
+    const snapshot::Reader row = suspected.at(r);
+    (void)row.size(gossip ? 5 : 3);
     liveness_.restore_row(
-        static_cast<std::uint32_t>(id), static_cast<std::uint32_t>(peer),
-        gossip ? liveness::Entry{f[2].as_u64(), f[3].as_u64(),
-                                 static_cast<liveness::Source>(f[4].as_u64())}
-               : liveness::Entry{f[2].as_u64(), 0, liveness::Source::kProbe});
+        row.at(0).u32(last), row.at(1).u32(last),
+        gossip ? liveness::Entry{row.at(2).u64(), row.at(3).u64(),
+                                 static_cast<liveness::Source>(row.at(4).u64(1))}
+               : liveness::Entry{row.at(2).u64(), 0, liveness::Source::kProbe});
   }
 
-  for (const auto& field : rng->items()) {
-    if (!field.is_u64()) return "hier.misroute_rng malformed";
-  }
-  rng::Xoshiro256::State words{};
-  for (std::size_t i = 0; i < 4; ++i) words[i] = rng->items()[i].as_u64();
-  misroute_rng_.set_state(words);
-  next_qid_ = next_qid->as_u64();
+  misroute_rng_.set_state(in.field("misroute_rng").rng_state());
+  next_qid_ = in.field("next_qid").u64();
 
   queries_.clear();
-  for (const auto& raw : queries->items()) {
-    if (!u64_row(raw, 6)) return "hier.queries entry malformed";
-    const auto& f = raw.items();
+  const snapshot::Reader queries = in.field("queries");
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    const snapshot::Reader row = queries.at(q);
+    (void)row.size(6);
     QueryOutcome outcome;
-    outcome.done = f[1].as_u64() != 0;
-    outcome.delivered = f[2].as_u64() != 0;
-    outcome.hops = static_cast<std::uint32_t>(f[3].as_u64());
-    outcome.timeouts = static_cast<std::uint32_t>(f[4].as_u64());
-    outcome.completed_at = f[5].as_u64();
-    queries_[f[0].as_u64()] = outcome;
+    outcome.done = row.at(1).flag();
+    outcome.delivered = row.at(2).flag();
+    outcome.hops = row.at(3).u32();
+    outcome.timeouts = row.at(4).u32();
+    outcome.completed_at = row.at(5).u64();
+    queries_[row.at(0).u64()] = outcome;
   }
 
-  if (std::string err = snapshot::registry_from_json(registry_, *registry); !err.empty()) {
-    return "hier.registry: " + err;
-  }
-  if (std::string err = transport_.restore_state(*this, *transport); !err.empty()) {
-    return "hier.transport: " + err;
-  }
-  return "";
+  snapshot::registry_from_json(registry_, in.field("registry"));
+  transport_.restore_state(*this, in.field("transport"));
+  return error;
 }
 
 bool HierarchySimulation::owns(std::uint32_t kind) const {

@@ -66,8 +66,7 @@ QueryClient::QueryClient(QueryNetwork network, QueryClientConfig config)
   HOURS_EXPECTS(network_.sim != nullptr && network_.node_count > 0);
   HOURS_EXPECTS(network_.attempt != nullptr && network_.candidates != nullptr &&
                 network_.is_destination != nullptr && network_.same_overlay != nullptr);
-  HOURS_EXPECTS(config_.jitter >= 0.0 && config_.jitter < 1.0);
-  HOURS_EXPECTS(config_.backoff_base > 0 && config_.backoff_cap >= config_.backoff_base);
+  HOURS_EXPECTS(config_.valid());
   network_.sim->set_runner(snapshot::kClientAdvance, [this](std::uint32_t kind,
                                                            const std::uint64_t* args,
                                                            std::size_t count) {

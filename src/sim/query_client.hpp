@@ -98,6 +98,12 @@ struct QueryClientConfig {
   /// How long a timeout keeps a peer suspected client-side (0 = forever).
   Ticks suspicion_ttl = liveness::kDefaultSuspicionTtl;
   std::uint64_t seed = 0xC11E57ULL;
+
+  /// The QueryClient constructor's precondition, also checked on a
+  /// restored configuration.
+  [[nodiscard]] bool valid() const noexcept {
+    return jitter >= 0.0 && jitter < 1.0 && backoff_base > 0 && backoff_cap >= backoff_base;
+  }
 };
 
 enum class QueryStatus : std::uint8_t {

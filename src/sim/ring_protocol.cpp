@@ -4,6 +4,7 @@
 #include "overlay/table_builder.hpp"
 #include "rng/splitmix64.hpp"
 #include "snapshot/event_kinds.hpp"
+#include "snapshot/reader.hpp"
 #include "snapshot/registry_io.hpp"
 #include "util/contracts.hpp"
 #include "util/log.hpp"
@@ -755,15 +756,8 @@ void RingSimulation::try_query_candidates(ids::RingIndex at, Message msg,
 
 // -- snapshot (snapshot::Participant) ------------------------------------------------
 
-snapshot::Json RingSimulation::save_state(std::string& error) const {
+snapshot::Json RingSimulation::config_json() const {
   using snapshot::Json;
-  Json transport = transport_.save_state(*this, error);
-  if (!error.empty()) return Json::object();
-
-  Json out = Json::object();
-
-  // Config echo: a snapshot only restores into an identically configured
-  // simulation (routing tables and transport seeds must regenerate equal).
   Json cfg = Json::object();
   cfg["size"] = Json(static_cast<std::uint64_t>(config_.size));
   cfg["design"] = Json(static_cast<std::uint64_t>(config_.params.design));
@@ -773,14 +767,23 @@ snapshot::Json RingSimulation::save_state(std::string& error) const {
   cfg["seed"] = Json(config_.seed);
   cfg["probe_period"] = Json(config_.probe_period);
   cfg["ack_timeout"] = Json(config_.ack_timeout);
-  // Gossip mode extends the echo (and the per-node suspicion rows below);
-  // probe-only snapshots keep the legacy byte layout exactly.
+  // Gossip mode extends the echo (and the per-node suspicion rows in
+  // save_state); probe-only snapshots keep the legacy byte layout exactly.
   if (liveness_.gossip_enabled()) {
     cfg["liveness_mode"] = Json(std::uint64_t{1});
     cfg["digest_budget"] = Json(static_cast<std::uint64_t>(liveness_.config().digest_budget));
     cfg["digest_horizon"] = Json(liveness_.config().digest_horizon);
   }
-  out["config"] = std::move(cfg);
+  return cfg;
+}
+
+snapshot::Json RingSimulation::save_state(std::string& error) const {
+  using snapshot::Json;
+  Json transport = transport_.save_state(*this, error);
+  if (!error.empty()) return Json::object();
+
+  Json out = Json::object();
+  out["config"] = config_json();
 
   Json rng = Json::array();
   for (const auto word : rng_.state()) rng.push(Json(word));
@@ -865,172 +868,83 @@ snapshot::Json RingSimulation::save_state(std::string& error) const {
 }
 
 std::string RingSimulation::restore_state(const snapshot::Json& state) {
-  using snapshot::Json;
-  const auto u64_field = [&state](const char* key, std::uint64_t& out) {
-    const Json* v = state.find(key);
-    if (v == nullptr || !v->is_u64()) return false;
-    out = v->as_u64();
-    return true;
-  };
-
-  const Json* cfg = state.find("config");
-  if (cfg == nullptr || !cfg->is_object()) return "ring.config missing";
-  const auto cfg_is = [cfg](const char* key, std::uint64_t expect) {
-    const Json* v = cfg->find(key);
-    return v != nullptr && v->is_u64() && v->as_u64() == expect;
-  };
-  if (!cfg_is("size", config_.size) ||
-      !cfg_is("design", static_cast<std::uint64_t>(config_.params.design)) ||
-      !cfg_is("k", config_.params.k) || !cfg_is("q", config_.params.q) ||
-      !cfg_is("table_seed", config_.params.seed) || !cfg_is("seed", config_.seed) ||
-      !cfg_is("probe_period", config_.probe_period) ||
-      !cfg_is("ack_timeout", config_.ack_timeout)) {
-    return "ring.config does not match this simulation's configuration";
+  std::string error;
+  const snapshot::Reader in{state, "ring", error};
+  if (const snapshot::Reader cfg = in.field("config"); !cfg.matches(config_json())) {
+    cfg.fail("does not match this simulation's configuration");
   }
-  if (liveness_.gossip_enabled() &&
-      (!cfg_is("liveness_mode", 1) ||
-       !cfg_is("digest_budget", liveness_.config().digest_budget) ||
-       !cfg_is("digest_horizon", liveness_.config().digest_horizon))) {
-    return "ring.config liveness settings do not match this simulation's configuration";
-  }
+  if (!error.empty()) return error;
 
-  const Json* rng = state.find("rng");
-  if (rng == nullptr || !rng->is_array() || rng->items().size() != 4) {
-    return "ring.rng missing or malformed";
-  }
-  const Json* nodes = state.find("nodes");
-  if (nodes == nullptr || !nodes->is_array() || nodes->items().size() != nodes_.size()) {
-    return "ring.nodes missing or wrong node count";
-  }
-  const Json* queries = state.find("queries");
-  if (queries == nullptr || !queries->is_array()) return "ring.queries missing";
-  const Json* registry = state.find("registry");
-  if (registry == nullptr) return "ring.registry missing";
-  const Json* transport = state.find("transport");
-  if (transport == nullptr) return "ring.transport missing";
-  if (!u64_field("next_qid", next_qid_)) return "ring.next_qid missing";
-  if (!u64_field("next_rid", next_rid_)) return "ring.next_rid missing";
+  rng_.set_state(in.field("rng").rng_state());
+  next_qid_ = in.field("next_qid").u64();
+  next_rid_ = in.field("next_rid").u64();
 
-  rng::Xoshiro256::State words{};
-  for (std::size_t i = 0; i < 4; ++i) words[i] = rng->items()[i].as_u64();
-  rng_.set_state(words);
-
+  const ids::RingIndex last = config_.size - 1;
   liveness_.clear_all();
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    const Json& n = nodes->items()[i];
-    if (!n.is_object()) return "ring.nodes entry malformed";
+  const snapshot::Reader nodes = in.field("nodes");
+  for (std::size_t i = 0; i < nodes.size(nodes_.size()) && in.ok(); ++i) {
+    const snapshot::Reader n = nodes.at(i);
     Node& node = nodes_[i];
-    const auto get = [&n](const char* key) -> const Json* {
-      const Json* v = n.find(key);
-      return (v != nullptr && v->is_u64()) ? v : nullptr;
-    };
-    const Json* alive = get("alive");
-    const Json* cw_succ = get("cw_succ");
-    const Json* ccw = get("ccw");
-    const Json* ccw_suspected = get("ccw_suspected");
-    const Json* awaiting_claim = get("awaiting_claim");
-    const Json* cw_miss = get("cw_miss");
-    const Json* ccw_miss = get("ccw_miss");
-    const Json* check_event = get("awaiting_check_event");
-    const Json* refresh_cursor = get("refresh_cursor");
-    const Json* suspected = n.find("suspected");
-    const Json* table = n.find("table");
-    if (alive == nullptr || cw_succ == nullptr || ccw == nullptr ||
-        ccw_suspected == nullptr || awaiting_claim == nullptr || cw_miss == nullptr ||
-        ccw_miss == nullptr || check_event == nullptr || refresh_cursor == nullptr ||
-        suspected == nullptr || !suspected->is_array() || table == nullptr ||
-        !table->is_object()) {
-      return "ring.nodes entry malformed";
-    }
-    if (cw_succ->as_u64() >= config_.size || ccw->as_u64() >= config_.size) {
-      return "ring.nodes pointer out of range";
-    }
-    node.alive = alive->as_u64() != 0;
-    node.cw_succ = static_cast<ids::RingIndex>(cw_succ->as_u64());
-    node.ccw = static_cast<ids::RingIndex>(ccw->as_u64());
-    node.ccw_suspected = ccw_suspected->as_u64() != 0;
-    node.awaiting_claim = awaiting_claim->as_u64() != 0;
-    node.cw_miss_count = static_cast<std::uint32_t>(cw_miss->as_u64());
-    node.ccw_miss_count = static_cast<std::uint32_t>(ccw_miss->as_u64());
-    node.awaiting_check_event = check_event->as_u64();
-    node.refresh_cursor = static_cast<ids::RingIndex>(refresh_cursor->as_u64());
+    node.alive = n.field("alive").flag();
+    node.cw_succ = n.field("cw_succ").u32(last);
+    node.ccw = n.field("ccw").u32(last);
+    node.ccw_suspected = n.field("ccw_suspected").flag();
+    node.awaiting_claim = n.field("awaiting_claim").flag();
+    node.cw_miss_count = n.field("cw_miss").u32();
+    node.ccw_miss_count = n.field("ccw_miss").u32();
+    node.awaiting_check_event = n.field("awaiting_check_event").u64();
+    node.refresh_cursor = n.field("refresh_cursor").u32();
     const auto observer = static_cast<liveness::NodeId>(i);
-    if (liveness_.gossip_enabled()) {
-      for (const auto& row : suspected->items()) {
-        if (!row.is_array() || row.items().size() != 3) {
-          return "ring.nodes suspected row malformed";
-        }
-        const auto& f = row.items();
-        if (!f[0].is_u64() || f[0].as_u64() >= config_.size || !f[1].is_u64() ||
-            !f[2].is_u64() || f[2].as_u64() > 1) {
-          return "ring.nodes suspected row malformed";
-        }
-        liveness_.restore_row(observer, static_cast<liveness::NodeId>(f[0].as_u64()),
-                              liveness::Entry{liveness::kNeverExpires, f[1].as_u64(),
-                                              static_cast<liveness::Source>(f[2].as_u64())});
-      }
-    } else {
-      for (const auto& peer : suspected->items()) {
-        if (!peer.is_u64() || peer.as_u64() >= config_.size) {
-          return "ring.nodes suspected peer malformed";
-        }
-        liveness_.restore_row(observer, static_cast<liveness::NodeId>(peer.as_u64()),
-                              liveness::Entry{});
+    const snapshot::Reader suspected = n.field("suspected");
+    for (std::size_t s = 0; s < suspected.size(); ++s) {
+      const snapshot::Reader row = suspected.at(s);
+      if (liveness_.gossip_enabled()) {
+        (void)row.size(3);
+        liveness_.restore_row(observer, row.at(0).u32(last),
+                              liveness::Entry{liveness::kNeverExpires, row.at(1).u64(),
+                                              static_cast<liveness::Source>(row.at(2).u64(1))});
+      } else {
+        liveness_.restore_row(observer, row.u32(last), liveness::Entry{});
       }
     }
-    const Json* entries = table->find("entries");
-    const Json* ccw_ptr = table->find("ccw_neighbor");
-    if (entries == nullptr || !entries->is_array() || ccw_ptr == nullptr ||
-        !ccw_ptr->is_array() || ccw_ptr->items().size() > 1) {
-      return "ring.nodes table malformed";
-    }
+    // Entries in stored (clockwise distance) order, as add_entry requires.
+    const snapshot::Reader table = n.field("table");
+    const snapshot::Reader entries = table.field("entries");
     overlay::RoutingTable rebuilt{static_cast<ids::RingIndex>(i), config_.size};
-    for (const auto& raw : entries->items()) {
-      if (!raw.is_array() || raw.items().empty()) return "ring.nodes table row malformed";
+    std::uint32_t reached = 0;
+    for (std::size_t e = 0; e < entries.size() && in.ok(); ++e) {
+      const snapshot::Reader row = entries.at(e);
       overlay::TableEntry entry;
-      for (std::size_t f = 0; f < raw.items().size(); ++f) {
-        const Json& v = raw.items()[f];
-        if (!v.is_u64() || v.as_u64() >= config_.size) {
-          return "ring.nodes table row malformed";
-        }
-        if (f == 0) {
-          entry.sibling = static_cast<ids::RingIndex>(v.as_u64());
-        } else {
-          entry.nephews.push_back(static_cast<ids::RingIndex>(v.as_u64()));
-        }
-      }
-      rebuilt.add_entry(std::move(entry));
+      entry.sibling = row.at(0).u32(last);
+      for (std::size_t f = 1; f < row.size(); ++f) entry.nephews.push_back(row.at(f).u32(last));
+      const std::uint32_t distance = ids::clockwise_distance(rebuilt.owner(), entry.sibling,
+                                                             config_.size);
+      if (distance <= reached) row.fail("breaks the clockwise order of the table");
+      reached = distance;
+      if (in.ok()) rebuilt.add_entry(std::move(entry));
     }
-    if (!ccw_ptr->items().empty()) {
-      const Json& v = ccw_ptr->items()[0];
-      if (!v.is_u64() || v.as_u64() >= config_.size) return "ring.nodes table malformed";
-      rebuilt.set_ccw_neighbor(static_cast<ids::RingIndex>(v.as_u64()));
-    }
+    const snapshot::Reader ccw_ptr = table.field("ccw_neighbor");
+    if (ccw_ptr.size() > 1) ccw_ptr.fail("holds more than one pointer");
+    if (ccw_ptr.size() == 1) rebuilt.set_ccw_neighbor(ccw_ptr.at(0).u32(last));
     node.table = std::move(rebuilt);
   }
 
   queries_.clear();
-  for (const auto& raw : queries->items()) {
-    if (!raw.is_array() || raw.items().size() != 5) return "ring.queries entry malformed";
-    const auto& f = raw.items();
-    for (const auto& v : f) {
-      if (!v.is_u64()) return "ring.queries entry malformed";
-    }
+  const snapshot::Reader queries = in.field("queries");
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    const snapshot::Reader row = queries.at(q);
+    (void)row.size(5);
     QueryOutcome outcome;
-    outcome.done = f[1].as_u64() != 0;
-    outcome.delivered = f[2].as_u64() != 0;
-    outcome.hops = static_cast<std::uint32_t>(f[3].as_u64());
-    outcome.completed_at = f[4].as_u64();
-    queries_.emplace(f[0].as_u64(), outcome);
+    outcome.done = row.at(1).flag();
+    outcome.delivered = row.at(2).flag();
+    outcome.hops = row.at(3).u32();
+    outcome.completed_at = row.at(4).u64();
+    queries_.emplace(row.at(0).u64(), outcome);
   }
 
-  if (std::string err = snapshot::registry_from_json(registry_, *registry); !err.empty()) {
-    return "ring.registry: " + err;
-  }
-  if (std::string err = transport_.restore_state(*this, *transport); !err.empty()) {
-    return "ring.transport: " + err;
-  }
-  return "";
+  snapshot::registry_from_json(registry_, in.field("registry"));
+  transport_.restore_state(*this, in.field("transport"));
+  return error;
 }
 
 bool RingSimulation::owns(std::uint32_t kind) const {

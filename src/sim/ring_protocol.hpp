@@ -175,6 +175,10 @@ class RingSimulation : public snapshot::Participant {
                       snapshot::DescribedView on_timeout);
 
  private:
+  /// The configuration echo a snapshot stores and restore_state() compares
+  /// whole: tables and transport seeds must regenerate equal.
+  [[nodiscard]] snapshot::Json config_json() const;
+
   struct Message {
     enum class Type : std::uint8_t {
       kProbe,

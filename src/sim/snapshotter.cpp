@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "snapshot/event_kinds.hpp"
+#include "snapshot/reader.hpp"
 #include "snapshot/snapshot.hpp"
 #include "util/contracts.hpp"
 
@@ -82,37 +83,34 @@ std::string Snapshotter::save_file(const std::string& path) const {
 }
 
 std::string Snapshotter::restore(const snapshot::Json& doc) {
-  using snapshot::Json;
   if (std::string error = snapshot::validate_document(doc); !error.empty()) return error;
-
-  const Json* sections = doc.find("sections");
-  const Json* sim = sections->find("sim");
-  if (sim == nullptr) return "snapshot has no sim section";
-  const Json* now = sim->find("now");
-  const Json* next_id = sim->find("next_id");
-
-  std::vector<Simulator::PendingEvent> events;
-  for (const auto& raw : sim->find("events")->items()) {
-    const auto& fields = raw.items();
-    Simulator::PendingEvent event;
-    event.at = fields[0].as_u64();
-    event.id = fields[1].as_u64();
-    event.desc.kind = static_cast<std::uint32_t>(fields[2].as_u64());
-    for (std::size_t i = 3; i < fields.size(); ++i) event.desc.args.push_back(fields[i].as_u64());
-    events.push_back(std::move(event));
+  std::string error;
+  const snapshot::Reader sections = snapshot::Reader{doc, "snapshot", error}.field("sections");
+  const snapshot::Reader sim = sections.section("sim");
+  const std::uint64_t now = sim.field("now").u64();
+  const std::uint64_t next_id = sim.field("next_id").u64();
+  const snapshot::Reader rows = sim.field("events");
+  // validate_document checked every row: [at, id, kind, args...].
+  std::vector<Simulator::PendingEvent> events(rows.size());
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const std::vector<std::uint64_t> words = rows.at(i).words();
+    Simulator::PendingEvent& event = events[i];
+    event.at = words[0];
+    event.id = words[1];
+    event.desc.kind = static_cast<std::uint32_t>(words[2]);
+    event.desc.args.assign(words.begin() + 3, words.end());
   }
+  if (!error.empty()) return error;
   if (std::string refused = refuse_unowned(events); !refused.empty()) return refused;
 
-  sim_.reset(now->as_u64(), next_id->as_u64());
+  sim_.reset(now, next_id);
 
   // Participant state first: a subsystem's restore must not observe a
   // half-populated queue.
   for (auto* participant : participants_) {
-    const Json* state = sections->find(participant->section());
-    if (state == nullptr) {
-      return "snapshot has no section \"" + participant->section() + "\"";
-    }
-    if (std::string error = participant->restore_state(*state); !error.empty()) return error;
+    const snapshot::Reader state = sections.section(participant->section());
+    if (!error.empty()) return error;
+    if (std::string e = participant->restore_state(state.json()); !e.empty()) return e;
   }
 
   // Each event runs through the runner its block's owner claimed.

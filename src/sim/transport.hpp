@@ -36,6 +36,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -48,6 +49,7 @@
 #include "snapshot/event_kinds.hpp"
 #include "snapshot/json.hpp"
 #include "snapshot/participant.hpp"
+#include "snapshot/reader.hpp"
 #include "snapshot/snapshot.hpp"
 #include "trace/sink.hpp"
 #include "util/arena.hpp"
@@ -61,11 +63,20 @@ namespace hours::sim {
 /// delivery time, so a link severed while a message is in flight drops it.
 using LinkFilter = std::function<bool(std::uint32_t from, std::uint32_t to)>;
 
+/// True for a per-transmission loss rate a transport runs with: [0, 1).
+[[nodiscard]] inline bool is_loss_probability(double p) noexcept { return p >= 0.0 && p < 1.0; }
+
 struct TransportConfig {
   Ticks latency_min = 10;
   Ticks latency_max = 50;
   Ticks ack_timeout = 250;  ///< must exceed 2 * latency_max (+ loss retries)
   double loss_probability = 0.0;  ///< each transmission dropped i.i.d.
+
+  /// The Transport constructor's precondition, also checked on a restored
+  /// configuration.
+  [[nodiscard]] bool valid() const noexcept {
+    return ack_timeout > 2 * latency_max && is_loss_probability(loss_probability);
+  }
 };
 
 template <typename Payload>
@@ -100,8 +111,7 @@ class Transport {
         rng_(seed),
         encode_(encode),
         decode_(decode) {
-    HOURS_EXPECTS(config_.ack_timeout > 2 * config_.latency_max);
-    HOURS_EXPECTS(config_.loss_probability >= 0.0 && config_.loss_probability < 1.0);
+    HOURS_EXPECTS(config_.valid());
     HOURS_EXPECTS(encode_ != nullptr && decode_ != nullptr);
     sim_.set_runner(snapshot::kTransportDelivery,
                     [this](std::uint32_t kind, const std::uint64_t* args, std::size_t count) {
@@ -155,7 +165,7 @@ class Transport {
   /// to transmissions from the next send on; in-flight messages keep the
   /// fate they were already assigned.
   void set_loss_probability(double p) {
-    HOURS_EXPECTS(p >= 0.0 && p < 1.0);
+    HOURS_EXPECTS(is_loss_probability(p));
     config_.loss_probability = p;
   }
   [[nodiscard]] double loss_probability() const noexcept { return config_.loss_probability; }
@@ -262,73 +272,65 @@ class Transport {
   }
 
   /// Restores state saved by save_state() for `owner`'s section, under the
-  /// same continuation rule. Does NOT schedule anything — queued deliveries
-  /// and timeouts are restored through the simulator's event list. Returns
-  /// "" on success.
-  [[nodiscard]] std::string restore_state(const snapshot::Participant& owner,
-                                          const snapshot::Json& state) {
-    const auto* alive = state.find("alive");
-    const auto* incarnation = state.find("incarnation");
-    const auto* rng = state.find("rng");
-    const auto* pending = state.find("pending");
-    const auto* loss = state.find("loss_probability");
-    if (alive == nullptr || !alive->is_array() || alive->items().size() != alive_.size()) {
-      return "transport.alive missing or wrong node count";
+  /// same continuation rule, keeping a failure in `in`. Does NOT schedule
+  /// anything — queued deliveries and timeouts are restored through the
+  /// simulator's event list.
+  void restore_state(const snapshot::Participant& owner, const snapshot::Reader& in) {
+    const snapshot::Reader alive = in.field("alive");
+    const snapshot::Reader incarnation = in.field("incarnation");
+    for (std::size_t i = 0; i < alive.size(alive_.size()); ++i) {
+      alive_[i] = alive.at(i).flag() ? 1 : 0;
     }
-    if (incarnation == nullptr || !incarnation->is_array() ||
-        incarnation->items().size() != incarnation_.size()) {
-      return "transport.incarnation missing or wrong node count";
+    for (std::size_t i = 0; i < incarnation.size(incarnation_.size()); ++i) {
+      incarnation_[i] = incarnation.at(i).u32();
     }
-    if (rng == nullptr || !rng->is_array() || rng->items().size() != 4) {
-      return "transport.rng missing or malformed";
-    }
-    if (pending == nullptr || !pending->is_array()) return "transport.pending missing";
-    if (loss == nullptr || !loss->is_u64()) return "transport.loss_probability missing";
-    for (std::size_t i = 0; i < alive_.size(); ++i) {
-      alive_[i] = static_cast<std::uint8_t>(alive->items()[i].as_u64());
-      incarnation_[i] = static_cast<std::uint32_t>(incarnation->items()[i].as_u64());
-    }
-    rng::Xoshiro256::State words{};
-    for (std::size_t i = 0; i < 4; ++i) words[i] = rng->items()[i].as_u64();
-    rng_.set_state(words);
-    config_.loss_probability = snapshot::double_from_bits(loss->as_u64());
-    next_token_ = state.find("next_token") != nullptr ? state.find("next_token")->as_u64() : 1;
-    messages_sent_ =
-        state.find("messages_sent") != nullptr ? state.find("messages_sent")->as_u64() : 0;
-    messages_lost_ =
-        state.find("messages_lost") != nullptr ? state.find("messages_lost")->as_u64() : 0;
-    messages_link_dropped_ = state.find("messages_link_dropped") != nullptr
-                                 ? state.find("messages_link_dropped")->as_u64()
-                                 : 0;
+    rng_.set_state(in.field("rng").rng_state());
+    const snapshot::Reader loss = in.field("loss_probability");
+    config_.loss_probability = loss.bits();
+    if (!is_loss_probability(config_.loss_probability)) loss.fail("is not a rate in [0, 1)");
+    // Optional fields: a section without them starts the counters over.
+    const auto counter = [&in](const char* key, std::uint64_t fresh) {
+      return in.has(key) ? in.field(key).u64() : fresh;
+    };
+    next_token_ = counter("next_token", 1);
+    messages_sent_ = counter("messages_sent", 0);
+    messages_lost_ = counter("messages_lost", 0);
+    messages_link_dropped_ = counter("messages_link_dropped", 0);
     pending_.clear();
     pending_index_.clear();
-    for (const auto& raw : pending->items()) {
-      if (!raw.is_array() || raw.items().size() < 5) return "transport.pending entry malformed";
-      const auto& f = raw.items();
-      for (const auto& field : f) {
-        if (!field.is_u64()) return "transport.pending entry malformed";
-      }
-      std::size_t i = 0;
-      const std::uint64_t token = f[i++].as_u64();
+    const snapshot::Reader rows = in.field("pending");
+    for (std::size_t r = 0; r < rows.size() && in.ok(); ++r) {
+      // [token, timeout_event, ack kind, |ack args|, ack args..., timeout kind, args...]
+      const snapshot::Reader row = rows.at(r);
+      const std::vector<std::uint64_t> f = row.words();
+      if (f.size() < 5 || f[3] > f.size() - 5) return row.fail("is truncated");
+      const std::uint64_t token = f[0];
       if (token == 0 || pending_index_.find(token) != util::FlatIndex::kMissing) {
-        return "transport.pending token zero or repeated";
+        return row.fail("repeats a token or holds token 0");
       }
-      const std::uint64_t timeout_event = f[i++].as_u64();
-      const auto ack_kind = static_cast<std::uint32_t>(f[i++].as_u64());
-      const std::uint64_t ack_args = f[i++].as_u64();
-      if (ack_args > f.size() - i - 1) return "transport.pending entry truncated";
+      const auto timeout = f.begin() + 4 + static_cast<std::ptrdiff_t>(f[3]);
+      if (f[2] > UINT32_MAX || *timeout > UINT32_MAX) return row.fail("has a kind above 2^32");
       const std::uint32_t slot = pending_.allocate();
       Pending& entry = pending_[slot];
       entry.token = token;
-      entry.timeout_event = timeout_event;
-      entry.ack_cont.kind = ack_kind;
-      for (std::uint64_t a = 0; a < ack_args; ++a) entry.ack_cont.args.push_back(f[i++].as_u64());
-      entry.timeout_cont.kind = static_cast<std::uint32_t>(f[i++].as_u64());
-      for (; i < f.size(); ++i) entry.timeout_cont.args.push_back(f[i].as_u64());
-      if (std::string e = check_pending(owner, token, entry); !e.empty()) return "transport." + e;
+      entry.timeout_event = f[1];
+      entry.ack_cont.kind = static_cast<std::uint32_t>(f[2]);
+      entry.ack_cont.args.assign(f.begin() + 4, timeout);
+      entry.timeout_cont.kind = static_cast<std::uint32_t>(*timeout);
+      entry.timeout_cont.args.assign(timeout + 1, f.end());
+      if (std::string e = check_pending(owner, token, entry); !e.empty()) {
+        return in.reject("transport." + e);
+      }
       pending_index_.insert(token, slot);
     }
-    return "";
+  }
+
+  /// The same, from `state` alone: a failure names the path "transport".
+  [[nodiscard]] std::string restore_state(const snapshot::Participant& owner,
+                                          const snapshot::Json& state) {
+    std::string error;
+    restore_state(owner, snapshot::Reader{state, "transport", error});
+    return error;
   }
 
   /// Executes one transport-owned described event: decodes a delivery at

@@ -24,36 +24,26 @@ Json registry_to_json(const trace::Registry& registry) {
   return out;
 }
 
-std::string registry_from_json(trace::Registry& registry, const Json& state) {
-  const Json* counters = state.find("counters");
-  const Json* histograms = state.find("histograms");
-  if (counters == nullptr || !counters->is_object()) return "registry.counters missing";
-  if (histograms == nullptr || !histograms->is_object()) return "registry.histograms missing";
+void registry_from_json(trace::Registry& registry, const Reader& state) {
+  const Reader counters = state.field("counters");
+  const Reader histograms = state.field("histograms");
+  const std::vector<std::string> counter_names = counters.keys();
+  const std::vector<std::string> histogram_names = histograms.keys();
+  if (!state.ok()) return;
   registry.reset();
-  for (const auto& [name, value] : counters->fields()) {
-    if (!value.is_u64()) return "registry counter \"" + name + "\" not a u64";
-    registry.set_counter(name, value.as_u64());
-  }
-  for (const auto& [name, entry] : histograms->fields()) {
-    const Json* bins = entry.find("bins");
-    const Json* total = entry.find("total");
-    if (bins == nullptr || !bins->is_array() || total == nullptr || !total->is_u64()) {
-      return "registry histogram \"" + name + "\" malformed";
-    }
+  for (const auto& name : counter_names) registry.set_counter(name, counters.field(name).u64());
+  for (const auto& name : histogram_names) {
+    const Reader entry = histograms.field(name);
+    const std::vector<std::uint64_t> bins = entry.field("bins").words();
+    const std::uint64_t total = entry.field("total").u64();
     auto& h = registry.histogram(name);
     std::uint64_t restored = 0;
-    for (std::size_t value = 0; value < bins->items().size(); ++value) {
-      const Json& count = bins->items()[value];
-      if (!count.is_u64()) return "registry histogram \"" + name + "\" bin not a u64";
-      if (count.as_u64() == 0) continue;
-      h.add(value, count.as_u64());
-      restored += count.as_u64();
+    for (std::size_t value = 0; value < bins.size(); ++value) {
+      h.add(value, bins[value]);
+      restored += bins[value];
     }
-    if (restored != total->as_u64()) {
-      return "registry histogram \"" + name + "\" bins disagree with total";
-    }
+    if (restored != total) entry.fail("bins disagree with total");
   }
-  return "";
 }
 
 }  // namespace hours::snapshot

@@ -12,14 +12,16 @@
 #include <string>
 
 #include "snapshot/json.hpp"
+#include "snapshot/reader.hpp"
 #include "trace/registry.hpp"
 
 namespace hours::snapshot {
 
 [[nodiscard]] Json registry_to_json(const trace::Registry& registry);
 
-/// Resets `registry` and applies the saved values. Existing handles stay
-/// valid (names persist across Registry::reset()). Returns "" on success.
-[[nodiscard]] std::string registry_from_json(trace::Registry& registry, const Json& state);
+/// Resets `registry` and applies the saved values, keeping a failure in
+/// `state`. Existing handles stay valid (names persist across
+/// Registry::reset()).
+void registry_from_json(trace::Registry& registry, const Reader& state);
 
 }  // namespace hours::snapshot

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "snapshot/event_kinds.hpp"
+#include "snapshot/reader.hpp"
 
 namespace hours::snapshot {
 
@@ -19,43 +20,33 @@ Json make_document() {
 
 namespace {
 
-std::string validate_sim_section(const Json& sim) {
-  const Json* now = sim.find("now");
-  const Json* next_id = sim.find("next_id");
-  const Json* events = sim.find("events");
-  if (now == nullptr || !now->is_u64()) return "sim.now missing or not a u64";
-  if (next_id == nullptr || !next_id->is_u64()) return "sim.next_id missing or not a u64";
-  if (events == nullptr || !events->is_array()) return "sim.events missing or not an array";
+void check_sim_section(const Reader& sim) {
+  const std::uint64_t now = sim.field("now").u64();
+  const std::uint64_t next_id = sim.field("next_id").u64();
+  const Reader events = sim.field("events");
   std::vector<std::uint64_t> ids;
-  ids.reserve(events->items().size());
-  for (std::size_t i = 0; i < events->items().size(); ++i) {
-    const Json& event = events->items()[i];
-    const std::string where = "sim.events[" + std::to_string(i) + "]";
-    if (!event.is_array() || event.items().size() < 3) {
-      return where + " is not an [at, id, kind, args...] array";
-    }
-    for (const Json& field : event.items()) {
-      if (!field.is_u64()) return where + " holds a non-u64 element";
-    }
-    const std::uint64_t at = event.items()[0].as_u64();
-    const std::uint64_t id = event.items()[1].as_u64();
-    const std::uint64_t kind = event.items()[2].as_u64();
-    if (at < now->as_u64()) return where + " is scheduled in the past";
-    if (id == 0 || id >= next_id->as_u64()) return where + " id outside [1, next_id)";
+  for (std::size_t i = 0; i < events.size() && sim.ok(); ++i) {
+    const Reader row = events.at(i);
+    const std::vector<std::uint64_t> words = row.words();
+    if (words.size() < 3) return row.fail("is not an [at, id, kind, args...] array");
+    const std::uint64_t at = words[0];
+    const std::uint64_t id = words[1];
+    const std::uint64_t kind = words[2];
+    if (at < now) return row.fail("is scheduled in the past");
+    if (id == 0 || id >= next_id) return row.fail("id outside [1, next_id)");
     ids.push_back(id);
     if (kind > UINT32_MAX || event_kind_name(static_cast<std::uint32_t>(kind)).empty()) {
-      return where + " has unregistered kind " + std::to_string(kind);
+      return row.fail("has unregistered kind " + std::to_string(kind));
     }
-    const std::size_t count = event.items().size() - 3;
-    if (auto e = check_event_args(static_cast<std::uint32_t>(kind), count); !e.empty()) {
-      return where + ": " + e;
+    if (auto e = check_event_args(static_cast<std::uint32_t>(kind), words.size() - 3);
+        !e.empty()) {
+      return row.reject(e);
     }
   }
   std::sort(ids.begin(), ids.end());
   if (const auto twice = std::adjacent_find(ids.begin(), ids.end()); twice != ids.end()) {
-    return "sim.events: id " + std::to_string(*twice) + " is queued twice";
+    events.reject("id " + std::to_string(*twice) + " is queued twice");
   }
-  return "";
 }
 
 }  // namespace
@@ -81,26 +72,21 @@ std::string check_event_args(std::uint32_t kind, std::size_t count) {
 }
 
 std::string validate_document(const Json& doc) {
-  if (!doc.is_object()) return "document is not a JSON object";
-  const Json* magic = doc.find("magic");
-  if (magic == nullptr || !magic->is_string() || magic->as_string() != kSnapshotMagic) {
-    return "bad or missing magic (want \"" + std::string(kSnapshotMagic) + "\")";
+  std::string error;
+  const Reader in{doc, "snapshot", error};
+  const Reader magic = in.field("magic");
+  if (magic.str() != kSnapshotMagic) {
+    magic.reject("want \"" + std::string(kSnapshotMagic) + "\"");
   }
-  const Json* version = doc.find("version");
-  if (version == nullptr || !version->is_u64()) return "bad or missing version";
-  if (version->as_u64() == 0 || version->as_u64() > kSnapshotVersion) {
-    return "unsupported snapshot version " + std::to_string(version->as_u64()) +
-           " (reader supports up to " + std::to_string(kSnapshotVersion) + ")";
+  const Reader version = in.field("version");
+  if (const std::uint64_t v = version.u64(); v == 0 || v > kSnapshotVersion) {
+    version.reject("unsupported snapshot version " + std::to_string(v) +
+                   " (reader supports up to " + std::to_string(kSnapshotVersion) + ")");
   }
-  const Json* sections = doc.find("sections");
-  if (sections == nullptr || !sections->is_object()) return "bad or missing sections";
-  for (const auto& [name, body] : sections->fields()) {
-    if (!body.is_object()) return "section \"" + name + "\" is not an object";
-  }
-  if (const Json* sim = sections->find("sim"); sim != nullptr) {
-    return validate_sim_section(*sim);
-  }
-  return "";
+  const Reader sections = in.field("sections");
+  for (const auto& name : sections.keys()) (void)sections.section(name).keys();
+  if (sections.has("sim")) check_sim_section(sections.section("sim"));
+  return error;
 }
 
 std::string write_file(const std::string& path, const Json& doc) {

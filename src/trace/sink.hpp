@@ -15,8 +15,8 @@
 namespace hours::trace {
 
 /// Receives every emitted event. Implementations: RingBufferSink (in-memory
-/// + subscriber callbacks), JsonLinesSink, ChromeTraceSink, and protocol
-/// consumers such as sim::AdaptiveAttacker.
+/// + subscriber callbacks), JsonLinesSink, and protocol consumers such as
+/// sim::AdaptiveAttacker.
 class TraceSink {
  public:
   virtual ~TraceSink() = default;

@@ -8,6 +8,7 @@
 
 #include <array>
 #include <type_traits>
+#include <vector>
 
 #include "overlay/overlay.hpp"
 
@@ -252,6 +253,22 @@ TEST(Forward, MisrouterStillUsuallyDelivers) {
   }
   // Mis-routing wastes hops but honest downstream nodes resume greedy.
   EXPECT_GT(delivered, 10);
+}
+
+TEST(Forward, IdenticalOverlaysMisrouteIdentically) {
+  // Each overlay draws misroutes from its own stream: a second overlay with
+  // the same params routes the same queries along the same paths, whatever
+  // the first one drew before it.
+  const auto routes = [] {
+    Overlay ov{128, enhanced()};
+    ov.set_behavior(5, NodeBehavior::kMisrouter);
+    ForwardOptions opts;
+    opts.record_path = true;
+    std::vector<std::vector<ids::RingIndex>> paths;
+    for (ids::RingIndex to = 10; to < 128; to += 7) paths.push_back(ov.forward(5, to, opts).path);
+    return paths;
+  };
+  EXPECT_EQ(routes(), routes());
 }
 
 TEST(Forward, LazyStorageMatchesEager) {

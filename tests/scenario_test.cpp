@@ -161,6 +161,23 @@ TEST(ScenarioValidate, RejectCorpusNamesTheOffendingPath) {
       {kRingBase, "\"metrics\"",
        "\"faults\": {\"plan\": [\"byzantine(1, NodeBehavior(2), 5)\"]}, \"metrics\"",
        "$.faults.plan: byzantine() is unsupported on the ring system"},
+      // A line that breaks its builder's precondition is a located error.
+      {kRingBase, "\"metrics\"",
+       "\"faults\": {\"plan\": [\"flap(1, 0, 0, 0, 0)\"]}, \"metrics\"",
+       "$.faults.plan: line 1, col 1: flap() needs down, up and cycles >= 1"},
+      {kRingBase, "\"metrics\"",
+       "\"faults\": {\"plan\": [\"loss_episode(1.5, 40000, 60000)\"]}, \"metrics\"",
+       "$.faults.plan: line 1, col 1: loss_episode() needs a probability in [0, 1)"},
+      {kRingBase, "\"metrics\"",
+       "\"faults\": {\"plan\": [\"random_churn(3, 100, 50, 10, 1, {})\"]}, \"metrics\"",
+       "$.faults.plan: line 1, col 1: random_churn() needs"},
+      // So is a node outside the system: the ring's 8, the mirror's 1 + 3 + 9.
+      {kRingBase, "\"metrics\"",
+       "\"faults\": {\"plan\": [\"crash(4000000000, 5, 0)\"]}, \"metrics\"",
+       "$.faults.plan: crash() names node 4000000000, past the 8 nodes of the system"},
+      {kHierarchyBase, "\"workload\"",
+       "\"faults\": {\"plan\": [\"crash(13, 5, 0)\"]}, \"workload\"",
+       "$.faults.plan: crash() names node 13, past the 13 nodes of the system"},
       {kHierarchyBase, "\"backend\": \"event\"", "\"backend\": \"graph\"", ""},  // setup below
       // Attacker clause.
       {kRingBase, "\"metrics\"", "\"attacker\": {\"kind\": \"strike\"}, \"metrics\"",

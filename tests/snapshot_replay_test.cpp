@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <string>
 #include <string_view>
@@ -783,6 +784,171 @@ TEST(SnapshotReplay, ResolverRestoreRejectsHostileDocuments) {
   }
   EXPECT_TRUE(resolver.resolve("cs.ucla", system.now()).from_cache);
   EXPECT_EQ(resolver.cached_names(), 1U);
+}
+
+TEST(SnapshotReplay, FacadeEventBackendKeepsGossipAcrossRestore) {
+  // A gossip-mode event backend comes back in gossip mode, with its digest
+  // settings, and re-saves to the same document.
+  HoursSystem original;
+  ASSERT_TRUE(original.admit("ucla").ok());
+  EventBackendConfig config;
+  config.liveness.mode = liveness::Mode::kGossip;
+  config.liveness.digest_budget = 5;
+  config.liveness.digest_horizon = 7'000;
+  (void)original.use_event_backend(config);
+  snapshot::Json doc;
+  ASSERT_EQ(original.save_json(doc), "");
+
+  HoursSystem restored;
+  ASSERT_EQ(restored.restore_json(doc), "");
+  ASSERT_NE(restored.event_backend(), nullptr);
+  const liveness::Config& liveness = restored.event_backend()->config().liveness;
+  EXPECT_EQ(liveness.mode, liveness::Mode::kGossip);
+  EXPECT_EQ(liveness.digest_budget, 5U);
+  EXPECT_EQ(liveness.digest_horizon, 7'000U);
+  snapshot::Json resaved;
+  ASSERT_EQ(restored.save_json(resaved), "");
+  EXPECT_EQ(resaved.dump(), doc.dump());
+}
+
+TEST(SnapshotReplay, FacadeRestoreRefusesATransportConfigTheTransportRejects) {
+  // An ack timeout inside two latencies would abort the event backend's
+  // transport on the first query; restore refuses it instead.
+  HoursSystem original;
+  ASSERT_TRUE(original.admit("ucla").ok());
+  (void)original.use_event_backend();
+  snapshot::Json doc;
+  ASSERT_EQ(original.save_json(doc), "");
+  doc["sections"]["system"]["backend"]["config"]["transport"]["ack_timeout"] =
+      snapshot::Json(std::uint64_t{1});
+
+  HoursSystem restored;
+  EXPECT_EQ(restored.restore_json(doc),
+            "system.backend.config.transport is not a configuration a transport accepts");
+}
+
+// ---------------------------------------------------------------------------
+// Hostile documents: a located error, never an abort
+
+/// Calls `leaf(section)` with each leaf under `node` switched to the other
+/// type (u64 <-> string), and `drop()` with the last item of each array
+/// dropped, undoing each change before the next. A snapshot document's
+/// sections lie under "sections"; `section` names the one `node` is in.
+void mutate_each(snapshot::Json& node, int depth, const std::string& section,
+                 const std::function<void(const std::string&)>& leaf,
+                 const std::function<void()>& drop) {
+  if (node.is_object()) {
+    for (auto& [key, child] : node.fields()) {
+      mutate_each(child, depth + 1, depth == 1 ? key : section, leaf, drop);
+    }
+  } else if (node.is_array()) {
+    auto& items = node.items();
+    for (auto& child : items) mutate_each(child, depth + 1, section, leaf, drop);
+    if (items.empty()) return;
+    snapshot::Json last = std::move(items.back());
+    items.pop_back();
+    drop();
+    items.push_back(std::move(last));
+  } else {
+    const snapshot::Json saved = node;
+    node = node.is_u64() ? snapshot::Json("x") : snapshot::Json(std::uint64_t{7});
+    leaf(section);
+    node = saved;
+  }
+}
+
+/// Every leaf switched to the other type gets a non-empty error that starts
+/// with its section's name; every array short of its last item restores or
+/// fails, without aborting. Returns the number of documents tried.
+std::size_t expect_located_errors(snapshot::Json doc, const std::string& root,
+                                  const std::function<std::string(const snapshot::Json&)>& restore) {
+  std::size_t tried = 0;
+  mutate_each(
+      doc, 0, root,
+      [&](const std::string& section) {
+        ++tried;
+        const std::string error = restore(doc);
+        EXPECT_EQ(error.rfind(section, 0), 0U) << "error \"" << error << "\" for " << doc.dump();
+      },
+      [&] {
+        ++tried;
+        (void)restore(doc);
+      });
+  return tried;
+}
+
+TEST(SnapshotReplay, HostileDocumentsGetALocatedErrorNeverAnAbort) {
+  // The validate_snapshot --demo document: a ring mid-way through a crash
+  // and a loss episode.
+  RingSimConfig ring_config;
+  ring_config.size = 12;
+  ring_config.probe_failure_threshold = 2;
+  FaultPlan plan;
+  plan.crash(3, 1'500, 6'000);
+  plan.loss_episode(0.05, 2'000, 5'000);
+  snapshot::Json ring_doc;
+  {
+    RingSimulation ring{ring_config};
+    ring.start();
+    FaultInjector injector{make_fault_target(ring), plan};
+    injector.arm();
+    Snapshotter snap{ring.simulator()};
+    snap.add(ring);
+    snap.add(injector);
+    ring.simulator().run(2'500);
+    ASSERT_EQ(snap.save(ring_doc), "");
+  }
+  EXPECT_GT(expect_located_errors(ring_doc, "snapshot",
+                                  [&](const snapshot::Json& doc) {
+                                    RingSimulation ring{ring_config};
+                                    FaultInjector injector{make_fault_target(ring), plan};
+                                    Snapshotter snap{ring.simulator()};
+                                    snap.add(ring);
+                                    snap.add(injector);
+                                    return snap.restore(doc);
+                                  }),
+            0U);
+
+  const HierarchySimConfig hier_config = lossy_three_by_three();
+  snapshot::Json hier_doc;
+  std::string error;
+  ASSERT_TRUE(snapshot::parse_json(mid_query_hierarchy_snapshot(hier_config), hier_doc, &error))
+      << error;
+  EXPECT_GT(expect_located_errors(hier_doc, "snapshot",
+                                  [&](const snapshot::Json& doc) {
+                                    HierarchySimulation hierarchy{hier_config};
+                                    Snapshotter snap{hierarchy.simulator()};
+                                    snap.add(hierarchy);
+                                    return snap.restore(doc);
+                                  }),
+            0U);
+
+  // A facade on the event backend, with a fault plan and a query behind it.
+  HoursSystem system;
+  for (const char* name : {"ucla", "cs.ucla", "www.cs.ucla"}) ASSERT_TRUE(system.admit(name).ok());
+  ASSERT_TRUE(system.add_record("www.cs.ucla", {"A", "10.0.0.7", 120}).ok());
+  (void)system.use_event_backend();
+  FaultPlan facade_plan;
+  facade_plan.crash(1, 1'000, 5'000);
+  ASSERT_TRUE(system.schedule_faults(std::move(facade_plan)).ok());
+  (void)system.query("www.cs.ucla");
+  system.advance(30);
+  snapshot::Json facade_doc;
+  ASSERT_EQ(system.save_json(facade_doc), "");
+  EXPECT_GT(expect_located_errors(facade_doc, "snapshot",
+                                  [](const snapshot::Json& doc) {
+                                    return HoursSystem{}.restore_json(doc);
+                                  }),
+            0U);
+
+  ConcurrentResolver resolver{system, 16, /*shard_count=*/1};
+  (void)resolver.resolve("www.cs.ucla", system.now());
+  (void)resolver.resolve("nosuch.ucla", system.now());
+  EXPECT_GT(expect_located_errors(resolver.to_json(), "resolver",
+                                  [&](const snapshot::Json& doc) {
+                                    return ConcurrentResolver{system, 4, 1}.from_json(doc);
+                                  }),
+            0U);
 }
 
 }  // namespace

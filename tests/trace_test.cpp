@@ -1,14 +1,13 @@
 // Tests for the src/trace subsystem: event taxonomy round-trips, the JSONL
 // wire format against golden strings (with the validator as the other side
-// of the contract), ring-buffer wrap and subscriber dispatch, Chrome
-// trace_event export, and registry determinism.
+// of the contract), ring-buffer wrap and subscriber dispatch, and registry
+// determinism.
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "trace/chrome_trace_sink.hpp"
 #include "trace/event.hpp"
 #include "trace/jsonl_sink.hpp"
 #include "trace/registry.hpp"
@@ -209,45 +208,6 @@ TEST(JsonLinesSink, BadPathReportsNotOk) {
   EXPECT_FALSE(sink.ok());
   sink.on_event({.at = 1});  // must not crash
   EXPECT_EQ(sink.lines_written(), 0U);
-}
-
-// -- ChromeTraceSink ---------------------------------------------------------
-
-TEST(ChromeTraceSink, GoldenDocument) {
-  std::ostringstream out;
-  {
-    ChromeTraceSink sink{out};
-    ASSERT_TRUE(sink.ok());
-    sink.on_event({.at = 10, .type = EventType::kQuerySubmit, .node = 2, .peer = 5, .causal = 7});
-    sink.on_event({.at = 15, .type = EventType::kRingHop, .node = 2, .peer = 3, .level = 1,
-                   .causal = 7, .value = 1});
-    sink.on_event({.at = 30, .type = EventType::kQueryDelivered, .node = 5, .causal = 7,
-                   .value = 2});
-    EXPECT_EQ(sink.events_written(), 3U);
-  }  // destructor closes the JSON array
-  EXPECT_EQ(out.str(),
-            "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"
-            "{\"name\":\"query_submit\",\"ph\":\"b\",\"ts\":10,\"pid\":0,\"tid\":2,"
-            "\"cat\":\"query\",\"id\":7,"
-            "\"args\":{\"peer\":5,\"level\":-1,\"causal\":7,\"value\":0}},\n"
-            "{\"name\":\"ring_hop\",\"ph\":\"i\",\"ts\":15,\"pid\":0,\"tid\":2,\"s\":\"t\","
-            "\"args\":{\"peer\":3,\"level\":1,\"causal\":7,\"value\":1}},\n"
-            "{\"name\":\"query_delivered\",\"ph\":\"e\",\"ts\":30,\"pid\":0,\"tid\":5,"
-            "\"cat\":\"query\",\"id\":7,"
-            "\"args\":{\"peer\":null,\"level\":-1,\"causal\":7,\"value\":2}}\n"
-            "]}\n");
-}
-
-TEST(ChromeTraceSink, EventsAfterCloseIgnored) {
-  std::ostringstream out;
-  ChromeTraceSink sink{out};
-  sink.on_event({.at = 1, .type = EventType::kProbeSent, .node = 0});
-  sink.close();
-  const std::string closed = out.str();
-  sink.on_event({.at = 2, .type = EventType::kProbeSent, .node = 0});
-  sink.close();  // idempotent
-  EXPECT_EQ(out.str(), closed);
-  EXPECT_EQ(sink.events_written(), 1U);
 }
 
 // -- Registry ----------------------------------------------------------------
